@@ -7,9 +7,10 @@ Subcommands:
 * ``verify``   -- run the inequality sweep and print its summary
 * ``sweep-s``  -- tabulate the three type-s families over an s grid
 
-Exit codes: 0 success, 1 input or validation error, 2 when a verify run
-records at least one ASSERT failure. Numeric output carries 12
-significant digits so outputs are byte-stable across runs.
+Exit codes: 0 success, 1 input or validation error (including a result
+that is not finite, NON_FINITE_RESULT), 2 when a verify run records at
+least one ASSERT failure. Numeric output carries 12 significant digits so
+outputs are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from .csiszar import bound_report, family_generator
 from .divergences import MeasureKind, classic_divergence
-from .errors import InputError, SymdivError
+from .errors import DomainError, InputError, SymdivError
 from .families import (GeneratorFamilyKind, ag_js_divergence_type_s,
                        j_divergence_type_s, relative_information_type_s)
 from .simplex import (NormalizationMode, NormalizationPolicy, load_weights,
@@ -43,6 +44,16 @@ def _round12(value):
     if isinstance(value, list):
         return [_round12(v) for v in value]
     return value
+
+
+def _require_finite(payload) -> None:
+    """Refuse to print inf or NaN in any format: JSON has no such numbers,
+    and a non-finite figure is an overflow, not a result."""
+    try:
+        json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("NON_FINITE_RESULT",
+                          "the result is not finite in double precision") from exc
 
 
 def _dump_json(obj) -> str:
@@ -123,6 +134,7 @@ def _cmd_compute(args) -> int:
     else:
         value = classic_divergence(measure, p, q)
     key = f"{measure}:{order:g}" if order is not None else measure.name
+    _require_finite(float(value))
     _emit_mapping([(key, float(value))], args.format, header="measure,value")
     return 0
 
@@ -139,6 +151,7 @@ def _cmd_bounds(args) -> int:
                          "bounds needs a family generator: PHI:s or PSI:s")
     report = bound_report(family_generator(kind, order), p, q)
     payload = report.to_json_dict()
+    _require_finite(payload)
     if args.format == "json":
         print(_dump_json(payload))
     else:
@@ -160,8 +173,10 @@ def _cmd_verify(args) -> int:
                          t_grid=_parse_grid(args.t_grid),
                          tol=args.tol)
     summary = run_sweep(config)
+    payload = summary.to_json_dict()
+    _require_finite(payload)
     if args.format == "json":
-        print(_dump_json(summary.to_json_dict()))
+        print(_dump_json(payload))
     else:
         for case in summary.cases:
             status = "PASS" if case.passed else "FAIL"
@@ -180,6 +195,7 @@ def _cmd_sweep_s(args) -> int:
              relative_information_type_s(s, p, q),
              j_divergence_type_s(s, p, q),
              ag_js_divergence_type_s(s, p, q)) for s in grid]
+    _require_finite(rows)
     if args.format == "json":
         print(_dump_json([{"s": s, "Phi": phi, "V": v, "W": w}
                           for s, phi, v, w in rows]))

@@ -24,7 +24,7 @@ Generators are immutable evaluation bundles; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -57,6 +57,9 @@ class Generator:
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over [r, R] (for the built-in families it is attained at r
     while the order parameter stays in ``smoothness_range``).
+    ``evaluate_each(order, x)``, when given, evaluates a 1-D array of
+    independent arguments, rounding each as ``evaluate`` rounds it alone;
+    without it ``evaluate`` is taken to round arrays that way already.
     """
 
     name: str
@@ -65,6 +68,7 @@ class Generator:
     curvature_monotonicity: Curvature = Curvature.UNKNOWN
     smoothness_range: Optional[tuple[float, float]] = None
     third_sup_closed_form: Optional[Callable[[float, float], float]] = None
+    evaluate_each: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -86,11 +90,22 @@ class Generator:
         xv = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
             raise DomainError("NONPOSITIVE_ARGUMENT", "generator argument must be finite and > 0")
-        out = np.asarray(self.evaluate(order, xv), dtype=float)
+        out = self._finite(order, self.evaluate(order, xv))
+        return out if np.ndim(x) else float(out)
+
+    def _eval_each(self, order: int, x: np.ndarray) -> np.ndarray:
+        """eval over a 1-D array of arguments from a validated ratio range,
+        one per pair, each rounded as eval rounds it alone."""
+        if self.evaluate_each is None:
+            return self.eval(order, x)
+        return self._finite(order, self.evaluate_each(order, x))
+
+    def _finite(self, order: int, out) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
         if not np.all(np.isfinite(out)):
             raise DomainError("GENERATOR_DOMAIN",
                               f"generator {self.name!r} evaluation failed at order {order}")
-        return out if np.ndim(x) else float(out)
+        return out
 
 
 def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Generator:
@@ -109,6 +124,9 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
         # Generator.eval has already validated order and domain
         return core(sp, np.asarray(x, dtype=float), order)
 
+    def evaluate_each(order: int, x: np.ndarray) -> np.ndarray:
+        return _psi_eval(sp, np.asarray(x, dtype=float), order, each=True)
+
     closed_form = None
     if in_range:
         if kind is GeneratorFamilyKind.PHI:
@@ -126,6 +144,7 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
         curvature_monotonicity=Curvature.DECREASING if in_range else Curvature.UNKNOWN,
         smoothness_range=(-1.0, 2.0),
         third_sup_closed_form=closed_form,
+        evaluate_each=None if kind is GeneratorFamilyKind.PHI else evaluate_each,
     )
 
 
@@ -136,17 +155,26 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
 def csiszar_divergence(gen: Generator, p: Distribution, q: Distribution) -> float:
     """sum q_i f(p_i / q_i); nonnegative for convex normalized f."""
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    return float((b * gen.eval(0, a / b)).sum())
+    return float(_divergence(gen, p.weights, q.weights))
 
 
 def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
     """The pair (E, E*) of first-order functionals of the generator."""
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    e = float(((a - b) * gen.eval(1, a / b)).sum())
-    e_star = float(((a - b) * gen.eval(1, (a + b) / (2.0 * b))).sum())
+    e, e_star = _linearized(gen, p.weights, q.weights)
+    return float(e), float(e_star)
+
+
+# the sums over the last axis of weight arrays: one value per pair of rows
+
+def _divergence(gen: Generator, a: np.ndarray, b: np.ndarray):
+    return (b * gen.eval(0, a / b)).sum(axis=-1)
+
+
+def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
+    e = ((a - b) * gen.eval(1, a / b)).sum(axis=-1)
+    e_star = ((a - b) * gen.eval(1, (a + b) / (2.0 * b))).sum(axis=-1)
     return e, e_star
 
 
@@ -158,9 +186,7 @@ def endpoint_bounds(gen: Generator, rb: RatioBounds) -> tuple[float, float]:
     """(A, B): the quarter-spread slope bound and the chord evaluation."""
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    r, big_r = rb.r, rb.R
-    a_bound = 0.25 * (big_r - r) * (gen.eval(1, big_r) - gen.eval(1, r))
-    b_bound = ((big_r - 1.0) * gen.eval(0, r) + (1.0 - r) * gen.eval(0, big_r)) / (big_r - r)
+    a_bound, b_bound = _endpoints(gen.eval, rb.r, rb.R)
     return float(a_bound), float(b_bound)
 
 
@@ -178,22 +204,54 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
     if gen.max_order < 2:
         raise DomainError("MISSING_DERIVATIVE", "smoothness bounds need f''")
-    r, big_r = rb.r, rb.R
+    delta, f3_sup, variation = _smoothness(gen, gen.eval, rb.r, rb.R)
+    return (None if delta is None else float(delta),
+            None if f3_sup is None else float(f3_sup[0]), float(variation))
 
-    delta: Optional[float] = None
+
+# endpoint and smoothness quantities from f(order, x), the generator at r
+# and R: floats for one pair, or 1-D arrays with one value per pair
+
+def _endpoints(f, r, big_r):
+    a_bound = 0.25 * (big_r - r) * (f(1, big_r) - f(1, r))
+    b_bound = ((big_r - 1.0) * f(0, r) + (1.0 - r) * f(0, big_r)) / (big_r - r)
+    return a_bound, b_bound
+
+
+def _smoothness(gen: Generator, f, r, big_r):
+    """(delta, f3_sup, variation); f3_sup is an array with one value per pair."""
+    delta = None
     if gen.curvature_monotonicity is not Curvature.UNKNOWN:
-        delta = abs(float(gen.eval(2, r)) - float(gen.eval(2, big_r)))
+        delta = np.abs(f(2, r) - f(2, big_r))
 
-    f3_sup: Optional[float] = None
+    f3_sup = None
+    lo, hi = np.atleast_1d(r), np.atleast_1d(big_r)
     if gen.third_sup_closed_form is not None:
-        f3_sup = float(gen.third_sup_closed_form(r, big_r))
+        # one call per pair on Python floats: numpy's array powers differ
+        # from float powers in the last bit
+        f3_sup = np.array([float(gen.third_sup_closed_form(a, b))
+                           for a, b in zip(lo.tolist(), hi.tolist())])
     elif gen.max_order >= 3:
         # arguments stay inside [r, R]; use the raw evaluator in the loop
         f3_sup = _grid_max(
-            lambda x: np.abs(np.asarray(gen.evaluate(3, x), dtype=float)), r, big_r)
+            lambda x: np.abs(np.asarray(gen.evaluate(3, x), dtype=float)), lo, hi)
 
-    variation = float(gen.eval(1, big_r) - gen.eval(1, r))
+    variation = f(1, big_r) - f(1, r)
     return delta, f3_sup, variation
+
+
+def _deviation_bounds(delta, f3_sup, variation, chi2, abs_chi3, tv):
+    """(half_E_bound, E_star_bound): each the min over the terms whose
+    derivative data is available (delta and f3_sup may be None)."""
+    half = variation * tv
+    star = 0.5 * variation * tv
+    if delta is not None:
+        half = np.minimum(half, delta * chi2 / 8.0)
+        star = np.minimum(star, delta * chi2 / 8.0)
+    if f3_sup is not None:
+        half = np.minimum(half, f3_sup * abs_chi3 / 12.0)
+        star = np.minimum(star, f3_sup * abs_chi3 / 24.0)
+    return half, star
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +284,9 @@ class BoundReport:
     ratio_bounds: RatioBounds
 
     def to_json_dict(self) -> dict:
-        out = {
-            "generator": self.generator,
-            "value": self.value,
-            "linearized": self.linearized,
-            "linearized_mid": self.linearized_mid,
-            "endpoint_A": self.endpoint_A,
-            "endpoint_B": self.endpoint_B,
-            "delta": self.delta,
-            "f3_sup": self.f3_sup,
-            "variation": self.variation,
-            "chi2": self.chi2,
-            "abs_chi3": self.abs_chi3,
-            "total_variation": self.total_variation,
-            "half_E_bound": self.half_E_bound,
-            "E_star_bound": self.E_star_bound,
-            "ratio_bounds": {"r": self.ratio_bounds.r, "R": self.ratio_bounds.R,
-                             "degenerate": self.ratio_bounds.degenerate},
-        }
-        return {k: v for k, v in out.items() if v is not None}
+        """The fields in declaration order, ratio_bounds as {r, R, degenerate},
+        without the unavailable (None) ones."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
@@ -261,19 +303,10 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
                            None, chi2, abs_chi3, tv, None, None, rb)
     a_bound, b_bound = endpoint_bounds(gen, rb)
     delta, f3_sup, variation = smoothness_bounds(gen, rb)
-
-    half_terms = [variation * tv]
-    star_terms = [0.5 * variation * tv]
-    if delta is not None:
-        half_terms.append(delta * chi2 / 8.0)
-        star_terms.append(delta * chi2 / 8.0)
-    if f3_sup is not None:
-        half_terms.append(f3_sup * abs_chi3 / 12.0)
-        star_terms.append(f3_sup * abs_chi3 / 24.0)
-
+    half, star = _deviation_bounds(delta, f3_sup, variation, chi2, abs_chi3, tv)
     return BoundReport(gen.name, value, e, e_star, a_bound, b_bound, delta,
                        f3_sup, variation, chi2, abs_chi3, tv,
-                       min(half_terms), min(star_terms), rb)
+                       float(half), float(star), rb)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +343,11 @@ def compare_generators(gen1: Generator, gen2: Generator, rb: RatioBounds,
         return (np.asarray(gen1.evaluate(2, x), dtype=float)
                 / np.asarray(gen2.evaluate(2, x), dtype=float))
 
-    values = np.asarray(gen1.eval(2, xs), dtype=float) / denom
-    lo_x, lo_v = _refine(ratio, xs, values, int(np.argmin(values)), minimize=True)
-    hi_x, hi_v = _refine(ratio, xs, values, int(np.argmax(values)), minimize=False)
-    return ComparisonBounds(m_ratio=lo_v, M_ratio=hi_v, m_location=lo_x, M_location=hi_x)
+    values = (np.asarray(gen1.eval(2, xs), dtype=float) / denom)[None]
+    lo_x, lo_v = _refine(ratio, xs[None], values, values.argmin(axis=-1), minimize=True)
+    hi_x, hi_v = _refine(ratio, xs[None], values, values.argmax(axis=-1), minimize=False)
+    return ComparisonBounds(m_ratio=float(lo_v[0]), M_ratio=float(hi_v[0]),
+                            m_location=float(lo_x[0]), M_location=float(hi_x[0]))
 
 
 def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
@@ -325,37 +359,46 @@ def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
 
 # internal extremization helpers --------------------------------------------
 
-def _grid_max(fn, r: float, big_r: float, grid_points: int = _SUP_GRID_POINTS) -> float:
-    xs = np.geomspace(r, big_r, grid_points)
+def _grid_max(fn, r: np.ndarray, big_r: np.ndarray,
+              grid_points: int = _SUP_GRID_POINTS) -> np.ndarray:
+    """Max of fn over [r_i, R_i] for each lane i: a geometric grid per lane,
+    then golden section on every lane at once."""
+    xs = np.geomspace(r, big_r, grid_points, axis=-1)
     values = np.asarray(fn(xs), dtype=float)
-    _, best = _refine(lambda x: np.asarray(fn(x), dtype=float), xs, values,
-                      int(np.argmax(values)), minimize=False)
+    _, best = _refine(fn, xs, values, values.argmax(axis=-1), minimize=False)
     return best
 
 
-def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: int, minimize: bool,
-            tol: float = _GOLDEN_TOL) -> tuple[float, float]:
-    """Golden-section polish inside the grid cells adjacent to the best point."""
-    lo = xs[max(idx - 1, 0)]
-    hi = xs[min(idx + 1, xs.size - 1)]
+def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: np.ndarray, minimize: bool,
+            tol: float = _GOLDEN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section polish inside the grid cells adjacent to each lane's
+    best point; xs and values hold one grid per row, idx one index per row,
+    and fn maps an array of points to an array of values.
+
+    Lanes step together, and a lane whose bracket is below tol stops
+    changing, so each takes exactly the steps it would take alone. The
+    polished point replaces the grid point unless the grid point is
+    strictly better.
+    """
+    lanes = np.arange(xs.shape[0])
+    a = xs[lanes, np.maximum(idx - 1, 0)]
+    b = xs[lanes, np.minimum(idx + 1, xs.shape[1] - 1)]
     sign = 1.0 if minimize else -1.0
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = sign * float(fn(np.array([c]))[0])
-    fd = sign * float(fn(np.array([d]))[0])
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * float(fn(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * float(fn(np.array([d]))[0])
-    x_best = float((a + b) / 2.0)
-    candidates = [(x_best, float(fn(np.array([x_best]))[0])), (float(xs[idx]), float(values[idx]))]
-    if minimize:
-        return min(candidates, key=lambda pair: pair[1])
-    return max(candidates, key=lambda pair: pair[1])
+    fc, fd = sign * fn(c), sign * fn(d)
+    live = b - a > tol
+    while live.any():
+        # left: keep [a, d] and probe a new c; else keep [c, b], probe a new d
+        left = fc < fd
+        probe = np.where(left, d - invphi * (d - a), c + invphi * (b - c))
+        f_probe = sign * fn(probe)
+        step = np.where(left, (a, probe, c, d, f_probe, fc), (c, d, probe, b, fd, f_probe))
+        a, c, d, b, fc, fd = np.where(live, step, (a, c, d, b, fc, fd))
+        live = b - a > tol
+    x_best = (a + b) / 2.0
+    f_best = fn(x_best)
+    x_grid, f_grid = xs[lanes, idx], values[lanes, idx]
+    use_grid = f_grid < f_best if minimize else f_grid > f_best
+    return np.where(use_grid, x_grid, x_best), np.where(use_grid, f_grid, f_best)

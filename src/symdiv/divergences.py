@@ -45,35 +45,39 @@ def is_symmetric(kind: MeasureKind) -> bool:
 def classic_divergence(kind: MeasureKind, p: Distribution, q: Distribution) -> float:
     """Evaluate one classic measure by direct summation of its formula."""
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
+    return float(_classic(kind, p.weights, q.weights))
+
+
+def _classic(kind: MeasureKind, a: np.ndarray, b: np.ndarray):
+    """classic_divergence summed over the last axis: one value per pair of rows."""
     if kind is MeasureKind.HELLINGER:
-        return float(((np.sqrt(a) - np.sqrt(b)) ** 2).sum() / 2.0)
+        return ((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=-1) / 2.0
     if kind is MeasureKind.BHATTACHARYYA:
-        return float(np.sqrt(a * b).sum())
+        return np.sqrt(a * b).sum(axis=-1)
     if kind is MeasureKind.TRIANGULAR:
-        return float(((a - b) ** 2 / (a + b)).sum())
+        return ((a - b) ** 2 / (a + b)).sum(axis=-1)
     if kind is MeasureKind.HARMONIC:
-        return float((2.0 * a * b / (a + b)).sum())
+        return (2.0 * a * b / (a + b)).sum(axis=-1)
     if kind is MeasureKind.SYM_CHI2:
-        return float(((a - b) ** 2 * (a + b) / (a * b)).sum())
+        return ((a - b) ** 2 * (a + b) / (a * b)).sum(axis=-1)
     if kind is MeasureKind.CHI2:
-        return float(((a - b) ** 2 / b).sum())
+        return ((a - b) ** 2 / b).sum(axis=-1)
     if kind is MeasureKind.KL:
-        return float((a * np.log(a / b)).sum())
+        return (a * np.log(a / b)).sum(axis=-1)
     if kind is MeasureKind.J:
-        return float(((a - b) * np.log(a / b)).sum())
+        return ((a - b) * np.log(a / b)).sum(axis=-1)
     if kind is MeasureKind.JS:
         m = (a + b) / 2.0
-        return float((a * np.log(a / m) + b * np.log(b / m)).sum() / 2.0)
+        return (a * np.log(a / m) + b * np.log(b / m)).sum(axis=-1) / 2.0
     if kind is MeasureKind.AG:
         m = (a + b) / 2.0
-        return float((m * np.log(m / np.sqrt(a * b))).sum())
+        return (m * np.log(m / np.sqrt(a * b))).sum(axis=-1)
     if kind is MeasureKind.D_NEW:
         # evaluated exactly as defined; the formula is numerically benign
-        affinity = (((np.sqrt(a) + np.sqrt(b)) / 2.0) * np.sqrt((a + b) / 2.0)).sum()
-        return float(1.0 - affinity)
+        affinity = (((np.sqrt(a) + np.sqrt(b)) / 2.0) * np.sqrt((a + b) / 2.0)).sum(axis=-1)
+        return 1.0 - affinity
     if kind is MeasureKind.TOTAL_VARIATION:
-        return float(np.abs(a - b).sum())
+        return np.abs(a - b).sum(axis=-1)
     raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown measure kind {kind!r}")
 
 
@@ -86,8 +90,12 @@ def vajda_abs_chi(m: float, p: Distribution, q: Distribution) -> float:
     if not (m >= 1.0 and np.isfinite(m)):
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    return float((np.abs(a - b) ** m / b ** (m - 1.0)).sum())
+    return float(_abs_chi(m, p.weights, q.weights))
+
+
+def _abs_chi(m: float, a: np.ndarray, b: np.ndarray):
+    """vajda_abs_chi summed over the last axis, for a validated order m."""
+    return (np.abs(a - b) ** m / b ** (m - 1.0)).sum(axis=-1)
 
 
 def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:

@@ -7,7 +7,7 @@ Every error raised by this package carries a ``code`` string that callers
     DIMENSION_MISMATCH, PARAMETER_OUT_OF_RANGE, EMPTY_GRID,
     UNSUPPORTED_ORDER, NONPOSITIVE_ARGUMENT, DEGENERATE_BOUNDS,
     MISSING_DERIVATIVE, NONCONVEX_REFERENCE, GENERATOR_DOMAIN,
-    BAD_INPUT_FILE, BAD_CONFIG
+    BAD_INPUT_FILE, BAD_CONFIG, NON_FINITE_RESULT
 """
 
 from __future__ import annotations

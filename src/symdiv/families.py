@@ -30,6 +30,7 @@ weight sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,27 +99,35 @@ def j_divergence_type_s(s: float | FamilyParam, p: Distribution,
                         q: Distribution) -> float:
     sp = as_param(s)
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    if sp.near_zero or sp.near_one:
-        return float(((a - b) * np.log(a / b)).sum())
-    sv = sp.s
-    terms = a ** sv * b ** (1.0 - sv) + a ** (1.0 - sv) * b ** sv - (a + b)
-    return float(terms.sum() / (sv * (sv - 1.0)))
+    return float(_v_values(sp, p.weights, q.weights))
 
 
 def ag_js_divergence_type_s(s: float | FamilyParam, p: Distribution,
                             q: Distribution) -> float:
     sp = as_param(s)
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
+    return float(_w_values(sp, p.weights, q.weights))
+
+
+# V_s and W_s summed over the last axis of weight arrays: one value per pair of rows
+
+def _v_values(sp: FamilyParam, a: np.ndarray, b: np.ndarray):
+    if sp.near_zero or sp.near_one:
+        return ((a - b) * np.log(a / b)).sum(axis=-1)
+    sv = sp.s
+    terms = a ** sv * b ** (1.0 - sv) + a ** (1.0 - sv) * b ** sv - (a + b)
+    return terms.sum(axis=-1) / (sv * (sv - 1.0))
+
+
+def _w_values(sp: FamilyParam, a: np.ndarray, b: np.ndarray):
     m = (a + b) / 2.0
     if sp.near_zero:
-        return float((a * np.log(a / m) + b * np.log(b / m)).sum() / 2.0)
+        return (a * np.log(a / m) + b * np.log(b / m)).sum(axis=-1) / 2.0
     if sp.near_one:
-        return float((m * np.log(m / np.sqrt(a * b))).sum())
+        return (m * np.log(m / np.sqrt(a * b))).sum(axis=-1)
     sv = sp.s
     terms = ((a ** (1.0 - sv) + b ** (1.0 - sv)) / 2.0) * m ** sv - m
-    return float(terms.sum() / (sv * (sv - 1.0)))
+    return terms.sum(axis=-1) / (sv * (sv - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +173,30 @@ def _phi_eval(sp: FamilyParam, x: np.ndarray, order: int):
     return -((2.0 - sv) * x ** (sv - 3.0) + (sv + 1.0) * x ** (-sv - 2.0))
 
 
-def _psi_eval(sp: FamilyParam, x: np.ndarray, order: int):
+def _psi_eval(sp: FamilyParam, x: np.ndarray, order: int, each: bool = False):
+    """psi_s or a derivative. A 0-d x makes (x + 1)/2 a numpy scalar, which
+    numpy raises to a power with the C library's pow (as np.float_power
+    does), not with the vector pow it uses for arrays; the two differ in the
+    last bit on about 5 % of arguments. ``each`` marks an array x as
+    independent arguments, each raised the scalar way."""
     sv = sp.s
+    power = np.float_power if each else operator.pow
     half = (x + 1.0) / 2.0
     if order == 0:
         if sp.near_zero:
             return (x / 2.0) * np.log(x) - half * np.log(half)
         if sp.near_one:
             return half * np.log(half / np.sqrt(x))
-        return (((x ** (1.0 - sv) + 1.0) / 2.0) * half ** sv - half) / (sv * (sv - 1.0))
+        return (((x ** (1.0 - sv) + 1.0) / 2.0) * power(half, sv) - half) / (sv * (sv - 1.0))
     if order == 1:
         if sp.near_zero:
             return -0.5 * np.log(half / x)
         if sp.near_one:
             return (1.0 - 1.0 / x - np.log(x) + 2.0 * np.log(half)) / 4.0
-        return (((1.0 - sv) / 2.0) * x ** (-sv) * half ** sv
-                + (sv / 4.0) * (x ** (1.0 - sv) + 1.0) * half ** (sv - 1.0)
+        return (((1.0 - sv) / 2.0) * x ** (-sv) * power(half, sv)
+                + (sv / 4.0) * (x ** (1.0 - sv) + 1.0) * power(half, sv - 1.0)
                 - 0.5) / (sv * (sv - 1.0))
     if order == 2:
-        return ((x ** (-sv - 1.0) + 1.0) / 8.0) * half ** (sv - 2.0)
-    return -(half ** sv / (2.0 * (x + 1.0) ** 3)) * (
+        return ((x ** (-sv - 1.0) + 1.0) / 8.0) * power(half, sv - 2.0)
+    return -(power(half, sv) / (2.0 * power(x + 1.0, 3))) * (
         3.0 * x ** (-sv - 1.0) + (sv + 1.0) * x ** (-sv - 2.0) + (2.0 - sv))

@@ -14,6 +14,9 @@ from .errors import DomainError
 
 # generic-branch formulas lose a digit ~1e-9 from the poles; dispatch there
 BRANCH_TOL = 1e-9
+# below this relative spread of (a, b) every formula cancels; the midpoint
+# matches L_p to O(spread^2): within 2.5e-13 relative for |p| <= 5
+NEAR_EQUAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,8 @@ class MeanQuery:
 
     ``raised=False`` computes L_p; ``raised=True`` computes L_p^p (the
     same quantity before taking the 1/p root, with its own branch values
-    at p = -1 and p = 0). ``a == b`` is served by the limit L_p(a,a) = a.
+    at p = -1 and p = 0). ``a == b`` is served by the limit L_p(a,a) = a,
+    and nearly equal arguments by their midpoint.
     """
 
     p: float
@@ -41,8 +45,9 @@ class MeanQuery:
 def log_power_mean(query: MeanQuery) -> float:
     """Evaluate L_p(a, b) or L_p^p(a, b) with branch handling at p in {-1, 0}."""
     p, a, b = query.p, query.a, query.b
-    if a == b:
-        return a ** p if query.raised else a
+    if abs(b - a) <= NEAR_EQUAL * max(a, b):
+        mid = a + (b - a) / 2.0
+        return mid ** p if query.raised else mid
     if abs(p + 1.0) <= BRANCH_TOL:
         lpp = (math.log(b) - math.log(a)) / (b - a)
         return lpp if query.raised else 1.0 / lpp

@@ -199,7 +199,9 @@ def parse_weights(text: str) -> list[float]:
         if not isinstance(obj, dict) or "weights" not in obj:
             raise InputError("BAD_INPUT_FILE", 'JSON input must be an object with a "weights" array')
         values = obj["weights"]
-        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        # bool is an int subclass: JSON true/false are not weights
+        if not isinstance(values, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise InputError("BAD_INPUT_FILE", '"weights" must be an array of numbers')
         return [float(v) for v in values]
     values = []

@@ -1,41 +1,55 @@
 """Registry and runner for the divergence inequality suite.
 
-Every claim the library certifies is registered as an
-:class:`InequalityCase` with a stable id, a severity, and a parameter
-domain. ASSERT cases must hold on every sampled pair (their failures are
-counted and carry a replayable witness); DIAGNOSTIC cases are evaluated
-and reported but never fail a sweep. The single DIAGNOSTIC entry is the
-lower variation bound of the order-m absolute chi divergence, whose
-printed coefficient fails a desk check (see
+Every claim the library certifies is one row of a single declarative
+table, :data:`REGISTRY`: an :class:`InequalityCase` with a stable id, a
+severity, a parameter domain, and the comparisons it claims. ASSERT
+cases must hold on every sampled pair (their failures are counted and
+carry a replayable witness); DIAGNOSTIC cases are evaluated and reported
+but never fail a sweep. The single DIAGNOSTIC entry is the lower
+variation bound of the order-m absolute chi divergence, whose printed
+coefficient fails a desk check (see
 :func:`symdiv.divergences.vajda_variation_coefficients`).
 
 An inequality ``L <= R`` passes when ``L <= R + tol * max(1, |R|)``: the
 relative part guards the large symmetric chi-square cases, the absolute
 floor guards comparisons between near-zero values.
 
+One batched engine checks the table: it stacks the pairs of one
+dimension into (N, n) weight arrays, evaluates every row over all N at
+once and counts violations and skips with array reductions. A witness is
+built only for each case's largest violation, the first in sequential
+(pair, grid value, comparison) order, so results equal those of checking
+the pairs one at a time. The single-pair checks are the same engine at
+N = 1.
+
 Sweeps are deterministic: the pair for (dim, index) is derived from
 (seed, dim, index) alone, so sharding the work over any number of
 workers would reproduce the same summary (assembly is an ordered merge).
+The JSON summary is byte-stable apart from ``elapsed_ms``.
 """
 
 from __future__ import annotations
 
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .csiszar import bound_report, family_generator
-from .divergences import (MeasureKind, classic_divergence, vajda_abs_chi,
-                          vajda_upper_bounds, vajda_variation_coefficients)
+from .csiszar import (_deviation_bounds, _divergence, _endpoints, _linearized,
+                      _smoothness, family_generator)
+from .divergences import (MeasureKind, _abs_chi, _classic, vajda_upper_bounds,
+                          vajda_variation_coefficients)
 from .errors import InputError
-from .families import GeneratorFamilyKind, j_divergence_type_s, ag_js_divergence_type_s
-from .simplex import Distribution, _require_same_dim, ratio_bounds, sample_simplex
+from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
+from .simplex import Distribution, RatioBounds, _require_same_dim, sample_simplex
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TOL = 1e-10
+VAJDA_ORDERS = (1.0, 2.0, 3.0)
 
 
 class Severity(Enum):
@@ -45,82 +59,152 @@ class Severity(Enum):
 
 @dataclass(frozen=True)
 class InequalityCase:
+    """One registered claim and how to check it over a stack of pairs.
+
+    ``links(stack, point)`` gives the comparisons ``lhs <= rhs`` claimed
+    at one point, each side an array with one value per pair. The points
+    are the values of the ``param`` grid ("s", "t", or the chi orders
+    "m"; one point when None) for which ``domain`` holds; with ``steps``
+    they are the adjacent (lower, upper) pairs of the sorted grid, and a
+    witness carries the upper value. ``spread`` cases need r < R and skip
+    a pair with P = Q.
+    """
+
     id: str
     description: str
     parameter_domain: str
     severity: Severity = Severity.ASSERT
+    param: Optional[str] = None
+    domain: Callable[[Any], bool] = lambda point: True
+    links: Callable[["_Stack", Any], list] = field(kw_only=True)
+    steps: bool = False
+    spread: bool = False
 
 
-def slack_violation(lhs: float, rhs: float, tol: float) -> float:
-    """Signed violation of ``lhs <= rhs``; passes iff <= 0."""
-    return lhs - rhs - tol * max(1.0, abs(rhs))
+def slack_violation(lhs, rhs, tol: float):
+    """Signed violation of ``lhs <= rhs``; passes iff <= 0. Elementwise on arrays."""
+    return lhs - rhs - tol * np.maximum(1.0, np.abs(rhs))
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-def _case(id_, description, domain, severity=Severity.ASSERT):
-    return InequalityCase(id_, description, domain, severity)
+def _stated(id_, description, domain="none", param=None, when=lambda point: True):
+    """A case whose comparisons are the terms of its description, in order:
+    ``a <= b <= c`` compares (a, b) then (b, c); ``a >= b`` compares (b, a)."""
+    terms = description.split(" <= ")
+    if len(terms) == 1:
+        terms = description.split(" >= ")[::-1]
+    return InequalityCase(id_, description, domain, param=param, domain=when,
+                          links=lambda x, point: [(x.term(lo, point), x.term(hi, point))
+                                                  for lo, hi in zip(terms, terms[1:])])
+
+
+def _vajda_links(x, m, lhs):
+    """lhs <= bound1 <= bound2, the order-m absolute chi bounds."""
+    bound1, bound2 = x.per_pair(vajda_upper_bounds, m)
+    return [(lhs, bound1), (bound1, bound2)]
+
+
+def _coefficient(x, m, upper):
+    return x.per_pair(vajda_variation_coefficients, m)[upper]
+
+
+def _quarter_square(rb):
+    return (rb.R - rb.r) ** 2 / 4.0
+
+
+_DELTA = "delta term needs -1 <= s <= 2"
+# the bound-engine claims for one generator family; {} is V (PHI) or W (PSI)
+_ENGINE_CLAIMS = (
+    ("{}_s <= E <= A", "all s",
+     lambda r: [(r.value, r.linearized), (r.linearized, r.endpoint_A)]),
+    ("{}_s <= B <= A", "all s",
+     lambda r: [(r.value, r.endpoint_B), (r.endpoint_B, r.endpoint_A)]),
+    ("|{}_s - E/2| <= min(delta chi2/8, f3 chi3/12, var V)", _DELTA,
+     lambda r: [(np.abs(r.value - r.linearized / 2.0), r.half_E_bound)]),
+    ("|{}_s - E*| <= min(delta chi2/8, f3 chi3/24, var V/2)", _DELTA,
+     lambda r: [(np.abs(r.value - r.linearized_mid), r.E_star_bound)]),
+)
+
+
+def _engine_cases(kind, ids):
+    tag = "V" if kind is GeneratorFamilyKind.PHI else "W"
+    return tuple(InequalityCase(id_, description.format(tag), domain, param="s", spread=True,
+                                links=lambda x, s, form=form: form(x.report(kind, s)))
+                 for id_, (description, domain, form) in zip(ids, _ENGINE_CLAIMS))
 
 
 CHAIN_CASES = (
-    _case("EQ77", "hel <= j/8 <= sym_chi2/16", "none"),
-    _case("EQ104", "tri/4 <= js <= 4d <= ag <= sym_chi2/16", "none"),
-    _case("EQ130", "js <= j/8 <= ag", "none"),
-    _case("EQ137", "js <= hel <= ag", "none"),
-    _case("EQ138", "tri/4 <= js <= hel <= j/8 <= ag <= sym_chi2/16", "none"),
-    _case("EQ139", "tri/4 <= js <= hel <= j/8 <= ag <= j/4", "none"),
-    _case("EQ140", "tri/4 <= hel <= tri/2", "none"),
-    _case("EQ141", "tri/4 <= js <= hel <= tri/2", "none"),
-    _case("EQ172", "hel/4 <= d <= hel/2", "none"),
-    _case("EQ182", "4d <= j/8", "none"),
-    _case("EQ183", "tri/4 <= js <= hel <= 4d <= j/8 <= ag <= sym_chi2/16", "none"),
+    _stated("EQ77", "hel <= j/8 <= sym_chi2/16"),
+    _stated("EQ104", "tri/4 <= js <= 4d <= ag <= sym_chi2/16"),
+    _stated("EQ130", "js <= j/8 <= ag"),
+    _stated("EQ137", "js <= hel <= ag"),
+    _stated("EQ138", "tri/4 <= js <= hel <= j/8 <= ag <= sym_chi2/16"),
+    _stated("EQ139", "tri/4 <= js <= hel <= j/8 <= ag <= j/4"),
+    _stated("EQ140", "tri/4 <= hel <= tri/2"),
+    _stated("EQ141", "tri/4 <= js <= hel <= tri/2"),
+    _stated("EQ172", "hel/4 <= d <= hel/2"),
+    _stated("EQ182", "4d <= j/8"),
+    _stated("EQ183", "tri/4 <= js <= hel <= 4d <= j/8 <= ag <= sym_chi2/16"),
 )
 
 PARAMETRIC_CASES = (
-    _case("EQ129_UPPER", "W_s <= j/8", "-2 <= s <= 0"),
-    _case("EQ129_LOWER", "W_s >= j/8", "s >= 1"),
-    _case("EQ136_UPPER", "W_s <= hel", "-2 <= s <= 0"),
-    _case("EQ136_LOWER", "W_s >= hel", "s >= 1/2"),
-    _case("EQ142_UPPER", "W_s <= sym_chi2/16", "-1 <= s <= 2"),
-    _case("EQ142_LOWER", "W_s >= sym_chi2/16", "s >= 2"),
-    _case("EQ143_UPPER", "V_t <= sym_chi2/2", "1/2 <= t <= 2"),
-    _case("EQ143_LOWER", "V_t >= sym_chi2/2", "t >= 2 or t <= -1"),
-    _case("EQ148", "tri <= V_t/2", "t >= 0 or t <= -1"),
-    _case("EQ153", "js <= V_t/8", "all t"),
-    _case("EQ159_UPPER", "ag <= V_t/8", "t >= 2 or t <= -1"),
-    _case("EQ159_LOWER", "ag >= V_t/8", "0 <= t <= 1"),
-    _case("EQ165_UPPER", "W_s <= V_s/8", "s >= 2 or s <= -1"),
-    _case("EQ165_LOWER", "W_s >= V_s/8", "1/2 <= s <= 1"),
-    _case("EQ170", "V_s >= 4 W_s", "all s"),
-    _case("EQ171", "V_s/8 <= W_s <= V_s/4", "1/2 <= s <= 1"),
-    _case("PROP42_MONO", "V_s nonincreasing for s <= 1/2, nondecreasing for s >= 1/2",
-          "adjacent grid points on one side of 1/2"),
-    _case("PROP44_MONO", "W_s nondecreasing", "adjacent grid points with s >= -1"),
+    _stated("EQ129_UPPER", "W_s <= j/8", "-2 <= s <= 0", "s", lambda s: -2.0 <= s <= 0.0),
+    _stated("EQ129_LOWER", "W_s >= j/8", "s >= 1", "s", lambda s: s >= 1.0),
+    _stated("EQ136_UPPER", "W_s <= hel", "-2 <= s <= 0", "s", lambda s: -2.0 <= s <= 0.0),
+    _stated("EQ136_LOWER", "W_s >= hel", "s >= 1/2", "s", lambda s: s >= 0.5),
+    _stated("EQ142_UPPER", "W_s <= sym_chi2/16", "-1 <= s <= 2", "s",
+            lambda s: -1.0 <= s <= 2.0),
+    _stated("EQ142_LOWER", "W_s >= sym_chi2/16", "s >= 2", "s", lambda s: s >= 2.0),
+    _stated("EQ143_UPPER", "V_t <= sym_chi2/2", "1/2 <= t <= 2", "t", lambda t: 0.5 <= t <= 2.0),
+    _stated("EQ143_LOWER", "V_t >= sym_chi2/2", "t >= 2 or t <= -1", "t",
+            lambda t: t >= 2.0 or t <= -1.0),
+    _stated("EQ148", "tri <= V_t/2", "t >= 0 or t <= -1", "t", lambda t: t >= 0.0 or t <= -1.0),
+    _stated("EQ153", "js <= V_t/8", "all t", "t"),
+    _stated("EQ159_UPPER", "ag <= V_t/8", "t >= 2 or t <= -1", "t",
+            lambda t: t >= 2.0 or t <= -1.0),
+    _stated("EQ159_LOWER", "ag >= V_t/8", "0 <= t <= 1", "t", lambda t: 0.0 <= t <= 1.0),
+    _stated("EQ165_UPPER", "W_s <= V_s/8", "s >= 2 or s <= -1", "s",
+            lambda s: s >= 2.0 or s <= -1.0),
+    _stated("EQ165_LOWER", "W_s >= V_s/8", "1/2 <= s <= 1", "s", lambda s: 0.5 <= s <= 1.0),
+    _stated("EQ170", "V_s >= 4 W_s", "all s", "s"),
+    _stated("EQ171", "V_s/8 <= W_s <= V_s/4", "1/2 <= s <= 1", "s", lambda s: 0.5 <= s <= 1.0),
+    InequalityCase("PROP42_MONO", "V_s nonincreasing for s <= 1/2, nondecreasing for s >= 1/2",
+                   "adjacent grid points on one side of 1/2", param="s", steps=True,
+                   domain=lambda st: st[1] <= 0.5 or st[0] >= 0.5,
+                   links=lambda x, st: [(x.v(st[1]), x.v(st[0])) if st[1] <= 0.5
+                                        else (x.v(st[0]), x.v(st[1]))]),
+    InequalityCase("PROP44_MONO", "W_s nondecreasing", "adjacent grid points with s >= -1",
+                   param="s", steps=True, domain=lambda st: st[0] >= -1.0,
+                   links=lambda x, st: [(x.w(st[0]), x.w(st[1]))]),
 )
 
 BOUNDS_CASES = (
-    _case("EQ32", "(R-1)(1-r) <= (R-r)^2/4", "none"),
-    _case("EQ52", "abs_chi^m <= bound1 <= bound2", "m in {1,2,3}"),
-    _case("EQ53_UPPER", "abs_chi^m <= ((R^m-1)/(R-1)) V", "m in {1,2,3}"),
-    _case("EQ53_LOWER", "((1-r^m)/(1-r)) V <= abs_chi^m (printed form fails a desk check)",
-          "m in {1,2,3}", Severity.DIAGNOSTIC),
-    _case("EQ54", "chi2 <= (R-1)(1-r) <= (R-r)^2/4", "none"),
-    _case("EQ55", "abs_chi3 <= order-3 ratio bound <= (R-r)^3/8", "none"),
-    _case("EQ56", "V <= 2(R-1)(1-r)/(R-r) <= (R-r)/2", "none"),
-    _case("EQ78", "V_s <= E <= A", "all s"),
-    _case("EQ79", "V_s <= B <= A", "all s"),
-    _case("EQ80", "|V_s - E/2| <= min(delta chi2/8, f3 chi3/12, var V)", "delta term needs -1 <= s <= 2"),
-    _case("EQ81", "|V_s - E*| <= min(delta chi2/8, f3 chi3/24, var V/2)", "delta term needs -1 <= s <= 2"),
-    _case("EQ105", "W_s <= E <= A", "all s"),
-    _case("EQ106", "W_s <= B <= A", "all s"),
-    _case("EQ107", "|W_s - E/2| <= min(delta chi2/8, f3 chi3/12, var V)", "delta term needs -1 <= s <= 2"),
-    _case("EQ108", "|W_s - E*| <= min(delta chi2/8, f3 chi3/24, var V/2)", "delta term needs -1 <= s <= 2"),
-)
+    InequalityCase("EQ32", "(R-1)(1-r) <= (R-r)^2/4", "none", spread=True, links=lambda x, _: [
+        ((x.big_r - 1.0) * (1.0 - x.r), x.per_pair(_quarter_square))]),
+    InequalityCase("EQ52", "abs_chi^m <= bound1 <= bound2", "m in {1,2,3}", param="m",
+                   spread=True, links=lambda x, m: _vajda_links(x, m, x.chi(m))),
+    InequalityCase("EQ53_UPPER", "abs_chi^m <= ((R^m-1)/(R-1)) V", "m in {1,2,3}", param="m",
+                   spread=True, links=lambda x, m: [(x.chi(m), _coefficient(x, m, 1) * x.tv)]),
+    InequalityCase("EQ53_LOWER",
+                   "((1-r^m)/(1-r)) V <= abs_chi^m (printed form fails a desk check)",
+                   "m in {1,2,3}", Severity.DIAGNOSTIC, param="m", spread=True,
+                   links=lambda x, m: [(_coefficient(x, m, 0) * x.tv, x.chi(m))]),
+    InequalityCase("EQ54", "chi2 <= (R-1)(1-r) <= (R-r)^2/4", "none", spread=True,
+                   links=lambda x, _: _vajda_links(x, 2.0, x.chi(2.0))),
+    InequalityCase("EQ55", "abs_chi3 <= order-3 ratio bound <= (R-r)^3/8", "none",
+                   spread=True, links=lambda x, _: _vajda_links(x, 3.0, x.chi(3.0))),
+    InequalityCase("EQ56", "V <= 2(R-1)(1-r)/(R-r) <= (R-r)/2", "none", spread=True,
+                   links=lambda x, _: _vajda_links(x, 1.0, x.tv)),
+) + _engine_cases(GeneratorFamilyKind.PHI, ("EQ78", "EQ79", "EQ80", "EQ81")) \
+  + _engine_cases(GeneratorFamilyKind.PSI, ("EQ105", "EQ106", "EQ107", "EQ108"))
 
 REGISTRY: tuple[InequalityCase, ...] = CHAIN_CASES + PARAMETRIC_CASES + BOUNDS_CASES
-_BY_ID = {case.id: case for case in REGISTRY}
+# check_chain reports these chain quantities
+_CHAIN_TERMS = ("tri/4", "tri/2", "js", "hel", "hel/4", "hel/2", "d", "4d", "j/8", "j/4",
+                "ag", "sym_chi2/16")
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +227,19 @@ class CaseResult:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def record(self, violation: float, witness: dict) -> None:
-        self.evaluations += 1
-        if violation > 0.0:
-            self.violations += 1
-        if self.max_violation is None or violation > self.max_violation:
-            self.max_violation = violation
-            self.witness = witness
-
-    def skip(self, count: int = 1) -> None:
-        self.skipped += count
+    def record(self, violations: np.ndarray, witness_at: Callable[..., dict]) -> None:
+        """Count a block of signed violations, taken in the order of its
+        flattened index. Only a new maximum builds its witness, through
+        ``witness_at(*index)``; the first of equal maxima wins."""
+        if violations.size == 0:
+            return
+        self.evaluations += violations.size
+        self.violations += int(np.count_nonzero(violations > 0.0))
+        top = int(np.argmax(violations))
+        worst = float(violations.flat[top])
+        if self.max_violation is None or worst > self.max_violation:
+            self.max_violation = worst
+            self.witness = witness_at(*np.unravel_index(top, violations.shape))
 
     def merge(self, other: "CaseResult") -> None:
         self.evaluations += other.evaluations
@@ -258,191 +345,144 @@ class SweepSummary:
 
 
 # ---------------------------------------------------------------------------
-# evaluation internals: each check yields (case_id, lhs, rhs, extra_witness)
+# the batched engine
 # ---------------------------------------------------------------------------
 
-def _witness(p: Distribution, q: Distribution, **extra) -> dict:
-    out = {"p": [float(v) for v in p.weights], "q": [float(v) for v in q.weights],
-           "s": None, "t": None}
-    out.update(extra)
+_MEASURES = {"tri": MeasureKind.TRIANGULAR, "hel": MeasureKind.HELLINGER, "j": MeasureKind.J,
+             "d": MeasureKind.D_NEW, "js": MeasureKind.JS, "ag": MeasureKind.AG,
+             "sym_chi2": MeasureKind.SYM_CHI2}
+_TERM = re.compile(r"(?:(\d+) ?)?([A-Za-z]\w*)(?:/(\d+))?")
+
+
+class _Stack:
+    """N pairs of one dimension as (N, n) weight arrays ``a`` (P) and ``b``
+    (Q). Each quantity the registry compares is computed once over all N,
+    on first use, one value per pair. The ratio-range formulas that run on
+    Python floats for one pair still do, per pair (``per_pair``): numpy's
+    array powers differ from float powers in the last bit."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, gens: dict):
+        self.a, self.b, self.gens = a, b, gens
+        self.size = a.shape[0]
+        self._memo: dict = {}
+
+    def _memoized(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def classic(self, kind: MeasureKind) -> np.ndarray:
+        return self._memoized(kind, lambda: _classic(kind, self.a, self.b))
+
+    def v(self, s) -> np.ndarray:
+        return self._memoized(("V", s), lambda: _v_values(as_param(s), self.a, self.b))
+
+    def w(self, s) -> np.ndarray:
+        return self._memoized(("W", s), lambda: _w_values(as_param(s), self.a, self.b))
+
+    def term(self, text: str, point) -> np.ndarray:
+        """A printed term at a grid point: a classic measure ("hel", "4d",
+        "sym_chi2/16") or V_s, V_t, W_s, with an optional factor or divisor."""
+        def compute():
+            factor, name, divisor = _TERM.fullmatch(text).groups()
+            value = (self.v(point) if name in ("V_s", "V_t") else self.w(point)
+                     if name == "W_s" else self.classic(_MEASURES[name]))
+            if factor:
+                value = float(factor) * value
+            return value / float(divisor) if divisor else value
+        return self._memoized((text, point), compute)
+
+    def chi(self, m: float) -> np.ndarray:
+        return self._memoized(("chi", m), lambda: _abs_chi(m, self.a, self.b))
+
+    @property
+    def tv(self) -> np.ndarray:
+        return self.classic(MeasureKind.TOTAL_VARIATION)
+
+    # ratio-range quantities, defined on the spread stack -------------------
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._memoized("r", lambda: np.minimum((self.a / self.b).min(axis=-1), 1.0))
+
+    @property
+    def big_r(self) -> np.ndarray:
+        return self._memoized("R", lambda: np.maximum((self.a / self.b).max(axis=-1), 1.0))
+
+    @property
+    def spread(self) -> "_Stack":
+        """The pairs with r < R, that is P != Q."""
+        def compute():
+            keep = self.r < self.big_r
+            return None if keep.all() else _Stack(self.a[keep], self.b[keep], self.gens)
+        # None stands for self: a stack that held itself would live until
+        # the cyclic garbage collector ran
+        sub = self._memoized("spread", compute)
+        return self if sub is None else sub
+
+    def per_pair(self, fn: Callable[..., Any], *args) -> np.ndarray:
+        """fn(*args, ratio_bounds) for each pair, on Python floats; a tuple
+        result gives one row per item."""
+        bounds = self._memoized("bounds", lambda: [
+            RatioBounds(r, big_r) for r, big_r in zip(self.r.tolist(), self.big_r.tolist())])
+        return self._memoized((fn, args), lambda: np.array([fn(*args, rb) for rb in bounds]).T)
+
+    def report(self, kind: GeneratorFamilyKind, s) -> SimpleNamespace:
+        """The bound_report fields of the family generator at s."""
+        def compute():
+            gen = self.gens[(kind, s)]
+            e, e_star = _linearized(gen, self.a, self.b)
+            endpoint_a, endpoint_b = _endpoints(gen._eval_each, self.r, self.big_r)
+            delta, f3_sup, variation = _smoothness(gen, gen._eval_each, self.r, self.big_r)
+            half, star = _deviation_bounds(delta, f3_sup, variation, self.classic(
+                MeasureKind.CHI2), self.chi(3.0), self.tv)
+            return SimpleNamespace(value=_divergence(gen, self.a, self.b), linearized=e,
+                                   linearized_mid=e_star, endpoint_A=endpoint_a,
+                                   endpoint_B=endpoint_b, half_E_bound=half, E_star_bound=star)
+        return self._memoized((kind, s), compute)
+
+
+def _check(cases: Sequence[InequalityCase], stack: _Stack, s_grid: Sequence[float],
+           t_grid: Sequence[float], tol: float) -> list[CaseResult]:
+    """Evaluate each case over every pair of the stack at once."""
+    grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
+    results = []
+    for case in cases:
+        pairs = stack.spread if case.spread else stack
+        points = [(value, value) for value in grids[case.param]]
+        if case.steps:
+            ordered = sorted(grids[case.param])
+            points = [((lo, hi), hi) for lo, hi in zip(ordered, ordered[1:])]
+        kept = [(point, label) for point, label in points if case.domain(point)]
+        result = CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
+                            + pairs.size * (len(points) - len(kept)))
+        results.append(result)
+        links = [(lhs, rhs, label) for point, label in kept
+                 for lhs, rhs in case.links(pairs, point)] if pairs.size else []
+        if links:
+            lhs, rhs, labels = zip(*links)
+            # one row per pair, one column per comparison in sequential order
+            violations = slack_violation(np.stack(lhs, axis=-1), np.stack(rhs, axis=-1), tol)
+            result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
+                          _witness(pairs, lane, case.param, labels[col]))
+    return results
+
+
+def _witness(stack: _Stack, lane: int, param: Optional[str], value) -> dict:
+    out = {"p": stack.a[lane].tolist(), "q": stack.b[lane].tolist(), "s": None, "t": None}
+    if param is not None:
+        out[param] = float(value)
     return out
 
 
-def _chain_quantities(p: Distribution, q: Distribution) -> dict[str, float]:
-    tri = classic_divergence(MeasureKind.TRIANGULAR, p, q)
-    hel = classic_divergence(MeasureKind.HELLINGER, p, q)
-    j = classic_divergence(MeasureKind.J, p, q)
-    d = classic_divergence(MeasureKind.D_NEW, p, q)
-    return {
-        "tri/4": tri / 4.0,
-        "tri/2": tri / 2.0,
-        "js": classic_divergence(MeasureKind.JS, p, q),
-        "hel": hel,
-        "hel/4": hel / 4.0,
-        "hel/2": hel / 2.0,
-        "d": d,
-        "4d": 4.0 * d,
-        "j/8": j / 8.0,
-        "j/4": j / 4.0,
-        "ag": classic_divergence(MeasureKind.AG, p, q),
-        "sym_chi2/16": classic_divergence(MeasureKind.SYM_CHI2, p, q) / 16.0,
-    }
+def _stack(pairs: Sequence[tuple[Distribution, Distribution]], gens: dict) -> _Stack:
+    return _Stack(np.stack([p.weights for p, _ in pairs]),
+                  np.stack([q.weights for _, q in pairs]), gens)
 
 
-_CHAIN_LINKS = {
-    "EQ77": ("hel", "j/8", "sym_chi2/16"),
-    "EQ104": ("tri/4", "js", "4d", "ag", "sym_chi2/16"),
-    "EQ130": ("js", "j/8", "ag"),
-    "EQ137": ("js", "hel", "ag"),
-    "EQ138": ("tri/4", "js", "hel", "j/8", "ag", "sym_chi2/16"),
-    "EQ139": ("tri/4", "js", "hel", "j/8", "ag", "j/4"),
-    "EQ140": ("tri/4", "hel", "tri/2"),
-    "EQ141": ("tri/4", "js", "hel", "tri/2"),
-    "EQ172": ("hel/4", "d", "hel/2"),
-    "EQ182": ("4d", "j/8"),
-    "EQ183": ("tri/4", "js", "hel", "4d", "j/8", "ag", "sym_chi2/16"),
-}
-
-
-def _iter_chain(p, q) -> Iterator[tuple[str, float, float, dict]]:
-    values = _chain_quantities(p, q)
-    for case_id, keys in _CHAIN_LINKS.items():
-        for lhs_key, rhs_key in zip(keys, keys[1:]):
-            yield case_id, values[lhs_key], values[rhs_key], {}
-
-
-def _iter_parametric(p, q, s_grid, t_grid, skips) -> Iterator[tuple[str, float, float, dict]]:
-    v_on_s = {s: j_divergence_type_s(s, p, q) for s in s_grid}
-    w_on_s = {s: ag_js_divergence_type_s(s, p, q) for s in s_grid}
-    v_on_t = (v_on_s if tuple(t_grid) == tuple(s_grid)
-              else {t: j_divergence_type_s(t, p, q) for t in t_grid})
-    j8 = classic_divergence(MeasureKind.J, p, q) / 8.0
-    hel = classic_divergence(MeasureKind.HELLINGER, p, q)
-    psi = classic_divergence(MeasureKind.SYM_CHI2, p, q)
-    tri = classic_divergence(MeasureKind.TRIANGULAR, p, q)
-    js = classic_divergence(MeasureKind.JS, p, q)
-    ag = classic_divergence(MeasureKind.AG, p, q)
-
-    # (case_id, grid, in_domain, link builder); link builder returns the
-    # (lhs, rhs) comparisons claimed at one grid value
-    one_sided = (
-        ("EQ129_UPPER", s_grid, lambda s: -2.0 <= s <= 0.0,
-         lambda s: [(w_on_s[s], j8)]),
-        ("EQ129_LOWER", s_grid, lambda s: s >= 1.0,
-         lambda s: [(j8, w_on_s[s])]),
-        ("EQ136_UPPER", s_grid, lambda s: -2.0 <= s <= 0.0,
-         lambda s: [(w_on_s[s], hel)]),
-        ("EQ136_LOWER", s_grid, lambda s: s >= 0.5,
-         lambda s: [(hel, w_on_s[s])]),
-        ("EQ142_UPPER", s_grid, lambda s: -1.0 <= s <= 2.0,
-         lambda s: [(w_on_s[s], psi / 16.0)]),
-        ("EQ142_LOWER", s_grid, lambda s: s >= 2.0,
-         lambda s: [(psi / 16.0, w_on_s[s])]),
-        ("EQ143_UPPER", t_grid, lambda t: 0.5 <= t <= 2.0,
-         lambda t: [(v_on_t[t], psi / 2.0)]),
-        ("EQ143_LOWER", t_grid, lambda t: t >= 2.0 or t <= -1.0,
-         lambda t: [(psi / 2.0, v_on_t[t])]),
-        ("EQ148", t_grid, lambda t: t >= 0.0 or t <= -1.0,
-         lambda t: [(tri, v_on_t[t] / 2.0)]),
-        ("EQ153", t_grid, lambda t: True,
-         lambda t: [(js, v_on_t[t] / 8.0)]),
-        ("EQ159_UPPER", t_grid, lambda t: t >= 2.0 or t <= -1.0,
-         lambda t: [(ag, v_on_t[t] / 8.0)]),
-        ("EQ159_LOWER", t_grid, lambda t: 0.0 <= t <= 1.0,
-         lambda t: [(v_on_t[t] / 8.0, ag)]),
-        ("EQ165_UPPER", s_grid, lambda s: s >= 2.0 or s <= -1.0,
-         lambda s: [(w_on_s[s], v_on_s[s] / 8.0)]),
-        ("EQ165_LOWER", s_grid, lambda s: 0.5 <= s <= 1.0,
-         lambda s: [(v_on_s[s] / 8.0, w_on_s[s])]),
-        ("EQ170", s_grid, lambda s: True,
-         lambda s: [(4.0 * w_on_s[s], v_on_s[s])]),
-        ("EQ171", s_grid, lambda s: 0.5 <= s <= 1.0,
-         lambda s: [(v_on_s[s] / 8.0, w_on_s[s]), (w_on_s[s], v_on_s[s] / 4.0)]),
-    )
-    for case_id, grid, in_domain, links in one_sided:
-        param_key = "t" if case_id.startswith(("EQ143", "EQ148", "EQ153", "EQ159")) else "s"
-        for value in grid:
-            if not in_domain(value):
-                skips[case_id] += 1
-                continue
-            for lhs, rhs in links(value):
-                yield case_id, lhs, rhs, {param_key: float(value)}
-
-    ordered_s = sorted(s_grid)
-    for s1, s2 in zip(ordered_s, ordered_s[1:]):
-        if s2 <= 0.5:  # nonincreasing side
-            yield "PROP42_MONO", v_on_s[s2], v_on_s[s1], {"s": float(s2)}
-        elif s1 >= 0.5:  # nondecreasing side
-            yield "PROP42_MONO", v_on_s[s1], v_on_s[s2], {"s": float(s2)}
-        else:
-            skips["PROP42_MONO"] += 1
-        if s1 >= -1.0:
-            yield "PROP44_MONO", w_on_s[s1], w_on_s[s2], {"s": float(s2)}
-        else:
-            skips["PROP44_MONO"] += 1
-
-
-def _iter_bounds(p, q, s_grid, gens, skips) -> Iterator[tuple[str, float, float, dict]]:
-    rb = ratio_bounds(p, q)
-    if rb.degenerate:
-        for case in BOUNDS_CASES:
-            skips[case.id] += 1
-        return
-    r, big_r = rb.r, rb.R
-    yield "EQ32", (big_r - 1.0) * (1.0 - r), (big_r - r) ** 2 / 4.0, {}
-
-    tv = classic_divergence(MeasureKind.TOTAL_VARIATION, p, q)
-    for m in (1.0, 2.0, 3.0):
-        chi_m = vajda_abs_chi(m, p, q)
-        bound1, bound2 = vajda_upper_bounds(m, rb)
-        lo_coef, hi_coef = vajda_variation_coefficients(m, rb)
-        extra = {"m": m}
-        yield "EQ52", chi_m, bound1, extra
-        yield "EQ52", bound1, bound2, extra
-        yield "EQ53_UPPER", chi_m, hi_coef * tv, extra
-        yield "EQ53_LOWER", lo_coef * tv, chi_m, extra
-
-    chi2 = vajda_abs_chi(2.0, p, q)
-    chi3 = vajda_abs_chi(3.0, p, q)
-    b1_m2, b2_m2 = vajda_upper_bounds(2.0, rb)
-    b1_m3, b2_m3 = vajda_upper_bounds(3.0, rb)
-    b1_m1, b2_m1 = vajda_upper_bounds(1.0, rb)
-    yield "EQ54", chi2, b1_m2, {}
-    yield "EQ54", b1_m2, b2_m2, {}
-    yield "EQ55", chi3, b1_m3, {}
-    yield "EQ55", b1_m3, b2_m3, {}
-    yield "EQ56", tv, b1_m1, {}
-    yield "EQ56", b1_m1, b2_m1, {}
-
-    for family, ids in ((GeneratorFamilyKind.PHI, ("EQ78", "EQ79", "EQ80", "EQ81")),
-                        (GeneratorFamilyKind.PSI, ("EQ105", "EQ106", "EQ107", "EQ108"))):
-        for s in s_grid:
-            report = bound_report(gens[(family, s)], p, q)
-            extra = {"s": float(s)}
-            value_ordered, chord, deviation_half, deviation_star = ids
-            yield value_ordered, report.value, report.linearized, extra
-            yield value_ordered, report.linearized, report.endpoint_A, extra
-            yield chord, report.value, report.endpoint_B, extra
-            yield chord, report.endpoint_B, report.endpoint_A, extra
-            yield deviation_half, abs(report.value - report.linearized / 2.0), \
-                report.half_E_bound, extra
-            yield deviation_star, abs(report.value - report.linearized_mid), \
-                report.E_star_bound, extra
-
-
-def _fresh_results(cases: Sequence[InequalityCase]) -> dict[str, CaseResult]:
-    return {c.id: CaseResult(c.id, c.severity) for c in cases}
-
-
-class _SkipCounter(dict):
-    def __missing__(self, key):
-        self[key] = 0
-        return 0
-
-
-def _run_pair(results, skips, iterator, p, q, tol) -> None:
-    for case_id, lhs, rhs, extra in iterator:
-        results[case_id].record(slack_violation(lhs, rhs, tol), _witness(p, q, **extra))
+def _generators(s_grid: Sequence[float]) -> dict:
+    return {(family, s): family_generator(family, s)
+            for family in GeneratorFamilyKind for s in s_grid}
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +492,9 @@ def _run_pair(results, skips, iterator, p, q, tol) -> None:
 def check_chain(p: Distribution, q: Distribution, tol: float = DEFAULT_TOL) -> ChainReport:
     """Evaluate the seven-measure chain (and its published sub-chains) once."""
     _require_same_dim(p, q)
-    results = _fresh_results(CHAIN_CASES)
-    skips = _SkipCounter()
-    _run_pair(results, skips, _iter_chain(p, q), p, q, tol)
-    return ChainReport(_chain_quantities(p, q), [results[c.id] for c in CHAIN_CASES])
+    stack = _stack([(p, q)], {})
+    cases = _check(CHAIN_CASES, stack, (), (), tol)
+    return ChainReport({key: float(stack.term(key, None)[0]) for key in _CHAIN_TERMS}, cases)
 
 
 def check_parametric(p: Distribution, q: Distribution,
@@ -466,13 +505,7 @@ def check_parametric(p: Distribution, q: Distribution,
     _require_same_dim(p, q)
     if len(s_grid) == 0 or len(t_grid) == 0:
         raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
-    results = _fresh_results(PARAMETRIC_CASES)
-    skips = _SkipCounter()
-    _run_pair(results, skips,
-              _iter_parametric(p, q, tuple(s_grid), tuple(t_grid), skips), p, q, tol)
-    for case_id, count in skips.items():
-        results[case_id].skip(count)
-    return [results[c.id] for c in PARAMETRIC_CASES]
+    return _check(PARAMETRIC_CASES, _stack([(p, q)], {}), s_grid, t_grid, tol)
 
 
 def check_bounds_suite(p: Distribution, q: Distribution,
@@ -482,15 +515,7 @@ def check_bounds_suite(p: Distribution, q: Distribution,
     _require_same_dim(p, q)
     if len(s_grid) == 0:
         raise InputError("EMPTY_GRID", "s grid must be nonempty")
-    gens = {(family, s): family_generator(family, s)
-            for family in GeneratorFamilyKind for s in s_grid}
-    results = _fresh_results(BOUNDS_CASES)
-    skips = _SkipCounter()
-    _run_pair(results, skips,
-              _iter_bounds(p, q, tuple(s_grid), gens, skips), p, q, tol)
-    for case_id, count in skips.items():
-        results[case_id].skip(count)
-    return [results[c.id] for c in BOUNDS_CASES]
+    return _check(BOUNDS_CASES, _stack([(p, q)], _generators(s_grid)), s_grid, (), tol)
 
 
 def pair_for(seed: int, dim: int, index: int) -> tuple[Distribution, Distribution]:
@@ -501,27 +526,18 @@ def pair_for(seed: int, dim: int, index: int) -> tuple[Distribution, Distributio
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> SweepSummary:
-    """Run the whole registry over deterministic random pairs."""
+    """Run the whole registry over deterministic random pairs, one batch per dim."""
     start = time.perf_counter()
-    results = _fresh_results(REGISTRY)
-    skips = _SkipCounter()
-    gens = {(family, s): family_generator(family, s)
-            for family in GeneratorFamilyKind for s in config.s_grid}
+    gens = _generators(config.s_grid)
+    results = [CaseResult(c.id, c.severity) for c in REGISTRY]
     samples = 0
     for dim in config.dims:
-        for index in range(config.samples_per_dim):
-            p, q = pair_for(config.seed, int(dim), index)
-            samples += 1
-            _run_pair(results, skips, _iter_chain(p, q), p, q, config.tol)
-            _run_pair(results, skips,
-                      _iter_parametric(p, q, config.s_grid, config.t_grid, skips),
-                      p, q, config.tol)
-            _run_pair(results, skips,
-                      _iter_bounds(p, q, config.s_grid, gens, skips),
-                      p, q, config.tol)
-    for case_id, count in skips.items():
-        results[case_id].skip(count)
+        pairs = [pair_for(config.seed, int(dim), index)
+                 for index in range(config.samples_per_dim)]
+        samples += len(pairs)
+        batch = _check(REGISTRY, _stack(pairs, gens), config.s_grid, config.t_grid, config.tol)
+        for total, part in zip(results, batch):
+            total.merge(part)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
-    return SweepSummary(config=config,
-                        cases=[results[c.id] for c in REGISTRY],
+    return SweepSummary(config=config, cases=results,
                         samples=samples, seed=config.seed, elapsed_ms=elapsed_ms)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from symdiv.cli import run_cli
@@ -103,6 +104,30 @@ class TestCompute:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
+
+    def test_boolean_weights_exit_one(self, capsys, tmp_path, histograms):
+        # JSON true/false are not numbers, even though bool subclasses int
+        _, q = histograms
+        flags = tmp_path / "flags.json"
+        flags.write_text(json.dumps({"weights": [True, True]}))
+        code, out, err = run(capsys, "compute", "--normalize", "--input-p", str(flags),
+                             "--input-q", q, "--measure", "KL")
+        assert (code, out) == (1, "")
+        assert "BAD_INPUT_FILE" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_non_finite_result_exits_one(self, capsys, tmp_path, fmt):
+        # V_1000 of this pair is about 1e1993: past the double range, so the
+        # refusal stays right once the kernels stop overflowing early
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text(json.dumps({"weights": [0.99, 0.01]}))
+        q.write_text(json.dumps({"weights": [0.01, 0.99]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "compute", "--input-p", str(p), "--input-q", str(q),
+                                 "--measure", "V:1000", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "NON_FINITE_RESULT" in err
 
     def test_binary_input_exits_one(self, capsys, tmp_path, histograms):
         _, q = histograms

@@ -33,6 +33,14 @@ class TestValues:
         assert log_power_mean(MeanQuery(2.5, 3.0, 3.0)) == 3.0
         assert log_power_mean(MeanQuery(2.0, 3.0, 3.0, raised=True)) == 9.0
 
+    @pytest.mark.parametrize("p", [-1.125, -1.0, 0.0, 2.5])
+    def test_adjacent_arguments_take_the_limit(self, p):
+        # b one ulp above a: the branch formulas cancel to 0 or to noise
+        a, b = 0.001, math.nextafter(0.001, 1.0)
+        for raised in (False, True):
+            value = log_power_mean(MeanQuery(p, a, b, raised))
+            assert value == pytest.approx(a ** p if raised else a, rel=1e-12)
+
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(DomainError) as err:
             MeanQuery(1, 0.0, 1.0)

@@ -7,9 +7,14 @@ import pytest
 from symdiv import (InputError, Severity, SweepConfig, check_bounds_suite,
                     check_chain, check_parametric, run_sweep,
                     validate_distribution)
-from symdiv.verify import REGISTRY, pair_for, slack_violation
+from symdiv.verify import DEFAULT_TOL, REGISTRY, CaseResult, pair_for, slack_violation
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
+# run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for S = 7 and 1402,
+# elapsed_ms dropped, generated by checking the pairs one at a time; the
+# batched engine must reproduce it byte for byte. Seed 1402 includes a
+# near-diagonal pair (pair_for(1402, 2, 4), chi2 about 7e-7)
+GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 
 class TestRegistry:
@@ -33,6 +38,18 @@ class TestSlack:
     def test_absolute_floor_near_zero(self):
         assert slack_violation(5e-11, 0.0, 1e-10) <= 0
         assert slack_violation(2e-10, 0.0, 1e-10) > 0
+
+    def test_arrays_match_scalars_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        rhs = np.concatenate([rng.uniform(-3.0, 3.0, 200), 10.0 ** rng.uniform(-12, 6, 200),
+                              [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0)]])
+        lhs = rhs * (1.0 + rng.normal(0.0, 1e-9, rhs.size)) + rng.normal(0.0, 1e-10, rhs.size)
+        for tol in (1e-10, 1e-3):
+            batched = slack_violation(lhs.reshape(5, -1), rhs.reshape(5, -1), tol).ravel()
+            scalar = [l - r - tol * max(1.0, abs(r)) for l, r in zip(lhs.tolist(), rhs.tolist())]
+            assert batched.tolist() == scalar
+            assert batched.tolist() == [float(slack_violation(l, r, tol))
+                                        for l, r in zip(lhs.tolist(), rhs.tolist())]
 
 
 class TestCheckChain:
@@ -164,6 +181,37 @@ class TestRunSweep:
             SweepConfig(s_grid=())
         with pytest.raises(InputError):
             SweepConfig(tol=0.0)
+
+    def test_output_matches_golden_bytes(self):
+        golden = {}
+        for seed in (7, 1402):
+            payload = run_sweep(SweepConfig(samples_per_dim=5, seed=seed)).to_json_dict()
+            payload.pop("elapsed_ms")
+            golden[str(seed)] = payload
+        assert json.dumps(golden, indent=1) + "\n" == GOLDEN.read_text()
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16])
+    def test_equals_sequential_merge_of_single_pair_checks(self, tol):
+        # the batched engine against the single-pair checks merged in sweep
+        # order; tol 1e-16 makes ASSERT cases fail and print their witness
+        config = SweepConfig(dims=(2, 3, 6), samples_per_dim=4, seed=1402, tol=tol,
+                             s_grid=(-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0),
+                             t_grid=(-1.5, 0.25, 1.0, 2.5))
+        totals = {c.id: CaseResult(c.id, c.severity) for c in REGISTRY}
+        for dim in config.dims:
+            for index in range(config.samples_per_dim):
+                p, q = pair_for(config.seed, dim, index)
+                parts = (check_chain(p, q, tol).cases
+                         + check_parametric(p, q, config.s_grid, config.t_grid, tol)
+                         + check_bounds_suite(p, q, config.s_grid, tol))
+                for part in parts:
+                    totals[part.case_id].merge(part)
+        summary = run_sweep(config)
+        assert any(c.violations for c in summary.cases)
+        for case in summary.cases:
+            expected = totals[case.case_id]
+            assert case.to_json_dict() == expected.to_json_dict(), case.case_id
+            assert case.witness == expected.witness, case.case_id
 
     def test_pair_stream_is_shard_deterministic(self):
         a1, b1 = pair_for(7, 5, 3)
