@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .csiszar import bound_report, family_generator
 from .divergences import MeasureKind, classic_divergence
 from .errors import DomainError, InputError, SymdivError
@@ -264,7 +266,9 @@ def run_cli(argv=None) -> int:
         # failures (--help and friends still exit 0)
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # an overflow is refused as NON_FINITE_RESULT, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SymdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

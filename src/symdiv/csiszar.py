@@ -10,8 +10,9 @@ live in [r, R] with r < 1 < R, the engine assembles:
   B = ((R-1)f(r) + (1-r)f(R))/(R-r), with 0 <= C_f <= B <= A and
   C_f <= E <= A;
 * the curvature drop delta = |f''(r) - f''(R)| (a valid spread of f''
-  over [r, R] only when f'' is monotonic), the sup of |f'''| over [r, R],
-  and the total variation of f' (= f'(R) - f'(r) for convex f);
+  over [r, R] only when f'' is monotonic), the sup of |f'''| over [r, R]
+  (exact for the family generators: see ``family_generator``), and the
+  total variation of f' (= f'(R) - f'(r) for convex f);
 * the Ostrowski-style deviation bounds
 
       |C_f - E/2|  <= min( delta*chi2/8, f3_sup*|chi|^3/12, variation*V )
@@ -55,8 +56,8 @@ class Generator:
     array arguments. ``curvature_monotonicity`` records whether f'' is
     monotonic on (0, inf); when it is UNKNOWN the curvature-drop bound is
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
-    of |f'''| over [r, R] (for the built-in families it is attained at r
-    while the order parameter stays in ``smoothness_range``).
+    of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
+    without it the third-derivative bound is unavailable.
     ``evaluate_each(order, x)``, when given, evaluates a 1-D array of
     independent arguments, rounding each as ``evaluate`` rounds it alone;
     without it ``evaluate`` is taken to round arrays that way already.
@@ -66,8 +67,7 @@ class Generator:
     evaluate: Callable[[int, np.ndarray], np.ndarray]
     max_order: int = 3
     curvature_monotonicity: Curvature = Curvature.UNKNOWN
-    smoothness_range: Optional[tuple[float, float]] = None
-    third_sup_closed_form: Optional[Callable[[float, float], float]] = None
+    third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     evaluate_each: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -112,12 +112,11 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     """Bundle one of the built-in family generators at a fixed order s.
 
     f'' is monotonically decreasing exactly for s in [-1, 2] (both
-    families), which is also the range where sup |f'''| over [r, R] is
-    attained at the left endpoint.
+    families). ``third_sup_closed_form`` is exact at every s: the largest
+    |f'''| at r, at R and at the stationary points of f''' inside (r, R).
     """
     sp = as_param(s)
     sv = sp.s
-    in_range = -1.0 <= sv <= 2.0
     core = _phi_eval if kind is GeneratorFamilyKind.PHI else _psi_eval
 
     def evaluate(order: int, x: np.ndarray) -> np.ndarray:
@@ -127,25 +126,66 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     def evaluate_each(order: int, x: np.ndarray) -> np.ndarray:
         return _psi_eval(sp, np.asarray(x, dtype=float), order, each=True)
 
-    closed_form = None
-    if in_range:
-        if kind is GeneratorFamilyKind.PHI:
-            def closed_form(r: float, big_r: float) -> float:
-                return (2.0 - sv) * r ** (sv - 3.0) + (sv + 1.0) * r ** (-sv - 2.0)
-        else:
-            def closed_form(r: float, big_r: float) -> float:
-                return (((r + 1.0) / 2.0) ** sv / (2.0 * (r + 1.0) ** 3)) * (
-                    3.0 * r ** (-sv - 1.0) + (sv + 1.0) * r ** (-sv - 2.0) + (2.0 - sv))
+    def third_sup(r: np.ndarray, big_r: np.ndarray) -> np.ndarray:
+        inner = (_phi_stationary(sv) if kind is GeneratorFamilyKind.PHI
+                 else _psi_stationary(sv, r, big_r))
+        # a lane whose (r, R) misses a stationary point takes r in its place
+        points = [r, big_r] + [np.where((r < x) & (x < big_r), x, r) for x in inner]
+        return np.abs(evaluate(3, np.stack(points))).max(axis=0)
 
     return Generator(
         name=f"{kind.value}(s={sv:g})",
         evaluate=evaluate,
         max_order=3,
-        curvature_monotonicity=Curvature.DECREASING if in_range else Curvature.UNKNOWN,
-        smoothness_range=(-1.0, 2.0),
-        third_sup_closed_form=closed_form,
+        curvature_monotonicity=Curvature.DECREASING if -1.0 <= sv <= 2.0 else Curvature.UNKNOWN,
+        third_sup_closed_form=third_sup,
         evaluate_each=None if kind is GeneratorFamilyKind.PHI else evaluate_each,
     )
+
+
+def _phi_stationary(s: float) -> tuple[float, ...]:
+    """phi_s'''' = 0 at x^(2s-1) = (s+1)(s+2)/((2-s)(s-3)), a positive
+    ratio only for s in (-2, -1) and (2, 3)."""
+    num, den = (s + 1.0) * (s + 2.0), (2.0 - s) * (s - 3.0)
+    return ((num / den) ** (1.0 / (2.0 * s - 1.0)),) if num * den > 0.0 else ()
+
+
+def _psi_stationary(s: float, r: np.ndarray, big_r: np.ndarray) -> tuple[float, ...]:
+    """The roots of G(x) = (2-s)(s-3)x^(s+3) - 12x^2 - 8(s+1)x - (s+1)(s+2),
+    where d/dx log|psi_s'''| vanishes, in the hull of every [r, R] and 1.
+
+    G depends on s only, so one solve serves every lane. G'' = c4 x^(s+1)
+    - 24 has at most one positive root x2, so G' is monotone on each side of
+    x2, and G between consecutive roots of G'; each root is bisected in
+    t = log x on G'/x and G/x^2.
+    """
+    c3 = (2.0 - s) * (s - 3.0)
+    c4 = c3 * (s + 3.0) * (s + 2.0)
+    dg = lambda t: c3 * (s + 3.0) * np.exp((s + 1.0) * t) - 24.0 - 8.0 * (s + 1.0) * np.exp(-t)
+    g = lambda t: (c3 * np.exp((s + 1.0) * t) - 12.0 - 8.0 * (s + 1.0) * np.exp(-t)
+                   - (s + 1.0) * (s + 2.0) * np.exp(-2.0 * t))
+    t_lo, t_hi = np.log(r.min(initial=1.0)), np.log(big_r.max(initial=1.0))
+    t2 = np.log(24.0 / c4) / (s + 1.0) if c4 > 0.0 else t_lo
+    cuts = np.array([t_lo, min(max(t2, t_lo), t_hi), t_hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (dg, g):
+            roots = _bisect(fn, cuts[:-1], cuts[1:])
+            cuts = np.concatenate(([t_lo], np.where(np.isnan(roots), cuts[:-1], roots), [t_hi]))
+    return tuple(np.exp(roots[~np.isnan(roots)]).tolist())
+
+
+def _bisect(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A root of fn in each bracket [a, b] whose ends differ in sign, else
+    nan; 64 halvings narrow any bracket of log x below x's float spacing."""
+    sign_a = np.signbit(fn(a))
+    live = sign_a != np.signbit(fn(b))
+    if not live.any():
+        return np.full(a.shape, np.nan)
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        right = np.signbit(fn(mid)) == sign_a
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    return np.where(live, 0.5 * (a + b), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +236,13 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
 
     delta is |f''(r) - f''(R)|, reported only when f'' is known to be
     monotonic (otherwise the endpoint values do not bracket f''). f3_sup
-    uses the closed form when available, else a geometric-grid sweep of
-    |f'''| refined by golden section; it is None when the generator has
-    no third order. variation is f'(R) - f'(r), always available.
+    is the generator's ``third_sup_closed_form``, exact for the family
+    generators at every s; it is None for a generator without one, even at
+    max_order 3, and the deviation bounds are then the min over the
+    remaining terms. variation is f'(R) - f'(r), always available.
     """
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    if gen.max_order < 2:
-        raise DomainError("MISSING_DERIVATIVE", "smoothness bounds need f''")
     delta, f3_sup, variation = _smoothness(gen, gen.eval, rb.r, rb.R)
     return (None if delta is None else float(delta),
             None if f3_sup is None else float(f3_sup[0]), float(variation))
@@ -224,17 +263,8 @@ def _smoothness(gen: Generator, f, r, big_r):
     if gen.curvature_monotonicity is not Curvature.UNKNOWN:
         delta = np.abs(f(2, r) - f(2, big_r))
 
-    f3_sup = None
-    lo, hi = np.atleast_1d(r), np.atleast_1d(big_r)
-    if gen.third_sup_closed_form is not None:
-        # one call per pair on Python floats: numpy's array powers differ
-        # from float powers in the last bit
-        f3_sup = np.array([float(gen.third_sup_closed_form(a, b))
-                           for a, b in zip(lo.tolist(), hi.tolist())])
-    elif gen.max_order >= 3:
-        # arguments stay inside [r, R]; use the raw evaluator in the loop
-        f3_sup = _grid_max(
-            lambda x: np.abs(np.asarray(gen.evaluate(3, x), dtype=float)), lo, hi)
+    sup = gen.third_sup_closed_form
+    f3_sup = None if sup is None else sup(np.atleast_1d(r), np.atleast_1d(big_r))
 
     variation = f(1, big_r) - f(1, r)
     return delta, f3_sup, variation
@@ -358,16 +388,6 @@ def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
 
 
 # internal extremization helpers --------------------------------------------
-
-def _grid_max(fn, r: np.ndarray, big_r: np.ndarray,
-              grid_points: int = _SUP_GRID_POINTS) -> np.ndarray:
-    """Max of fn over [r_i, R_i] for each lane i: a geometric grid per lane,
-    then golden section on every lane at once."""
-    xs = np.geomspace(r, big_r, grid_points, axis=-1)
-    values = np.asarray(fn(xs), dtype=float)
-    _, best = _refine(fn, xs, values, values.argmax(axis=-1), minimize=False)
-    return best
-
 
 def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: np.ndarray, minimize: bool,
             tol: float = _GOLDEN_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -38,10 +38,6 @@ DIRECTIONAL_KINDS = frozenset({MeasureKind.CHI2, MeasureKind.KL})
 AFFINITY_KINDS = frozenset({MeasureKind.BHATTACHARYYA, MeasureKind.HARMONIC})
 
 
-def is_symmetric(kind: MeasureKind) -> bool:
-    return kind not in DIRECTIONAL_KINDS
-
-
 def classic_divergence(kind: MeasureKind, p: Distribution, q: Distribution) -> float:
     """Evaluate one classic measure by direct summation of its formula."""
     _require_same_dim(p, q)

@@ -166,14 +166,35 @@ def curvature_drop(gen, s, r, big_r):
     return (gen_derivative(gen, s, r, 2) - gen_derivative(gen, s, big_r, 2))
 
 
-def third_sup(gen, s, r, big_r, points=2001):
-    r, big_r = mpf(str(r)), mpf(str(big_r))
-    ratio = big_r / r
-    best = mpf(0)
-    for k in range(points):
-        x = r * ratio ** (mpf(k) / (points - 1))
-        best = max(best, abs(gen_derivative(gen, s, x, 3)))
-    return best
+def _phi_stationary(s, x):
+    # -x^(s+3) phi_s''''(x)
+    return (2 - s) * (s - 3) * x ** (2 * s - 1) - (s + 1) * (s + 2)
+
+
+def _psi_stationary(s, x):
+    # G(x): x (x+1) H(x) d/dx log|psi_s'''(x)|, where
+    # |psi_s'''(x)| = 2^(-s-1) (x+1)^(s-3) x^(-s-2) |H(x)| and
+    # H(x) = (2-s) x^(s+2) + 3x + s + 1
+    return ((2 - s) * (s - 3) * x ** (s + 3) - 12 * x ** 2
+            - 8 * (s + 1) * x - (s + 1) * (s + 2))
+
+
+def third_sup(family, s, r, big_r, scan=200):
+    """sup |f'''| over [r, R] for family "PHI" or "PSI", exactly: the
+    largest |f'''| at r, at R and at each root of the stationary equation
+    of f''' inside (r, R). Sign changes on a geometric scan of [r, R]
+    bracket the roots; findroot polishes them."""
+    gen, stationary = {"PHI": (phi_gen, _phi_stationary),
+                       "PSI": (psi_gen, _psi_stationary)}[family]
+    s, r, big_r = mpf(str(s)), mpf(str(r)), mpf(str(big_r))
+    xs = [r * (big_r / r) ** (mpf(k) / scan) for k in range(scan + 1)]
+    signs = [mp.sign(stationary(s, x)) for x in xs]
+    points = [r, big_r]
+    for k in range(scan):
+        if signs[k] * signs[k + 1] < 0:
+            points.append(mp.findroot(lambda x: stationary(s, x), (xs[k], xs[k + 1]),
+                                      solver="anderson"))
+    return max(abs(gen_derivative(gen, s, x, 3)) for x in points)
 
 
 def variation(gen, s, r, big_r):

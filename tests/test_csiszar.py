@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import assert_close, sampled_pairs
 from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind,
                     MeasureKind, bound_report, classic_divergence,
                     compare_generators, csiszar_divergence, curvature_ratio,
-                    endpoint_bounds, family_generator, linearized_functionals,
-                    mixture, ratio_bounds, smoothness_bounds,
-                    validate_distribution)
+                    endpoint_bounds, family_generator, generator_eval,
+                    linearized_functionals, mixture, ratio_bounds,
+                    smoothness_bounds, validate_distribution)
 from symdiv.means import raised_mean
+from symdiv.verify import pair_for
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=10)
@@ -211,14 +214,36 @@ class TestSmoothnessBounds:
                 3 * r ** (-s - 1) + (s + 1) * r ** (-s - 2) + (2 - s))
             assert_close(f3_psi, sup, 1e-10, f"f3_W s={s}")
 
-    @pytest.mark.parametrize("s", [-2.0, 3.0])
+    # psi_s''' has an interior maximum on [0.096, 1.904] at s = -1.5 and -1.2
+    @pytest.mark.parametrize("s", [-5.0, -3.0, -2.5, -2.0, -1.5, -1.2,
+                                   2.2, 2.5, 3.0, 4.0, 6.0, 10.0])
     def test_outside_range_grid_max_matches_oracle(self, s, pair):
-        rb = ratio_bounds(*pair)
-        for family, gen_fn in ((PHI, oracle.phi_gen), (PSI, oracle.psi_gen)):
-            delta, f3, _ = smoothness_bounds(family_generator(family, s), rb)
-            assert delta is None  # curvature not monotonic out here
-            expected = float(oracle.third_sup(gen_fn, s, rb.r, rb.R, points=801))
-            assert_close(f3, expected, 1e-8, f"{family.value} grid sup s={s}")
+        near_edge = (validate_distribution([0.048, 0.952]), validate_distribution([0.5, 0.5]))
+        for p, q in (pair, near_edge):
+            rb = ratio_bounds(p, q)
+            for family in (PHI, PSI):
+                delta, f3, _ = smoothness_bounds(family_generator(family, s), rb)
+                assert delta is None  # curvature not monotonic out here
+                expected = float(oracle.third_sup(family.value, s, rb.r, rb.R))
+                assert f3 == pytest.approx(expected, rel=1e-12), f"{family.value} sup s={s}"
+        if s in (-1.5, -1.2):
+            rb = ratio_bounds(*near_edge)
+            _, f3, _ = smoothness_bounds(family_generator(PSI, s), rb)
+            ends = np.abs(generator_eval(PSI, s, np.array([rb.r, rb.R]), 3)).max()
+            assert f3 > ends * (1.0 + 1e-5)
+
+    @given(s=st.one_of(st.floats(-6.0, -1.0, exclude_max=True),
+                       st.floats(2.0, 10.0, exclude_min=True)),
+           seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3, 5, 10]),
+           index=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_sup_bounds_every_grid_point(self, s, seed, dim, index):
+        rb = ratio_bounds(*pair_for(seed, dim, index))
+        xs = np.geomspace(rb.r, rb.R, 4001)
+        for family in (PHI, PSI):
+            _, f3, _ = smoothness_bounds(family_generator(family, s), rb)
+            grid = np.abs(generator_eval(family, s, xs, 3)).max()
+            assert f3 >= grid * (1.0 - 1e-15), f"{family.value} s={s}"
 
     def test_variation_is_four_a_over_spread(self):
         for p, q in PAIRS[:12]:
@@ -391,3 +416,22 @@ class TestGeneratorConstruction:
         assert f3 is None
         assert delta == pytest.approx(0.0, abs=1e-15)
         assert variation == pytest.approx(2 * (1.5 - 2 / 3), rel=1e-12)
+
+    def test_third_order_without_sup_yields_no_f3(self, pair):
+        # KL's generator x log x - x + 1 gives f''' but no sup of |f'''|
+        def evaluate(order, x):
+            return {0: x * np.log(x) - x + 1.0, 1: np.log(x), 2: 1.0 / x,
+                    3: -1.0 / x ** 2}[order]
+        gen = Generator(name="kl", evaluate=evaluate, max_order=3,
+                        curvature_monotonicity=Curvature.DECREASING)
+        rep = bound_report(gen, *pair)
+        assert rep.f3_sup is None and "f3_sup" not in rep.to_json_dict()
+        delta, variation = 1.5 - 1 / 1.5, np.log(1.5 / (2 / 3))
+        assert (rep.delta, rep.variation) == pytest.approx((delta, variation), rel=1e-12)
+        chi2_term = delta * rep.chi2 / 8
+        assert rep.half_E_bound == pytest.approx(
+            min(chi2_term, variation * rep.total_variation), rel=1e-12)
+        assert rep.E_star_bound == pytest.approx(
+            min(chi2_term, variation * rep.total_variation / 2), rel=1e-12)
+        assert abs(rep.value - rep.linearized / 2) <= rep.half_E_bound
+        assert abs(rep.value - rep.linearized_mid) <= rep.E_star_bound
