@@ -38,7 +38,7 @@ from .families import (FamilyParam, GeneratorFamilyKind, _phi_eval, _psi_eval,
 from .simplex import Distribution, RatioBounds, _require_same_dim, ratio_bounds
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-_SUP_GRID_POINTS = 1024
+_COMPARE_GRID_POINTS = 1024
 _GOLDEN_TOL = 1e-10
 
 
@@ -57,10 +57,9 @@ class Generator:
     monotonic on (0, inf); when it is UNKNOWN the curvature-drop bound is
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
-    without it the third-derivative bound is unavailable.
-    ``evaluate_each(order, x)``, when given, evaluates a 1-D array of
-    independent arguments, rounding each as ``evaluate`` rounds it alone;
-    without it ``evaluate`` is taken to round arrays that way already.
+    without it the third-derivative bound is unavailable. The bound engine
+    evaluates on 1-D arrays of ratio-range ends, one value per pair, for one
+    pair and for a stack alike: there is no per-pair path.
     """
 
     name: str
@@ -68,7 +67,6 @@ class Generator:
     max_order: int = 3
     curvature_monotonicity: Curvature = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    evaluate_each: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -90,22 +88,11 @@ class Generator:
         xv = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
             raise DomainError("NONPOSITIVE_ARGUMENT", "generator argument must be finite and > 0")
-        out = self._finite(order, self.evaluate(order, xv))
-        return out if np.ndim(x) else float(out)
-
-    def _eval_each(self, order: int, x: np.ndarray) -> np.ndarray:
-        """eval over a 1-D array of arguments from a validated ratio range,
-        one per pair, each rounded as eval rounds it alone."""
-        if self.evaluate_each is None:
-            return self.eval(order, x)
-        return self._finite(order, self.evaluate_each(order, x))
-
-    def _finite(self, order: int, out) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(self.evaluate(order, xv), dtype=float)
         if not np.all(np.isfinite(out)):
             raise DomainError("GENERATOR_DOMAIN",
                               f"generator {self.name!r} evaluation failed at order {order}")
-        return out
+        return out if np.ndim(x) else float(out)
 
 
 def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Generator:
@@ -123,9 +110,6 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
         # Generator.eval has already validated order and domain
         return core(sp, np.asarray(x, dtype=float), order)
 
-    def evaluate_each(order: int, x: np.ndarray) -> np.ndarray:
-        return _psi_eval(sp, np.asarray(x, dtype=float), order, each=True)
-
     def third_sup(r: np.ndarray, big_r: np.ndarray) -> np.ndarray:
         inner = (_phi_stationary(sv) if kind is GeneratorFamilyKind.PHI
                  else _psi_stationary(sv, r, big_r))
@@ -139,7 +123,6 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
         max_order=3,
         curvature_monotonicity=Curvature.DECREASING if -1.0 <= sv <= 2.0 else Curvature.UNKNOWN,
         third_sup_closed_form=third_sup,
-        evaluate_each=None if kind is GeneratorFamilyKind.PHI else evaluate_each,
     )
 
 
@@ -226,8 +209,8 @@ def endpoint_bounds(gen: Generator, rb: RatioBounds) -> tuple[float, float]:
     """(A, B): the quarter-spread slope bound and the chord evaluation."""
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    a_bound, b_bound = _endpoints(gen.eval, rb.r, rb.R)
-    return float(a_bound), float(b_bound)
+    a_bound, b_bound = _endpoints(gen, np.array([rb.r]), np.array([rb.R]))
+    return float(a_bound[0]), float(b_bound[0])
 
 
 def smoothness_bounds(gen: Generator, rb: RatioBounds
@@ -243,30 +226,29 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
     """
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    delta, f3_sup, variation = _smoothness(gen, gen.eval, rb.r, rb.R)
-    return (None if delta is None else float(delta),
-            None if f3_sup is None else float(f3_sup[0]), float(variation))
+    delta, f3_sup, variation = _smoothness(gen, np.array([rb.r]), np.array([rb.R]))
+    return (None if delta is None else float(delta[0]),
+            None if f3_sup is None else float(f3_sup[0]), float(variation[0]))
 
 
-# endpoint and smoothness quantities from f(order, x), the generator at r
-# and R: floats for one pair, or 1-D arrays with one value per pair
+# the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one value per pair
 
-def _endpoints(f, r, big_r):
-    a_bound = 0.25 * (big_r - r) * (f(1, big_r) - f(1, r))
-    b_bound = ((big_r - 1.0) * f(0, r) + (1.0 - r) * f(0, big_r)) / (big_r - r)
+def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray):
+    a_bound = 0.25 * (big_r - r) * (gen.eval(1, big_r) - gen.eval(1, r))
+    b_bound = ((big_r - 1.0) * gen.eval(0, r) + (1.0 - r) * gen.eval(0, big_r)) / (big_r - r)
     return a_bound, b_bound
 
 
-def _smoothness(gen: Generator, f, r, big_r):
-    """(delta, f3_sup, variation); f3_sup is an array with one value per pair."""
+def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray):
+    """(delta, f3_sup, variation); delta and f3_sup may be None."""
     delta = None
     if gen.curvature_monotonicity is not Curvature.UNKNOWN:
-        delta = np.abs(f(2, r) - f(2, big_r))
+        delta = np.abs(gen.eval(2, r) - gen.eval(2, big_r))
 
     sup = gen.third_sup_closed_form
-    f3_sup = None if sup is None else sup(np.atleast_1d(r), np.atleast_1d(big_r))
+    f3_sup = None if sup is None else sup(r, big_r)
 
-    variation = f(1, big_r) - f(1, r)
+    variation = gen.eval(1, big_r) - gen.eval(1, r)
     return delta, f3_sup, variation
 
 
@@ -357,27 +339,26 @@ class ComparisonBounds:
     M_location: float
 
 
-def compare_generators(gen1: Generator, gen2: Generator, rb: RatioBounds,
-                       grid_points: int = _SUP_GRID_POINTS) -> ComparisonBounds:
+def compare_generators(gen1: Generator, gen2: Generator, rb: RatioBounds) -> ComparisonBounds:
     """Extremize the curvature ratio by geometric grid plus golden section."""
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    xs = np.geomspace(rb.r, rb.R, grid_points)
-    denom = np.asarray(gen2.eval(2, xs), dtype=float)
+    xs = np.geomspace(rb.r, rb.R, _COMPARE_GRID_POINTS)
+    denom = gen2.eval(2, xs)
     if np.any(denom <= 0.0):
         raise DomainError("NONCONVEX_REFERENCE",
                           f"reference generator {gen2.name!r} has f'' <= 0 on [r, R]")
 
-    def ratio(x: np.ndarray) -> np.ndarray:
-        # arguments stay inside the validated [r, R] bracket
-        return (np.asarray(gen1.evaluate(2, x), dtype=float)
-                / np.asarray(gen2.evaluate(2, x), dtype=float))
+    def ratio(x: float) -> float:
+        # x stays inside the validated [r, R]; one-element arrays round as the grid
+        at = np.array([x])
+        return float(np.asarray(gen1.evaluate(2, at), dtype=float)[0]
+                     / np.asarray(gen2.evaluate(2, at), dtype=float)[0])
 
-    values = (np.asarray(gen1.eval(2, xs), dtype=float) / denom)[None]
-    lo_x, lo_v = _refine(ratio, xs[None], values, values.argmin(axis=-1), minimize=True)
-    hi_x, hi_v = _refine(ratio, xs[None], values, values.argmax(axis=-1), minimize=False)
-    return ComparisonBounds(m_ratio=float(lo_v[0]), M_ratio=float(hi_v[0]),
-                            m_location=float(lo_x[0]), M_location=float(hi_x[0]))
+    values = gen1.eval(2, xs) / denom
+    lo_x, lo_v = _refine(ratio, xs, values, int(values.argmin()), minimize=True)
+    hi_x, hi_v = _refine(ratio, xs, values, int(values.argmax()), minimize=False)
+    return ComparisonBounds(m_ratio=lo_v, M_ratio=hi_v, m_location=lo_x, M_location=hi_x)
 
 
 def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
@@ -389,36 +370,28 @@ def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
 
 # internal extremization helpers --------------------------------------------
 
-def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: np.ndarray, minimize: bool,
-            tol: float = _GOLDEN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section polish inside the grid cells adjacent to each lane's
-    best point; xs and values hold one grid per row, idx one index per row,
-    and fn maps an array of points to an array of values.
-
-    Lanes step together, and a lane whose bracket is below tol stops
-    changing, so each takes exactly the steps it would take alone. The
-    polished point replaces the grid point unless the grid point is
-    strictly better.
-    """
-    lanes = np.arange(xs.shape[0])
-    a = xs[lanes, np.maximum(idx - 1, 0)]
-    b = xs[lanes, np.minimum(idx + 1, xs.shape[1] - 1)]
+def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: int, minimize: bool,
+            tol: float = _GOLDEN_TOL) -> tuple[float, float]:
+    """Golden-section polish inside the grid cells adjacent to the best grid
+    point xs[idx], for fn on floats. The polished point replaces the grid
+    point unless the grid point is strictly better."""
+    a, b = xs[max(idx - 1, 0)], xs[min(idx + 1, xs.size - 1)]
     sign = 1.0 if minimize else -1.0
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
-    live = b - a > tol
-    while live.any():
-        # left: keep [a, d] and probe a new c; else keep [c, b], probe a new d
-        left = fc < fd
-        probe = np.where(left, d - invphi * (d - a), c + invphi * (b - c))
-        f_probe = sign * fn(probe)
-        step = np.where(left, (a, probe, c, d, f_probe, fc), (c, d, probe, b, fd, f_probe))
-        a, c, d, b, fc, fd = np.where(live, step, (a, c, d, b, fc, fd))
-        live = b - a > tol
+    while b - a > tol:
+        if fc < fd:  # keep [a, d] and probe a new c
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = sign * fn(c)
+        else:  # keep [c, b] and probe a new d
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = sign * fn(d)
     x_best = (a + b) / 2.0
     f_best = fn(x_best)
-    x_grid, f_grid = xs[lanes, idx], values[lanes, idx]
+    x_grid, f_grid = float(xs[idx]), float(values[idx])
     use_grid = f_grid < f_best if minimize else f_grid > f_best
-    return np.where(use_grid, x_grid, x_best), np.where(use_grid, f_grid, f_best)
+    return (x_grid, f_grid) if use_grid else (float(x_best), f_best)

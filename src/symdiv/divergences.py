@@ -108,7 +108,12 @@ def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    r, R = rb.r, rb.R
+    bound1, bound2 = _vajda_bounds(m, np.array([rb.r]), np.array([rb.R]))
+    return float(bound1[0]), float(bound2[0])
+
+
+def _vajda_bounds(m: float, r: np.ndarray, R: np.ndarray):
+    """vajda_upper_bounds over 1-D arrays of ratio ranges with r < R."""
     bound1 = ((1.0 - r) * (R - 1.0) / (R - r)) * ((1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
     bound2 = ((R - r) / 2.0) ** m
     return bound1, bound2
@@ -126,5 +131,10 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    r, R = rb.r, rb.R
+    c_lo, c_hi = _vajda_coefficients(m, np.array([rb.r]), np.array([rb.R]))
+    return float(c_lo[0]), float(c_hi[0])
+
+
+def _vajda_coefficients(m: float, r: np.ndarray, R: np.ndarray):
+    """vajda_variation_coefficients over 1-D arrays of ratio ranges with r < R."""
     return (1.0 - r ** m) / (1.0 - r), (R ** m - 1.0) / (R - 1.0)

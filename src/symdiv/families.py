@@ -16,11 +16,14 @@ these families (tags PHI for the V family, PSI for the W family) together
 with their first three derivatives, which the bound engine consumes.
 
 Evaluation near the removable singularities at s in {0, 1} dispatches to
-the closed-form limit branch whenever ``|s - s0| <= limit_tolerance``.
-The prefactor 1/(s(s-1)) amplifies float rounding near the poles, and the
-near-pole contract (family values within 1e-8 of the limit at s0 +- 1e-5)
-pins the default width at 1e-5: inside the window the limit form is both
-the contract and the numerically accurate answer.
+the closed-form limit branch whenever ``|s - s0| <= LIMIT_TOLERANCE``, and
+the limit branches of the families are the classic measures themselves
+(J, JS, AG, KL). The prefactor 1/(s(s-1)) amplifies float rounding near
+the poles, and the near-pole contract (family values within 1e-8 of the
+limit at s0 +- 1e-5) pins the width at 1e-5: inside the window the limit
+form is both the contract and the numerically accurate answer.
+The bound engine evaluates the generators on 1-D arrays, one value per
+pair, so a single pair and a stack of pairs round alike.
 
 Family sums subtract the unit mass per term (e.g. ``p^s q^(1-s) - sp -
 (1-s)q``) rather than subtracting 1 from the total, which keeps every
@@ -30,12 +33,12 @@ weight sums.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .divergences import MeasureKind, _classic
 from .errors import DomainError, InputError
 from .simplex import Distribution, _require_same_dim
 
@@ -44,28 +47,24 @@ LIMIT_TOLERANCE = 1e-5
 
 @dataclass(frozen=True)
 class FamilyParam:
-    """Family order plus the half-width of the limit-dispatch windows."""
+    """A validated family order s."""
 
     s: float
-    limit_tolerance: float = LIMIT_TOLERANCE
 
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise InputError("PARAMETER_OUT_OF_RANGE", f"family order must be finite, got {self.s}")
-        if not (0.0 <= self.limit_tolerance < 0.5):
-            raise InputError("PARAMETER_OUT_OF_RANGE",
-                             f"limit tolerance must lie in [0, 0.5), got {self.limit_tolerance}")
 
     # window edges carry a 1e-6 relative cushion: decimal constants like
     # 1 + 1e-5 are not dyadic, so |s - 1| can exceed the literal tolerance
     # by representation error alone
     @property
     def near_zero(self) -> bool:
-        return abs(self.s) <= self.limit_tolerance * (1.0 + 1e-6)
+        return abs(self.s) <= LIMIT_TOLERANCE * (1.0 + 1e-6)
 
     @property
     def near_one(self) -> bool:
-        return abs(self.s - 1.0) <= self.limit_tolerance * (1.0 + 1e-6)
+        return abs(self.s - 1.0) <= LIMIT_TOLERANCE * (1.0 + 1e-6)
 
 
 class GeneratorFamilyKind(Enum):
@@ -87,9 +86,9 @@ def relative_information_type_s(s: float | FamilyParam, p: Distribution,
     _require_same_dim(p, q)
     a, b = p.weights, q.weights
     if sp.near_zero:
-        return float((b * np.log(b / a)).sum())
+        return float(_classic(MeasureKind.KL, b, a))
     if sp.near_one:
-        return float((a * np.log(a / b)).sum())
+        return float(_classic(MeasureKind.KL, a, b))
     sv = sp.s
     terms = a ** sv * b ** (1.0 - sv) - sv * a - (1.0 - sv) * b
     return float(terms.sum() / (sv * (sv - 1.0)))
@@ -113,19 +112,19 @@ def ag_js_divergence_type_s(s: float | FamilyParam, p: Distribution,
 
 def _v_values(sp: FamilyParam, a: np.ndarray, b: np.ndarray):
     if sp.near_zero or sp.near_one:
-        return ((a - b) * np.log(a / b)).sum(axis=-1)
+        return _classic(MeasureKind.J, a, b)
     sv = sp.s
     terms = a ** sv * b ** (1.0 - sv) + a ** (1.0 - sv) * b ** sv - (a + b)
     return terms.sum(axis=-1) / (sv * (sv - 1.0))
 
 
 def _w_values(sp: FamilyParam, a: np.ndarray, b: np.ndarray):
-    m = (a + b) / 2.0
     if sp.near_zero:
-        return (a * np.log(a / m) + b * np.log(b / m)).sum(axis=-1) / 2.0
+        return _classic(MeasureKind.JS, a, b)
     if sp.near_one:
-        return (m * np.log(m / np.sqrt(a * b))).sum(axis=-1)
+        return _classic(MeasureKind.AG, a, b)
     sv = sp.s
+    m = (a + b) / 2.0
     terms = ((a ** (1.0 - sv) + b ** (1.0 - sv)) / 2.0) * m ** sv - m
     return terms.sum(axis=-1) / (sv * (sv - 1.0))
 
@@ -173,30 +172,24 @@ def _phi_eval(sp: FamilyParam, x: np.ndarray, order: int):
     return -((2.0 - sv) * x ** (sv - 3.0) + (sv + 1.0) * x ** (-sv - 2.0))
 
 
-def _psi_eval(sp: FamilyParam, x: np.ndarray, order: int, each: bool = False):
-    """psi_s or a derivative. A 0-d x makes (x + 1)/2 a numpy scalar, which
-    numpy raises to a power with the C library's pow (as np.float_power
-    does), not with the vector pow it uses for arrays; the two differ in the
-    last bit on about 5 % of arguments. ``each`` marks an array x as
-    independent arguments, each raised the scalar way."""
+def _psi_eval(sp: FamilyParam, x: np.ndarray, order: int):
     sv = sp.s
-    power = np.float_power if each else operator.pow
     half = (x + 1.0) / 2.0
     if order == 0:
         if sp.near_zero:
             return (x / 2.0) * np.log(x) - half * np.log(half)
         if sp.near_one:
             return half * np.log(half / np.sqrt(x))
-        return (((x ** (1.0 - sv) + 1.0) / 2.0) * power(half, sv) - half) / (sv * (sv - 1.0))
+        return (((x ** (1.0 - sv) + 1.0) / 2.0) * half ** sv - half) / (sv * (sv - 1.0))
     if order == 1:
         if sp.near_zero:
             return -0.5 * np.log(half / x)
         if sp.near_one:
             return (1.0 - 1.0 / x - np.log(x) + 2.0 * np.log(half)) / 4.0
-        return (((1.0 - sv) / 2.0) * x ** (-sv) * power(half, sv)
-                + (sv / 4.0) * (x ** (1.0 - sv) + 1.0) * power(half, sv - 1.0)
+        return (((1.0 - sv) / 2.0) * x ** (-sv) * half ** sv
+                + (sv / 4.0) * (x ** (1.0 - sv) + 1.0) * half ** (sv - 1.0)
                 - 0.5) / (sv * (sv - 1.0))
     if order == 2:
-        return ((x ** (-sv - 1.0) + 1.0) / 8.0) * power(half, sv - 2.0)
-    return -(power(half, sv) / (2.0 * power(x + 1.0, 3))) * (
+        return ((x ** (-sv - 1.0) + 1.0) / 8.0) * half ** (sv - 2.0)
+    return -(half ** sv / (2.0 * (x + 1.0) ** 3)) * (
         3.0 * x ** (-sv - 1.0) + (sv + 1.0) * x ** (-sv - 2.0) + (2.0 - sv))

@@ -41,11 +41,11 @@ import numpy as np
 
 from .csiszar import (_deviation_bounds, _divergence, _endpoints, _linearized,
                       _smoothness, family_generator)
-from .divergences import (MeasureKind, _abs_chi, _classic, vajda_upper_bounds,
-                          vajda_variation_coefficients)
-from .errors import InputError
+from .divergences import (MeasureKind, _abs_chi, _classic, _vajda_bounds,
+                          _vajda_coefficients)
+from .errors import DomainError, InputError
 from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
-from .simplex import Distribution, RatioBounds, _require_same_dim, sample_simplex
+from .simplex import Distribution, _require_same_dim, sample_simplex
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TOL = 1e-10
@@ -103,16 +103,12 @@ def _stated(id_, description, domain="none", param=None, when=lambda point: True
 
 def _vajda_links(x, m, lhs):
     """lhs <= bound1 <= bound2, the order-m absolute chi bounds."""
-    bound1, bound2 = x.per_pair(vajda_upper_bounds, m)
+    bound1, bound2 = _vajda_bounds(m, x.r, x.big_r)
     return [(lhs, bound1), (bound1, bound2)]
 
 
 def _coefficient(x, m, upper):
-    return x.per_pair(vajda_variation_coefficients, m)[upper]
-
-
-def _quarter_square(rb):
-    return (rb.R - rb.r) ** 2 / 4.0
+    return _vajda_coefficients(m, x.r, x.big_r)[upper]
 
 
 _DELTA = "delta term needs -1 <= s <= 2"
@@ -183,7 +179,7 @@ PARAMETRIC_CASES = (
 
 BOUNDS_CASES = (
     InequalityCase("EQ32", "(R-1)(1-r) <= (R-r)^2/4", "none", spread=True, links=lambda x, _: [
-        ((x.big_r - 1.0) * (1.0 - x.r), x.per_pair(_quarter_square))]),
+        ((x.big_r - 1.0) * (1.0 - x.r), (x.big_r - x.r) ** 2 / 4.0)]),
     InequalityCase("EQ52", "abs_chi^m <= bound1 <= bound2", "m in {1,2,3}", param="m",
                    spread=True, links=lambda x, m: _vajda_links(x, m, x.chi(m))),
     InequalityCase("EQ53_UPPER", "abs_chi^m <= ((R^m-1)/(R-1)) V", "m in {1,2,3}", param="m",
@@ -356,10 +352,9 @@ _TERM = re.compile(r"(?:(\d+) ?)?([A-Za-z]\w*)(?:/(\d+))?")
 
 class _Stack:
     """N pairs of one dimension as (N, n) weight arrays ``a`` (P) and ``b``
-    (Q). Each quantity the registry compares is computed once over all N,
-    on first use, one value per pair. The ratio-range formulas that run on
-    Python floats for one pair still do, per pair (``per_pair``): numpy's
-    array powers differ from float powers in the last bit."""
+    (Q). Every quantity is an array with one value per pair; measures and
+    reports are computed once over all N, on first use. There is no
+    per-pair path: a single pair is a stack of one and rounds alike."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, gens: dict):
         self.a, self.b, self.gens = a, b, gens
@@ -420,20 +415,13 @@ class _Stack:
         sub = self._memoized("spread", compute)
         return self if sub is None else sub
 
-    def per_pair(self, fn: Callable[..., Any], *args) -> np.ndarray:
-        """fn(*args, ratio_bounds) for each pair, on Python floats; a tuple
-        result gives one row per item."""
-        bounds = self._memoized("bounds", lambda: [
-            RatioBounds(r, big_r) for r, big_r in zip(self.r.tolist(), self.big_r.tolist())])
-        return self._memoized((fn, args), lambda: np.array([fn(*args, rb) for rb in bounds]).T)
-
     def report(self, kind: GeneratorFamilyKind, s) -> SimpleNamespace:
         """The bound_report fields of the family generator at s."""
         def compute():
             gen = self.gens[(kind, s)]
             e, e_star = _linearized(gen, self.a, self.b)
-            endpoint_a, endpoint_b = _endpoints(gen._eval_each, self.r, self.big_r)
-            delta, f3_sup, variation = _smoothness(gen, gen._eval_each, self.r, self.big_r)
+            endpoint_a, endpoint_b = _endpoints(gen, self.r, self.big_r)
+            delta, f3_sup, variation = _smoothness(gen, self.r, self.big_r)
             half, star = _deviation_bounds(delta, f3_sup, variation, self.classic(
                 MeasureKind.CHI2), self.chi(3.0), self.tv)
             return SimpleNamespace(value=_divergence(gen, self.a, self.b), linearized=e,
@@ -463,6 +451,11 @@ def _check(cases: Sequence[InequalityCase], stack: _Stack, s_grid: Sequence[floa
             lhs, rhs, labels = zip(*links)
             # one row per pair, one column per comparison in sequential order
             violations = slack_violation(np.stack(lhs, axis=-1), np.stack(rhs, axis=-1), tol)
+            if not np.isfinite(violations).all():  # a NaN would count as a pass
+                col = np.nonzero(~np.isfinite(violations))[1][0]
+                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
+                raise DomainError("NON_FINITE_RESULT",
+                                  f"case {case.id} compared a non-finite value{where}")
             result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
                           _witness(pairs, lane, case.param, labels[col]))
     return results

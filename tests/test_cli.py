@@ -219,6 +219,16 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["assert_failures"] > 0
 
+    def test_non_finite_comparison_exits_one(self, capsys):
+        # V_200 overflows on some of these pairs; the sweep refuses the comparison
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--dims", "10", "--samples", "40",
+                                 "--seed", "5", "--t-grid", "200")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [NON_FINITE_RESULT] ")
+        assert len(err.splitlines()) == 1
+
     def test_bad_dims_exit_one(self, capsys):
         code, _, err = run(capsys, "verify", "--dims", "2,x")
         assert code == 1

@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from conftest import assert_close, sampled_pairs
-from symdiv import (DomainError, FamilyParam, GeneratorFamilyKind, InputError,
+from symdiv import (DomainError, GeneratorFamilyKind, InputError,
                     MeasureKind, ag_js_divergence_type_s, classic_divergence,
                     generator_eval, j_divergence_type_s, mixture,
                     relative_information_type_s, validate_distribution)
@@ -64,6 +64,19 @@ class TestSpecialCases:
             ]
             for got, want, label in cases:
                 assert_close(got, want, 1e-10, label)
+
+    def test_limit_branches_are_the_classic_measures(self):
+        # inside the windows around s = 0 and 1 the families are J, JS, AG
+        # and KL, bit for bit
+        for p, q in PAIRS[:10]:
+            measure = lambda kind, a=p, b=q: classic_divergence(kind, a, b)
+            for eps in (0.0, 4e-6, -9e-6):
+                assert j_divergence_type_s(eps, p, q) == measure(MeasureKind.J)
+                assert j_divergence_type_s(1 + eps, p, q) == measure(MeasureKind.J)
+                assert ag_js_divergence_type_s(eps, p, q) == measure(MeasureKind.JS)
+                assert ag_js_divergence_type_s(1 + eps, p, q) == measure(MeasureKind.AG)
+                assert relative_information_type_s(eps, p, q) == measure(MeasureKind.KL, q, p)
+                assert relative_information_type_s(1 + eps, p, q) == measure(MeasureKind.KL)
 
     def test_zero_at_equal_arguments(self):
         p = validate_distribution([0.2, 0.3, 0.5])
@@ -152,11 +165,6 @@ class TestLimitWindow:
             at_limit = fn(limit_at, p, q)
             gap = abs(fn(limit_at + 2e-5, p, q) - at_limit)
             assert gap <= 1e-4
-
-    def test_custom_window(self, pair3):
-        p, q = pair3
-        wide = FamilyParam(1e-3, limit_tolerance=1e-2)
-        assert j_divergence_type_s(wide, *pair3) == j_divergence_type_s(0, p, q)
 
 
 class TestMonotonicity:

@@ -4,10 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdiv import (InputError, Severity, SweepConfig, check_bounds_suite,
-                    check_chain, check_parametric, run_sweep,
-                    validate_distribution)
-from symdiv.verify import DEFAULT_TOL, REGISTRY, CaseResult, pair_for, slack_violation
+import symdiv.verify as verify_mod
+from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, Severity,
+                    SweepConfig, check_bounds_suite, check_chain, check_parametric,
+                    ratio_bounds, run_sweep, validate_distribution)
+from symdiv.csiszar import (_endpoints, _smoothness, bound_report, endpoint_bounds,
+                            smoothness_bounds)
+from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
+                                vajda_variation_coefficients)
+from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _generators, _stack, pair_for,
+                           slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
 # run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for S = 7 and 1402,
@@ -220,3 +226,76 @@ class TestRunSweep:
         np.testing.assert_array_equal(b1.weights, b2.weights)
         a3, _ = pair_for(7, 5, 4)
         assert not np.array_equal(a1.weights, a3.weights)
+
+
+class TestNonFinite:
+    def test_overflowing_family_is_refused(self):
+        # V_200 overflows to inf or NaN on some of these pairs; a NaN
+        # violation compares as a pass and an inf side as a clear one
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError) as err:
+                run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, t_grid=(200.0,)))
+        assert err.value.code == "NON_FINITE_RESULT"
+        assert "t = 200.0" in str(err.value)
+
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [MeasureKind.HELLINGER, MeasureKind.SYM_CHI2])
+    def test_planted_value_on_either_side_is_refused(self, pair, monkeypatch, planted, side):
+        # EQ77 is hel <= j/8 <= sym_chi2/16: hel is a left side, sym_chi2 a right one
+        real = verify_mod._classic
+        monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b: (
+            np.full(a.shape[0], planted) if kind is side else real(kind, a, b)))
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+            check_chain(*pair)
+        assert err.value.code == "NON_FINITE_RESULT"
+        assert "EQ77" in str(err.value)
+
+
+ONE_ROUNDING_S = (-5.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0)
+
+
+def test_single_pair_equals_stack_of_one_bit_for_bit():
+    # the public single-pair functions and the engine's stack at N = 1 run
+    # the same array kernels, so every field rounds alike
+    first = lambda v: None if v is None else float(v[0])
+    gens = _generators(ONE_ROUNDING_S)
+    mismatches, compared = [], 0
+    for dim in range(2, 11):
+        for index in range(2):
+            p, q = pair_for(11, dim, index)
+            rb = ratio_bounds(p, q)
+            x = _stack([(p, q)], gens)
+            fields = {"r": (rb.r, x.r[0]), "R": (rb.R, x.big_r[0])}
+            for m in (1.0, 2.0, 3.0):
+                for name, public, kernel in (("bounds", vajda_upper_bounds, _vajda_bounds),
+                                             ("coefficients", vajda_variation_coefficients,
+                                              _vajda_coefficients)):
+                    for k, (one, stacked) in enumerate(zip(public(m, rb),
+                                                           kernel(m, x.r, x.big_r))):
+                        fields[f"{name}{k} m={m}"] = (one, first(stacked))
+            for kind in GeneratorFamilyKind:
+                for s in ONE_ROUNDING_S:
+                    gen = gens[(kind, s)]
+                    report, engine = bound_report(gen, p, q), x.report(kind, s)
+                    tag = f"{kind.value} s={s}"
+                    for name in ("value", "linearized", "linearized_mid", "endpoint_A",
+                                 "endpoint_B", "half_E_bound", "E_star_bound"):
+                        fields[f"{tag} {name}"] = (getattr(report, name),
+                                                   first(getattr(engine, name)))
+                    ends = _endpoints(gen, x.r, x.big_r)
+                    smooth = _smoothness(gen, x.r, x.big_r)
+                    for name, one, stacked in zip(
+                            ("endpoint_A", "endpoint_B", "delta", "f3_sup", "variation"),
+                            endpoint_bounds(gen, rb) + smoothness_bounds(gen, rb),
+                            ends + smooth):
+                        fields[f"{tag} {name} (function)"] = (one, first(stacked))
+                    for name, stacked in (("delta", smooth[0]), ("f3_sup", smooth[1]),
+                                          ("variation", smooth[2]),
+                                          ("chi2", x.classic(MeasureKind.CHI2)),
+                                          ("abs_chi3", x.chi(3.0)), ("total_variation", x.tv)):
+                        fields[f"{tag} {name} (report)"] = (getattr(report, name), first(stacked))
+            compared += len(fields)
+            mismatches += [(dim, index, key, one, stacked)
+                           for key, (one, stacked) in fields.items() if one != stacked]
+    assert compared > 9000
+    assert mismatches == []
