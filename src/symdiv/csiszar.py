@@ -25,7 +25,9 @@ Generators are immutable evaluation bundles; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import functools
+import math
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -53,13 +55,15 @@ class Generator:
     """A convex normalized generator with analytic derivatives.
 
     ``evaluate(order, x)`` must accept order 0..max_order and positive
-    array arguments. ``curvature_monotonicity`` records whether f'' is
+    float arrays. ``curvature_monotonicity`` records whether f'' is
     monotonic on (0, inf); when it is UNKNOWN the curvature-drop bound is
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
-    without it the third-derivative bound is unavailable. The bound engine
-    evaluates on 1-D arrays of ratio-range ends, one value per pair, for one
-    pair and for a stack alike: there is no per-pair path.
+    without it the third-derivative bound is unavailable. ``eval`` is the
+    checked public entry; the engine's kernels call ``evaluate`` on ratios
+    of validated weights, and the public functions check their finished
+    values (``_checked``). The engine evaluates on 1-D arrays of ratio-range
+    ends, one value per pair, for one pair and a stack alike.
     """
 
     name: str
@@ -101,21 +105,21 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     f'' is monotonically decreasing exactly for s in [-1, 2] (both
     families). ``third_sup_closed_form`` is exact at every s: the largest
     |f'''| at r, at R and at the stationary points of f''' inside (r, R).
+    Those points depend on s alone: they are solved on first use and kept.
     """
     sp = as_param(s)
     sv = sp.s
-    core = _phi_eval if kind is GeneratorFamilyKind.PHI else _psi_eval
+    phi = kind is GeneratorFamilyKind.PHI
+    core = _phi_eval if phi else _psi_eval
+    stationary = functools.cache(lambda: _phi_stationary(sv) if phi else _psi_stationary(sv))
 
     def evaluate(order: int, x: np.ndarray) -> np.ndarray:
-        # Generator.eval has already validated order and domain
-        return core(sp, np.asarray(x, dtype=float), order)
+        return core(sp, x, order)
 
     def third_sup(r: np.ndarray, big_r: np.ndarray) -> np.ndarray:
-        inner = (_phi_stationary(sv) if kind is GeneratorFamilyKind.PHI
-                 else _psi_stationary(sv, r, big_r))
         # a lane whose (r, R) misses a stationary point takes r in its place
-        points = [r, big_r] + [np.where((r < x) & (x < big_r), x, r) for x in inner]
-        return np.abs(evaluate(3, np.stack(points))).max(axis=0)
+        points = [r, big_r] + [np.where((r < x) & (x < big_r), x, r) for x in stationary()]
+        return np.abs(evaluate(3, np.array(points))).max(axis=0)
 
     return Generator(
         name=f"{kind.value}(s={sv:g})",
@@ -133,42 +137,50 @@ def _phi_stationary(s: float) -> tuple[float, ...]:
     return ((num / den) ** (1.0 / (2.0 * s - 1.0)),) if num * den > 0.0 else ()
 
 
-def _psi_stationary(s: float, r: np.ndarray, big_r: np.ndarray) -> tuple[float, ...]:
-    """The roots of G(x) = (2-s)(s-3)x^(s+3) - 12x^2 - 8(s+1)x - (s+1)(s+2),
-    where d/dx log|psi_s'''| vanishes, in the hull of every [r, R] and 1.
+def _psi_stationary(s: float) -> tuple[float, ...]:
+    """The positive roots of G(x) = (2-s)(s-3)x^(s+3) - 12x^2 - 8(s+1)x
+    - (s+1)(s+2), where d/dx log|psi_s'''| vanishes, that are finite doubles.
 
-    G depends on s only, so one solve serves every lane. G'' = c4 x^(s+1)
-    - 24 has at most one positive root x2, so G' is monotone on each side of
-    x2, and G between consecutive roots of G'; each root is bisected in
-    t = log x on G'/x and G/x^2.
+    G depends on s alone, so one solve serves every pair. G'' = c4 x^(s+1)
+    - 24 has at most one positive root x2, so G' is monotone on each side
+    of x2, and G between consecutive roots of G'. Each root is bisected in
+    t = log x, on G'/x and G/x^2, over the t of every finite positive
+    double: 64 halvings of that range reach 8e-17 in t, x's relative error.
     """
     c3 = (2.0 - s) * (s - 3.0)
     c4 = c3 * (s + 3.0) * (s + 2.0)
-    dg = lambda t: c3 * (s + 3.0) * np.exp((s + 1.0) * t) - 24.0 - 8.0 * (s + 1.0) * np.exp(-t)
-    g = lambda t: (c3 * np.exp((s + 1.0) * t) - 12.0 - 8.0 * (s + 1.0) * np.exp(-t)
-                   - (s + 1.0) * (s + 2.0) * np.exp(-2.0 * t))
-    t_lo, t_hi = np.log(r.min(initial=1.0)), np.log(big_r.max(initial=1.0))
-    t2 = np.log(24.0 / c4) / (s + 1.0) if c4 > 0.0 else t_lo
-    cuts = np.array([t_lo, min(max(t2, t_lo), t_hi), t_hi])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for fn in (dg, g):
-            roots = _bisect(fn, cuts[:-1], cuts[1:])
-            cuts = np.concatenate(([t_lo], np.where(np.isnan(roots), cuts[:-1], roots), [t_hi]))
-    return tuple(np.exp(roots[~np.isnan(roots)]).tolist())
+    dg = _exp_sum((c3 * (s + 3.0), -24.0, -8.0 * (s + 1.0)), (s + 1.0, 0.0, -1.0))
+    g = _exp_sum((c3, -12.0, -8.0 * (s + 1.0), -(s + 1.0) * (s + 2.0)), (s + 1.0, 0.0, -1.0, -2.0))
+    t_lo, t_hi = math.log(math.ulp(0.0)), math.log(math.nextafter(math.inf, 0.0))
+    t2 = math.log(24.0 / c4) / (s + 1.0) if c4 > 0.0 else t_lo
+    cuts = [t_lo, min(max(t2, t_lo), t_hi), t_hi]
+    for fn in (dg, g):
+        roots = [_bisect(fn, a, b) for a, b in zip(cuts, cuts[1:])]
+        cuts = [t_lo] + [a if t is None else t for a, t in zip(cuts, roots)] + [t_hi]
+    return tuple(math.exp(t) for t in roots if t is not None)
 
 
-def _bisect(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A root of fn in each bracket [a, b] whose ends differ in sign, else
-    nan; 64 halvings narrow any bracket of log x below x's float spacing."""
-    sign_a = np.signbit(fn(a))
-    live = sign_a != np.signbit(fn(b))
-    if not live.any():
-        return np.full(a.shape, np.nan)
+def _exp_sum(coef, lam):
+    """t -> the sum of the nonzero c_k e^(lam_k t), divided by the largest
+    e^(lam_k t) among them: the sum's sign, with no term overflowing."""
+    terms = [(c, k) for c, k in zip(coef, lam) if c != 0.0]
+
+    def fn(t: float) -> float:
+        top = max(k * t for _, k in terms)
+        return sum(c * math.exp(k * t - top) for c, k in terms)
+    return fn
+
+
+def _bisect(fn, a: float, b: float) -> Optional[float]:
+    """The root of fn in [a, b] when fn(a) and fn(b) differ in sign, else
+    None; 64 halvings narrow any bracket of t down to the spacing of doubles."""
+    negative = math.copysign(1.0, fn(a)) < 0.0
+    if negative == (math.copysign(1.0, fn(b)) < 0.0):
+        return None
     for _ in range(64):
         mid = 0.5 * (a + b)
-        right = np.signbit(fn(mid)) == sign_a
-        a, b = np.where(right, mid, a), np.where(right, b, mid)
-    return np.where(live, 0.5 * (a + b), np.nan)
+        a, b = (mid, b) if (math.copysign(1.0, fn(mid)) < 0.0) == negative else (a, mid)
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +190,36 @@ def _bisect(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def csiszar_divergence(gen: Generator, p: Distribution, q: Distribution) -> float:
     """sum q_i f(p_i / q_i); nonnegative for convex normalized f."""
     _require_same_dim(p, q)
-    return float(_divergence(gen, p.weights, q.weights))
+    return float(_checked(_divergence, gen, p.weights, q.weights))
 
 
 def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
     """The pair (E, E*) of first-order functionals of the generator."""
     _require_same_dim(p, q)
-    e, e_star = _linearized(gen, p.weights, q.weights)
+    e, e_star = _checked(_linearized, gen, p.weights, q.weights)
     return float(e), float(e_star)
+
+
+def _checked(kernel, gen: Generator, *args):
+    """``kernel(gen, *args)``; a non-finite result reruns it through the checked
+    ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
+    out = kernel(gen, *args)
+    values = out if isinstance(out, tuple) else (out,)
+    if not all(v is None or np.isfinite(v).all() for v in values):
+        kernel(replace(gen, evaluate=gen.eval), *args)
+    return out
 
 
 # the sums over the last axis of weight arrays: one value per pair of rows
 
 def _divergence(gen: Generator, a: np.ndarray, b: np.ndarray):
-    return (b * gen.eval(0, a / b)).sum(axis=-1)
+    return (b * gen.evaluate(0, a / b)).sum(axis=-1)
 
 
 def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
-    e = ((a - b) * gen.eval(1, a / b)).sum(axis=-1)
-    e_star = ((a - b) * gen.eval(1, (a + b) / (2.0 * b))).sum(axis=-1)
+    e = ((a - b) * gen.evaluate(1, a / b)).sum(axis=-1)
+    e_star = ((a - b) * gen.evaluate(1, (a + b) / (2.0 * b))).sum(axis=-1)
     return e, e_star
 
 
@@ -209,7 +231,7 @@ def endpoint_bounds(gen: Generator, rb: RatioBounds) -> tuple[float, float]:
     """(A, B): the quarter-spread slope bound and the chord evaluation."""
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    a_bound, b_bound = _endpoints(gen, np.array([rb.r]), np.array([rb.R]))
+    a_bound, b_bound = _checked(_endpoints, gen, np.array([rb.r]), np.array([rb.R]))
     return float(a_bound[0]), float(b_bound[0])
 
 
@@ -226,7 +248,7 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
     """
     if rb.degenerate:
         raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    delta, f3_sup, variation = _smoothness(gen, np.array([rb.r]), np.array([rb.R]))
+    delta, f3_sup, variation = _checked(_smoothness, gen, np.array([rb.r]), np.array([rb.R]))
     return (None if delta is None else float(delta[0]),
             None if f3_sup is None else float(f3_sup[0]), float(variation[0]))
 
@@ -234,8 +256,9 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
 # the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one value per pair
 
 def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray):
-    a_bound = 0.25 * (big_r - r) * (gen.eval(1, big_r) - gen.eval(1, r))
-    b_bound = ((big_r - 1.0) * gen.eval(0, r) + (1.0 - r) * gen.eval(0, big_r)) / (big_r - r)
+    f = gen.evaluate
+    a_bound = 0.25 * (big_r - r) * (f(1, big_r) - f(1, r))
+    b_bound = ((big_r - 1.0) * f(0, r) + (1.0 - r) * f(0, big_r)) / (big_r - r)
     return a_bound, b_bound
 
 
@@ -243,12 +266,12 @@ def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray):
     """(delta, f3_sup, variation); delta and f3_sup may be None."""
     delta = None
     if gen.curvature_monotonicity is not Curvature.UNKNOWN:
-        delta = np.abs(gen.eval(2, r) - gen.eval(2, big_r))
+        delta = np.abs(gen.evaluate(2, r) - gen.evaluate(2, big_r))
 
     sup = gen.third_sup_closed_form
     f3_sup = None if sup is None else sup(r, big_r)
 
-    variation = gen.eval(1, big_r) - gen.eval(1, r)
+    variation = gen.evaluate(1, big_r) - gen.evaluate(1, r)
     return delta, f3_sup, variation
 
 
@@ -352,8 +375,7 @@ def compare_generators(gen1: Generator, gen2: Generator, rb: RatioBounds) -> Com
     def ratio(x: float) -> float:
         # x stays inside the validated [r, R]; one-element arrays round as the grid
         at = np.array([x])
-        return float(np.asarray(gen1.evaluate(2, at), dtype=float)[0]
-                     / np.asarray(gen2.evaluate(2, at), dtype=float)[0])
+        return float((gen1.evaluate(2, at) / gen2.evaluate(2, at))[0])
 
     values = gen1.eval(2, xs) / denom
     lo_x, lo_v = _refine(ratio, xs, values, int(values.argmin()), minimize=True)

@@ -70,15 +70,7 @@ class Distribution:
         if w.ndim != 1 or w.size < 2:
             raise InputError("DIMENSION_TOO_SMALL",
                              f"need at least 2 weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InputError("NON_FINITE", "weights must all be finite")
-        if np.any(w <= 0.0):
-            raise InputError("NONPOSITIVE_WEIGHT",
-                             "weights must be strictly positive (open simplex)")
-        total = float(w.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InputError("NOT_NORMALIZED",
-                             f"weights sum to {total!r}, expected 1 +- {NORMALIZATION_TOL}")
+        _check_simplex_rows(w)
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -113,6 +105,20 @@ class RatioBounds:
             raise DomainError("PARAMETER_OUT_OF_RANGE",
                               f"ratio bounds must satisfy 0 < r <= 1 <= R, got ({self.r}, {self.R})")
         object.__setattr__(self, "degenerate", self.r == self.R)
+
+
+def _check_simplex_rows(w: np.ndarray) -> None:
+    """The open-simplex contract for each row (last axis) of ``w``."""
+    if not np.all(np.isfinite(w)):
+        raise InputError("NON_FINITE", "weights must all be finite")
+    if np.any(w <= 0.0):
+        raise InputError("NONPOSITIVE_WEIGHT",
+                         "weights must be strictly positive (open simplex)")
+    totals = np.atleast_1d(w.sum(axis=-1))
+    far = np.abs(totals - 1.0) > NORMALIZATION_TOL
+    if far.any():
+        raise InputError("NOT_NORMALIZED", f"weights sum to {float(totals[far][0])!r}, "
+                                           f"expected 1 +- {NORMALIZATION_TOL}")
 
 
 def validate_distribution(raw, policy: NormalizationPolicy = REJECT) -> Distribution:
@@ -170,12 +176,15 @@ def sample_simplex(n: int, seed: int) -> Distribution:
     """
     if n < 2:
         raise InputError("DIMENSION_TOO_SMALL", f"need n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_exponential(n)
-    w /= w.sum()
+    return Distribution(_floored(np.random.default_rng(seed).standard_exponential(n)))
+
+
+def _floored(draws: np.ndarray) -> np.ndarray:
+    """The sampling formula of ``sample_simplex`` on each row (last axis) of
+    positive draws: scale to unit sum, floor at ``SIMPLEX_FLOOR``, rescale."""
+    w = draws / draws.sum(axis=-1, keepdims=True)
     w = np.maximum(w, SIMPLEX_FLOOR)
-    w /= w.sum()
-    return Distribution(w)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _require_same_dim(p: Distribution, q: Distribution) -> None:

@@ -14,9 +14,11 @@ An inequality ``L <= R`` passes when ``L <= R + tol * max(1, |R|)``: the
 relative part guards the large symmetric chi-square cases, the absolute
 floor guards comparisons between near-zero values.
 
-One batched engine checks the table: it stacks the pairs of one
-dimension into (N, n) weight arrays, evaluates every row over all N at
-once and counts violations and skips with array reductions. A witness is
+One batched engine checks the table: a sweep samples the pairs of one
+dimension straight into (N, n) weight arrays, validated once, evaluates
+every row over all N at once and counts violations and skips with array
+reductions. Inputs are checked at the boundary (``SweepConfig``, the
+sampled stack); inside, a non-finite comparison is refused. A witness is
 built only for each case's largest violation, the first in sequential
 (pair, grid value, comparison) order, so results equal those of checking
 the pairs one at a time. The single-pair checks are the same engine at
@@ -30,6 +32,7 @@ The JSON summary is byte-stable apart from ``elapsed_ms``.
 
 from __future__ import annotations
 
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -45,7 +48,8 @@ from .divergences import (MeasureKind, _abs_chi, _classic, _vajda_bounds,
                           _vajda_coefficients)
 from .errors import DomainError, InputError
 from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
-from .simplex import Distribution, _require_same_dim, sample_simplex
+from .simplex import (Distribution, _check_simplex_rows, _floored, _require_same_dim,
+                      sample_simplex)
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TOL = 1e-10
@@ -299,6 +303,11 @@ class SweepConfig:
             raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
         if not (self.tol > 0):
             raise InputError("BAD_CONFIG", f"tol must be > 0, got {self.tol}")
+        # the pair sampler trusts these: a float dim would sample int(dim) rows
+        whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        if not all(map(whole, (*self.dims, self.samples_per_dim, self.seed))) or self.seed < 0:
+            raise InputError("BAD_CONFIG", "dims, samples_per_dim and seed must be integers, "
+                             f"seed >= 0; got {self.dims!r}, {self.samples_per_dim!r}, {self.seed!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -450,7 +459,7 @@ def _check(cases: Sequence[InequalityCase], stack: _Stack, s_grid: Sequence[floa
         if links:
             lhs, rhs, labels = zip(*links)
             # one row per pair, one column per comparison in sequential order
-            violations = slack_violation(np.stack(lhs, axis=-1), np.stack(rhs, axis=-1), tol)
+            violations = slack_violation(np.array(lhs).T, np.array(rhs).T, tol)
             if not np.isfinite(violations).all():  # a NaN would count as a pass
                 col = np.nonzero(~np.isfinite(violations))[1][0]
                 where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
@@ -513,24 +522,39 @@ def check_bounds_suite(p: Distribution, q: Distribution,
 
 def pair_for(seed: int, dim: int, index: int) -> tuple[Distribution, Distribution]:
     """The deterministic sampled pair for one (seed, dim, index) shard."""
-    seeds = [int(np.random.SeedSequence((seed, dim, index, k)).generate_state(1)[0])
-             for k in (0, 1)]
-    return sample_simplex(dim, seeds[0]), sample_simplex(dim, seeds[1])
+    return tuple(sample_simplex(dim, _draw_seed(seed, dim, index, k)) for k in (0, 1))
+
+
+def _draw_seed(seed: int, dim: int, index: int, k: int) -> int:
+    return int(np.random.SeedSequence((seed, dim, index, k)).generate_state(1)[0])
+
+
+def _sample_stack(seed: int, dim: int, count: int, gens: dict) -> _Stack:
+    """``pair_for(seed, dim, i)`` for i < count as one stack, bit for bit: the
+    same draws, written into one array, floored and renormalized row-wise
+    and validated once."""
+    draws = np.empty((2, count, dim))
+    for index in range(count):
+        for k in (0, 1):
+            rng = np.random.default_rng(_draw_seed(seed, dim, index, k))
+            rng.standard_exponential(out=draws[k, index])
+    w = _floored(draws)
+    _check_simplex_rows(w)
+    return _Stack(w[0], w[1], gens)
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> SweepSummary:
-    """Run the whole registry over deterministic random pairs, one batch per dim."""
+    """Run the whole registry over deterministic random pairs, one batch per
+    dim: each dim's ``pair_for`` pairs, sampled straight into one stack."""
     start = time.perf_counter()
     gens = _generators(config.s_grid)
     results = [CaseResult(c.id, c.severity) for c in REGISTRY]
-    samples = 0
     for dim in config.dims:
-        pairs = [pair_for(config.seed, int(dim), index)
-                 for index in range(config.samples_per_dim)]
-        samples += len(pairs)
-        batch = _check(REGISTRY, _stack(pairs, gens), config.s_grid, config.t_grid, config.tol)
+        stack = _sample_stack(config.seed, dim, config.samples_per_dim, gens)
+        batch = _check(REGISTRY, stack, config.s_grid, config.t_grid, config.tol)
         for total, part in zip(results, batch):
             total.merge(part)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
+    samples = len(config.dims) * config.samples_per_dim
     return SweepSummary(config=config, cases=results,
                         samples=samples, seed=config.seed, elapsed_ms=elapsed_ms)

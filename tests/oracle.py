@@ -179,21 +179,24 @@ def _psi_stationary(s, x):
             - 8 * (s + 1) * x - (s + 1) * (s + 2))
 
 
+def stationary_points(family, s, lo, hi, scan=200):
+    """The roots of the stationary equation of f''' inside (lo, hi), for
+    family "PHI" or "PSI" and mpf arguments. Sign changes on a geometric
+    scan of [lo, hi] bracket the roots; findroot polishes them."""
+    stationary = {"PHI": _phi_stationary, "PSI": _psi_stationary}[family]
+    xs = [lo * (hi / lo) ** (mpf(k) / scan) for k in range(scan + 1)]
+    signs = [mp.sign(stationary(s, x)) for x in xs]
+    return [mp.findroot(lambda x: stationary(s, x), (xs[k], xs[k + 1]), solver="anderson")
+            for k in range(scan) if signs[k] * signs[k + 1] < 0]
+
+
 def third_sup(family, s, r, big_r, scan=200):
     """sup |f'''| over [r, R] for family "PHI" or "PSI", exactly: the
-    largest |f'''| at r, at R and at each root of the stationary equation
-    of f''' inside (r, R). Sign changes on a geometric scan of [r, R]
-    bracket the roots; findroot polishes them."""
-    gen, stationary = {"PHI": (phi_gen, _phi_stationary),
-                       "PSI": (psi_gen, _psi_stationary)}[family]
+    largest |f'''| at r, at R and at each stationary point of f''' inside
+    (r, R)."""
+    gen = {"PHI": phi_gen, "PSI": psi_gen}[family]
     s, r, big_r = mpf(str(s)), mpf(str(r)), mpf(str(big_r))
-    xs = [r * (big_r / r) ** (mpf(k) / scan) for k in range(scan + 1)]
-    signs = [mp.sign(stationary(s, x)) for x in xs]
-    points = [r, big_r]
-    for k in range(scan):
-        if signs[k] * signs[k + 1] < 0:
-            points.append(mp.findroot(lambda x: stationary(s, x), (xs[k], xs[k + 1]),
-                                      solver="anderson"))
+    points = [r, big_r] + stationary_points(family, s, r, big_r, scan)
     return max(abs(gen_derivative(gen, s, x, 3)) for x in points)
 
 

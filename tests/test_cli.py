@@ -234,6 +234,12 @@ class TestVerify:
         assert code == 1
         assert "invalid dims" in err
 
+    def test_negative_seed_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--dims", "2", "--samples", "2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [BAD_CONFIG] ")
+        assert len(err.splitlines()) == 1
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--dims", "2", "--samples", "2",
                            "--format", "table")

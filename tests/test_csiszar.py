@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 import oracle
 from conftest import assert_close, sampled_pairs
@@ -13,8 +14,9 @@ from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind,
                     endpoint_bounds, family_generator, generator_eval,
                     linearized_functionals, mixture, ratio_bounds,
                     smoothness_bounds, validate_distribution)
+from symdiv.csiszar import _psi_stationary
 from symdiv.means import raised_mean
-from symdiv.verify import pair_for
+from symdiv.verify import DEFAULT_GRID, pair_for
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=10)
@@ -435,3 +437,43 @@ class TestGeneratorConstruction:
             min(chi2_term, variation * rep.total_variation / 2), rel=1e-12)
         assert abs(rep.value - rep.linearized / 2) <= rep.half_E_bound
         assert abs(rep.value - rep.linearized_mid) <= rep.E_star_bound
+
+
+class TestBoundaryChecks:
+    def test_public_functions_refuse_a_failing_generator_value(self, pair):
+        # f' is NaN at the pair's ratio R = 0.6/0.4 alone, so construction
+        # passes; the kernels evaluate unchecked and the public functions
+        # must still refuse the result
+        def evaluate(order, x):
+            out = {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
+            return np.where(np.abs(x - 1.5) < 1e-9, np.nan, out) if order == 1 else out
+        gen = Generator(name="holed", evaluate=evaluate, max_order=2)
+        rb = ratio_bounds(*pair)
+        calls = {"bound_report": lambda: bound_report(gen, *pair),
+                 "linearized_functionals": lambda: linearized_functionals(gen, *pair),
+                 "endpoint_bounds": lambda: endpoint_bounds(gen, rb),
+                 "smoothness_bounds": lambda: smoothness_bounds(gen, rb)}
+        for name, call in calls.items():
+            with pytest.raises(DomainError) as err:
+                call()
+            assert err.value.code == "GENERATOR_DOMAIN", name
+            assert "'holed' evaluation failed at order 1" in str(err.value), name
+        assert csiszar_divergence(gen, *pair) == pytest.approx(0.04 / 0.4 + 0.04 / 0.6, rel=1e-12)
+
+
+# the default grid, and s near where G's exponents collide (s = -3, -2, -1)
+# or its leading coefficient changes sign (s = 2, 3)
+PSI_ROOT_S = sorted({*DEFAULT_GRID, -1.0 - 1e-9, -1.0 + 1e-9, -1.0 - 1e-6, -1.0 + 1e-6,
+                     2.0 - 1e-6, 2.0 + 1e-6, 3.0 - 1e-9, 3.0 + 1e-9, -2.0, -3.0, 30.0, -30.0})
+
+
+class TestPsiStationary:
+    @pytest.mark.parametrize("s", PSI_ROOT_S)
+    def test_roots_match_oracle(self, s):
+        # mpf(s) is the double itself: near s = -1 a root moves by about
+        # 1/|s + 1| times any rounding of s
+        expected = oracle.stationary_points("PSI", mpf(s), mpf("1e-12"), mpf("1e12"), scan=480)
+        roots = _psi_stationary(s)
+        assert len(roots) == len(expected), (roots, expected)
+        for x, ref in zip(roots, expected):
+            assert abs(x - ref) <= 1e-14 * ref, (x, ref)

@@ -9,11 +9,11 @@ from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, S
                     SweepConfig, check_bounds_suite, check_chain, check_parametric,
                     ratio_bounds, run_sweep, validate_distribution)
 from symdiv.csiszar import (_endpoints, _smoothness, bound_report, endpoint_bounds,
-                            smoothness_bounds)
+                            family_generator, smoothness_bounds)
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
-from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _generators, _stack, pair_for,
-                           slack_violation)
+from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _generators, _sample_stack, _stack,
+                           pair_for, slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
 # run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for S = 7 and 1402,
@@ -188,6 +188,16 @@ class TestRunSweep:
         with pytest.raises(InputError):
             SweepConfig(tol=0.0)
 
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": 1.5}, {"seed": True},
+                                     {"samples_per_dim": 2.5}, {"samples_per_dim": True},
+                                     {"dims": (2.5,)}, {"dims": (3, 4.0)}])
+    def test_config_types_are_checked(self, bad):
+        # the stack sampler trusts the config: a float dim would sample
+        # int(dim) rows and report the float
+        with pytest.raises(InputError) as err:
+            SweepConfig(**bad)
+        assert err.value.code == "BAD_CONFIG"
+
     def test_output_matches_golden_bytes(self):
         golden = {}
         for seed in (7, 1402):
@@ -226,6 +236,32 @@ class TestRunSweep:
         np.testing.assert_array_equal(b1.weights, b2.weights)
         a3, _ = pair_for(7, 5, 4)
         assert not np.array_equal(a1.weights, a3.weights)
+
+
+    def test_stack_sampler_equals_pair_for_bit_for_bit(self):
+        # every seed on the first 8 indices, seeds 0, 100 and 200 on all 250;
+        # rows of 10 and 37 weights are summed in unrolled blocks
+        for seed in range(201):
+            count = 250 if seed % 100 == 0 else 8
+            for dim in (2, 3, 5, 10, 37):
+                x = _sample_stack(seed, dim, count, {})
+                for index in range(count):
+                    p, q = pair_for(seed, dim, index)
+                    assert np.array_equal(x.a[index], p.weights), (seed, dim, index)
+                    assert np.array_equal(x.b[index], q.weights), (seed, dim, index)
+
+    def test_f3_sup_of_a_lane_is_independent_of_its_stack(self):
+        # psi_s''' has stationary points for these s; they depend on s alone,
+        # not on the hull of the stack's ratio ranges
+        for dim in range(2, 11):
+            pairs = [pair_for(5, dim, index) for index in range(200)]
+            x = _stack(pairs, {})
+            for s in (-5.0, -2.0, -1.5, -1.2):
+                stacked = _smoothness(family_generator(GeneratorFamilyKind.PSI, s),
+                                      x.r, x.big_r)[1]
+                single = family_generator(GeneratorFamilyKind.PSI, s)
+                lanes = [smoothness_bounds(single, ratio_bounds(p, q))[1] for p, q in pairs]
+                assert np.array_equal(stacked, lanes), (dim, s)
 
 
 class TestNonFinite:
