@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import families
 from .csiszar import bound_report, family_generator
 from .divergences import MeasureKind, classic_divergence
 from .errors import DomainError, InputError, SymdivError
@@ -30,7 +31,10 @@ from .simplex import (NormalizationMode, NormalizationPolicy, load_weights,
                       validate_distribution)
 from .verify import DEFAULT_GRID, DEFAULT_TOL, SweepConfig, run_sweep
 
-_FAMILY_TAGS = ("PHI", "V", "W", "PSI")
+_COMPUTE_TAGS = {"PHI": "relative_information_type_s", "V": "j_divergence_type_s",
+                 "W": "ag_js_divergence_type_s", "PSI": "ag_js_divergence_type_s"}
+_BOUNDS_TAGS = {"PHI": GeneratorFamilyKind.PHI, "V": GeneratorFamilyKind.PHI,
+                "PSI": GeneratorFamilyKind.PSI, "W": GeneratorFamilyKind.PSI}
 
 
 def _fmt(value: float) -> str:
@@ -92,7 +96,7 @@ def _parse_measure(text: str):
     """A classic kind name, or a family tag with its order: PHI:0.5, V:2, W:-1."""
     name, _, order = text.partition(":")
     name = name.strip().upper()
-    if name in _FAMILY_TAGS:
+    if name in _COMPUTE_TAGS:
         if not order:
             raise InputError("BAD_CONFIG",
                              f"family measure needs an order, e.g. {name}:0.5")
@@ -127,14 +131,9 @@ def _emit_mapping(pairs, fmt: str, header: str = "field,value") -> None:
 def _cmd_compute(args) -> int:
     p, q = _load_pair(args)
     measure, order = _parse_measure(args.measure)
-    if measure == "PHI":
-        value = relative_information_type_s(order, p, q)
-    elif measure == "V":
-        value = j_divergence_type_s(order, p, q)
-    elif measure in ("W", "PSI"):
-        value = ag_js_divergence_type_s(order, p, q)
-    else:
-        value = classic_divergence(measure, p, q)
+    # a family function is looked up by name at call time, so a traced run sees the call
+    value = (classic_divergence(measure, p, q) if order is None
+             else getattr(families, _COMPUTE_TAGS[measure])(order, p, q))
     key = f"{measure}:{order:g}" if order is not None else measure.name
     _require_finite(float(value))
     _emit_mapping([(key, float(value))], args.format, header="measure,value")
@@ -144,26 +143,17 @@ def _cmd_compute(args) -> int:
 def _cmd_bounds(args) -> int:
     p, q = _load_pair(args)
     measure, order = _parse_measure(args.measure)
-    if measure == "PHI" or measure == "V":
-        kind = GeneratorFamilyKind.PHI
-    elif measure in ("PSI", "W"):
-        kind = GeneratorFamilyKind.PSI
-    else:
-        raise InputError("BAD_CONFIG",
-                         "bounds needs a family generator: PHI:s or PSI:s")
-    report = bound_report(family_generator(kind, order), p, q)
+    if order is None:
+        raise InputError("BAD_CONFIG", "bounds needs a family generator: PHI:s or PSI:s")
+    report = bound_report(family_generator(_BOUNDS_TAGS[measure], order), p, q)
     payload = report.to_json_dict()
     _require_finite(payload)
     if args.format == "json":
         print(_dump_json(payload))
     else:
-        flat = []
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                flat.extend((f"{key}.{k}", v) for k, v in value.items())
-            else:
-                flat.append((key, value))
-        _emit_mapping(flat, args.format)
+        ranges = payload.pop("ratio_bounds")
+        _emit_mapping([*payload.items(), *((f"ratio_bounds.{k}", v) for k, v in ranges.items())],
+                      args.format)
     return 0
 
 
@@ -269,10 +259,7 @@ def run_cli(argv=None) -> int:
         # an overflow is refused as NON_FINITE_RESULT, without numpy's warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except SymdivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SymdivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

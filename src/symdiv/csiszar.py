@@ -33,10 +33,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import MeasureKind, classic_divergence, vajda_abs_chi
+from .divergences import MeasureKind, _abs_chi, _classic
 from .errors import DomainError, InputError
-from .families import (FamilyParam, GeneratorFamilyKind, _phi_eval, _psi_eval,
-                       as_param, generator_eval)
+from .families import (FamilyParam, GeneratorFamilyKind, _argument, _family_eval, as_param,
+                       generator_eval)
 from .simplex import Distribution, RatioBounds, _require_same_dim, ratio_bounds
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -89,10 +89,7 @@ class Generator:
         if not (0 <= order <= self.max_order):
             raise InputError("UNSUPPORTED_ORDER",
                              f"generator {self.name!r} supports orders 0..{self.max_order}, got {order}")
-        xv = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
-            raise DomainError("NONPOSITIVE_ARGUMENT", "generator argument must be finite and > 0")
-        out = np.asarray(self.evaluate(order, xv), dtype=float)
+        out = np.asarray(self.evaluate(order, _argument(x)), dtype=float)
         if not np.all(np.isfinite(out)):
             raise DomainError("GENERATOR_DOMAIN",
                               f"generator {self.name!r} evaluation failed at order {order}")
@@ -109,8 +106,8 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     """
     sp = as_param(s)
     sv = sp.s
+    core = _family_eval(kind)
     phi = kind is GeneratorFamilyKind.PHI
-    core = _phi_eval if phi else _psi_eval
     stationary = functools.cache(lambda: _phi_stationary(sv) if phi else _psi_stationary(sv))
 
     def evaluate(order: int, x: np.ndarray) -> np.ndarray:
@@ -197,8 +194,7 @@ def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
     """The pair (E, E*) of first-order functionals of the generator."""
     _require_same_dim(p, q)
-    e, e_star = _checked(_linearized, gen, p.weights, q.weights)
-    return float(e), float(e_star)
+    return tuple(float(v) for v in _checked(_linearized, gen, p.weights, q.weights))
 
 
 def _checked(kernel, gen: Generator, *args):
@@ -229,10 +225,7 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
 
 def endpoint_bounds(gen: Generator, rb: RatioBounds) -> tuple[float, float]:
     """(A, B): the quarter-spread slope bound and the chord evaluation."""
-    if rb.degenerate:
-        raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    a_bound, b_bound = _checked(_endpoints, gen, np.array([rb.r]), np.array([rb.R]))
-    return float(a_bound[0]), float(b_bound[0])
+    return tuple(float(v[0]) for v in _checked(_endpoints, gen, *rb.ends()))
 
 
 def smoothness_bounds(gen: Generator, rb: RatioBounds
@@ -246,11 +239,8 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
     max_order 3, and the deviation bounds are then the min over the
     remaining terms. variation is f'(R) - f'(r), always available.
     """
-    if rb.degenerate:
-        raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    delta, f3_sup, variation = _checked(_smoothness, gen, np.array([rb.r]), np.array([rb.R]))
-    return (None if delta is None else float(delta[0]),
-            None if f3_sup is None else float(f3_sup[0]), float(variation[0]))
+    return tuple(None if v is None else float(v[0])
+                 for v in _checked(_smoothness, gen, *rb.ends()))
 
 
 # the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one value per pair
@@ -275,18 +265,26 @@ def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray):
     return delta, f3_sup, variation
 
 
-def _deviation_bounds(delta, f3_sup, variation, chi2, abs_chi3, tv):
-    """(half_E_bound, E_star_bound): each the min over the terms whose
-    derivative data is available (delta and f3_sup may be None)."""
-    half = variation * tv
-    star = 0.5 * variation * tv
+def _report(gen: Generator, a: np.ndarray, b: np.ndarray, ends, chi2, abs_chi3, tv):
+    """The ``BoundReport`` fields from value to E_star_bound over (N, n) weight
+    arrays, one value per pair. ``ends`` is the (r, R) arrays, or None for
+    P = Q, which leaves the ratio-range fields None. The generator is
+    evaluated in a fixed order: value, E and E*, endpoints, smoothness."""
+    value = _divergence(gen, a, b)
+    e, e_star = _linearized(gen, a, b)
+    if ends is None:
+        return value, e, e_star, None, None, None, None, None, chi2, abs_chi3, tv, None, None
+    a_bound, b_bound = _endpoints(gen, *ends)
+    delta, f3_sup, variation = _smoothness(gen, *ends)
+    # each deviation bound is the min over the terms whose derivative data exists
+    half, star = variation * tv, 0.5 * variation * tv
     if delta is not None:
-        half = np.minimum(half, delta * chi2 / 8.0)
-        star = np.minimum(star, delta * chi2 / 8.0)
+        half, star = np.minimum(half, delta * chi2 / 8.0), np.minimum(star, delta * chi2 / 8.0)
     if f3_sup is not None:
         half = np.minimum(half, f3_sup * abs_chi3 / 12.0)
         star = np.minimum(star, f3_sup * abs_chi3 / 24.0)
-    return half, star
+    return (value, e, e_star, a_bound, b_bound, delta, f3_sup, variation,
+            chi2, abs_chi3, tv, half, star)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,8 @@ class BoundReport:
 
     Bound fields are None when P = Q: the endpoint machinery requires
     r != R. ``half_E_bound`` bounds |value - linearized/2| and
-    ``E_star_bound`` bounds |value - linearized_mid|.
+    ``E_star_bound`` bounds |value - linearized_mid|. Inside a sweep the
+    same fields are arrays, one value per pair, and ``ratio_bounds`` is None.
     """
 
     generator: str
@@ -325,23 +324,15 @@ class BoundReport:
 
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
-    """Assemble the divergence value and every applicable bound for a pair."""
+    """Assemble the divergence value and every applicable bound for a pair:
+    the sweep's kernel on the pair as a stack of one."""
     _require_same_dim(p, q)
     rb = ratio_bounds(p, q)
-    value = csiszar_divergence(gen, p, q)
-    e, e_star = linearized_functionals(gen, p, q)
-    chi2 = classic_divergence(MeasureKind.CHI2, p, q)
-    abs_chi3 = vajda_abs_chi(3.0, p, q)
-    tv = classic_divergence(MeasureKind.TOTAL_VARIATION, p, q)
-    if rb.degenerate:
-        return BoundReport(gen.name, value, e, e_star, None, None, None, None,
-                           None, chi2, abs_chi3, tv, None, None, rb)
-    a_bound, b_bound = endpoint_bounds(gen, rb)
-    delta, f3_sup, variation = smoothness_bounds(gen, rb)
-    half, star = _deviation_bounds(delta, f3_sup, variation, chi2, abs_chi3, tv)
-    return BoundReport(gen.name, value, e, e_star, a_bound, b_bound, delta,
-                       f3_sup, variation, chi2, abs_chi3, tv,
-                       float(half), float(star), rb)
+    a, b = p.weights[None], q.weights[None]
+    fields = _checked(_report, gen, a, b, None if rb.degenerate else rb.ends(),
+                      _classic(MeasureKind.CHI2, a, b), _abs_chi(3.0, a, b),
+                      _classic(MeasureKind.TOTAL_VARIATION, a, b))
+    return BoundReport(gen.name, *(None if v is None else float(v[0]) for v in fields), rb)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +355,8 @@ class ComparisonBounds:
 
 def compare_generators(gen1: Generator, gen2: Generator, rb: RatioBounds) -> ComparisonBounds:
     """Extremize the curvature ratio by geometric grid plus golden section."""
-    if rb.degenerate:
-        raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    xs = np.geomspace(rb.r, rb.R, _COMPARE_GRID_POINTS)
+    (r,), (big_r,) = rb.ends()
+    xs = np.geomspace(r, big_r, _COMPARE_GRID_POINTS)
     denom = gen2.eval(2, xs)
     if np.any(denom <= 0.0):
         raise DomainError("NONCONVEX_REFERENCE",
@@ -392,8 +382,8 @@ def curvature_ratio(s: float | FamilyParam, t: float | FamilyParam, x) -> float:
 
 # internal extremization helpers --------------------------------------------
 
-def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: int, minimize: bool,
-            tol: float = _GOLDEN_TOL) -> tuple[float, float]:
+def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: int,
+            minimize: bool) -> tuple[float, float]:
     """Golden-section polish inside the grid cells adjacent to the best grid
     point xs[idx], for fn on floats. The polished point replaces the grid
     point unless the grid point is strictly better."""
@@ -403,7 +393,7 @@ def _refine(fn, xs: np.ndarray, values: np.ndarray, idx: int, minimize: bool,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:  # keep [a, d] and probe a new c
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

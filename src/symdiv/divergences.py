@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .simplex import Distribution, RatioBounds, _require_same_dim
 
 
@@ -83,10 +83,14 @@ def vajda_abs_chi(m: float, p: Distribution, q: Distribution) -> float:
     Order 1 is total variation, order 2 is Pearson chi-square, order 3 is
     the absolute cubic chi used by the third-derivative bounds.
     """
-    if not (m >= 1.0 and np.isfinite(m)):
-        raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
+    _check_order(m)
     _require_same_dim(p, q)
     return float(_abs_chi(m, p.weights, q.weights))
+
+
+def _check_order(m: float) -> None:
+    if not (m >= 1.0 and np.isfinite(m)):
+        raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
 
 
 def _abs_chi(m: float, a: np.ndarray, b: np.ndarray):
@@ -104,12 +108,8 @@ def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
 
     with bound1 <= bound2, and bound1 attained exactly by two-point pairs.
     """
-    if not (m >= 1.0 and np.isfinite(m)):
-        raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
-    if rb.degenerate:
-        raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    bound1, bound2 = _vajda_bounds(m, np.array([rb.r]), np.array([rb.R]))
-    return float(bound1[0]), float(bound2[0])
+    _check_order(m)
+    return tuple(float(v[0]) for v in _vajda_bounds(m, *rb.ends()))
 
 
 def _vajda_bounds(m: float, r: np.ndarray, R: np.ndarray):
@@ -127,12 +127,8 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
     counterexample at m = 2 on two-point pairs), so callers must treat
     the lower claim as diagnostic only.
     """
-    if not (m >= 1.0 and np.isfinite(m)):
-        raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
-    if rb.degenerate:
-        raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
-    c_lo, c_hi = _vajda_coefficients(m, np.array([rb.r]), np.array([rb.R]))
-    return float(c_lo[0]), float(c_hi[0])
+    _check_order(m)
+    return tuple(float(v[0]) for v in _vajda_coefficients(m, *rb.ends()))
 
 
 def _vajda_coefficients(m: float, r: np.ndarray, R: np.ndarray):

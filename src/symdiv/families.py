@@ -145,16 +145,24 @@ def generator_eval(family: GeneratorFamilyKind, s: float | FamilyParam,
     sp = as_param(s)
     if order not in (0, 1, 2, 3):
         raise InputError("UNSUPPORTED_ORDER", f"derivative order must be 0..3, got {order}")
+    xv = _argument(x)  # the argument is checked before the family
+    out = _family_eval(family)(sp, xv, order)
+    return out if np.ndim(x) else float(out)
+
+
+def _family_eval(family: GeneratorFamilyKind):
+    """The evaluator (s, x, order) of a generator family; refuses anything else."""
+    if not isinstance(family, GeneratorFamilyKind):
+        raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown generator family {family!r}")
+    return _phi_eval if family is GeneratorFamilyKind.PHI else _psi_eval
+
+
+def _argument(x) -> np.ndarray:
+    """A generator argument as a float array, refused unless finite and > 0."""
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
         raise DomainError("NONPOSITIVE_ARGUMENT", "generator argument must be finite and > 0")
-    if family is GeneratorFamilyKind.PHI:
-        out = _phi_eval(sp, xv, order)
-    elif family is GeneratorFamilyKind.PSI:
-        out = _psi_eval(sp, xv, order)
-    else:
-        raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown generator family {family!r}")
-    return out if np.ndim(x) else float(out)
+    return xv
 
 
 def _phi_eval(sp: FamilyParam, x: np.ndarray, order: int):

@@ -1,8 +1,9 @@
 """Power-logarithmic means L_p and their raised form L_p^p.
 
 These two-argument means interpolate the logarithmic (p = -1), identric
-(p = 0), and arithmetic (p = 1) means, and supply the closed-form pieces
-of the endpoint and curvature bounds in :mod:`symdiv.csiszar`.
+(p = 0), and arithmetic (p = 1) means. The tests check the endpoint and
+curvature bounds of :mod:`symdiv.csiszar` against closed forms in them;
+the package re-exports them, but no module of the engine uses them.
 """
 
 from __future__ import annotations

@@ -106,6 +106,12 @@ class RatioBounds:
                               f"ratio bounds must satisfy 0 < r <= 1 <= R, got ({self.r}, {self.R})")
         object.__setattr__(self, "degenerate", self.r == self.R)
 
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, R) as one-element arrays for the engine's kernels; refuses P = Q."""
+        if self.degenerate:
+            raise DomainError("DEGENERATE_BOUNDS", "ratio bounds are degenerate (P = Q)")
+        return np.array([self.r]), np.array([self.R])
+
 
 def _check_simplex_rows(w: np.ndarray) -> None:
     """The open-simplex contract for each row (last axis) of ``w``."""
@@ -160,9 +166,14 @@ def ratio_bounds(p: Distribution, q: Distribution) -> RatioBounds:
     ratio sum(P)/sum(Q)); the interval is widened to include one, which
     keeps every downstream bound valid."""
     _require_same_dim(p, q)
-    ratios = p.weights / q.weights
-    lo, hi = float(ratios.min()), float(ratios.max())
-    return RatioBounds(min(lo, 1.0), max(hi, 1.0))
+    r, big_r = _ratio_range(p.weights, q.weights)
+    return RatioBounds(float(r), float(big_r))
+
+
+def _ratio_range(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, R) of ``ratio_bounds`` for each pair of rows (last axis) of weights."""
+    ratios = a / b
+    return np.minimum(ratios.min(axis=-1), 1.0), np.maximum(ratios.max(axis=-1), 1.0)
 
 
 def sample_simplex(n: int, seed: int) -> Distribution:

@@ -37,19 +37,17 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .csiszar import (_deviation_bounds, _divergence, _endpoints, _linearized,
-                      _smoothness, family_generator)
+from .csiszar import BoundReport, _report, family_generator
 from .divergences import (MeasureKind, _abs_chi, _classic, _vajda_bounds,
                           _vajda_coefficients)
 from .errors import DomainError, InputError
 from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
-from .simplex import (Distribution, _check_simplex_rows, _floored, _require_same_dim,
-                      sample_simplex)
+from .simplex import (Distribution, _check_simplex_rows, _floored, _ratio_range,
+                      _require_same_dim, sample_simplex)
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TOL = 1e-10
@@ -231,8 +229,6 @@ class CaseResult:
         """Count a block of signed violations, taken in the order of its
         flattened index. Only a new maximum builds its witness, through
         ``witness_at(*index)``; the first of equal maxima wins."""
-        if violations.size == 0:
-            return
         self.evaluations += violations.size
         self.violations += int(np.count_nonzero(violations > 0.0))
         top = int(np.argmax(violations))
@@ -294,20 +290,29 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.dims or any(int(d) < 2 for d in self.dims):
+        try:  # what int() or < refuses is not a number: malformed as well
+            small = not self.dims or any(int(d) < 2 for d in self.dims)
+            few = self.samples_per_dim < 1
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("BAD_CONFIG", "dims and samples_per_dim must be integers, got "
+                             f"{self.dims!r}, {self.samples_per_dim!r}") from exc
+        if small:
             raise InputError("BAD_CONFIG", f"dims must all be >= 2, got {self.dims}")
-        if self.samples_per_dim < 1:
+        if few:
             raise InputError("BAD_CONFIG",
                              f"samples_per_dim must be >= 1, got {self.samples_per_dim}")
         if len(self.s_grid) == 0 or len(self.t_grid) == 0:
             raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
-        if not (self.tol > 0):
-            raise InputError("BAD_CONFIG", f"tol must be > 0, got {self.tol}")
+        _check_tol(self.tol)
         # the pair sampler trusts these: a float dim would sample int(dim) rows
         whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
         if not all(map(whole, (*self.dims, self.samples_per_dim, self.seed))) or self.seed < 0:
             raise InputError("BAD_CONFIG", "dims, samples_per_dim and seed must be integers, "
                              f"seed >= 0; got {self.dims!r}, {self.samples_per_dim!r}, {self.seed!r}")
+        # numpy integers pass as whole; the JSON summary needs plain ints
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        object.__setattr__(self, "samples_per_dim", int(self.samples_per_dim))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,6 +323,11 @@ class SweepConfig:
             "t_grid": list(self.t_grid),
             "tol": self.tol,
         }
+
+
+def _check_tol(tol) -> None:
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise InputError("BAD_CONFIG", f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass
@@ -406,12 +416,12 @@ class _Stack:
     # ratio-range quantities, defined on the spread stack -------------------
 
     @property
-    def r(self) -> np.ndarray:
-        return self._memoized("r", lambda: np.minimum((self.a / self.b).min(axis=-1), 1.0))
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, R), the ratio range of each pair."""
+        return self._memoized("ends", lambda: _ratio_range(self.a, self.b))
 
-    @property
-    def big_r(self) -> np.ndarray:
-        return self._memoized("R", lambda: np.maximum((self.a / self.b).max(axis=-1), 1.0))
+    r = property(lambda self: self.ends[0])
+    big_r = property(lambda self: self.ends[1])
 
     @property
     def spread(self) -> "_Stack":
@@ -424,19 +434,12 @@ class _Stack:
         sub = self._memoized("spread", compute)
         return self if sub is None else sub
 
-    def report(self, kind: GeneratorFamilyKind, s) -> SimpleNamespace:
-        """The bound_report fields of the family generator at s."""
-        def compute():
-            gen = self.gens[(kind, s)]
-            e, e_star = _linearized(gen, self.a, self.b)
-            endpoint_a, endpoint_b = _endpoints(gen, self.r, self.big_r)
-            delta, f3_sup, variation = _smoothness(gen, self.r, self.big_r)
-            half, star = _deviation_bounds(delta, f3_sup, variation, self.classic(
-                MeasureKind.CHI2), self.chi(3.0), self.tv)
-            return SimpleNamespace(value=_divergence(gen, self.a, self.b), linearized=e,
-                                   linearized_mid=e_star, endpoint_A=endpoint_a,
-                                   endpoint_B=endpoint_b, half_E_bound=half, E_star_bound=star)
-        return self._memoized((kind, s), compute)
+    def report(self, kind: GeneratorFamilyKind, s) -> BoundReport:
+        """The bound_report fields of the family generator at s, as arrays."""
+        gen = self.gens[(kind, s)]
+        return self._memoized((kind, s), lambda: BoundReport(gen.name, *_report(
+            gen, self.a, self.b, self.ends, self.classic(MeasureKind.CHI2), self.chi(3.0),
+            self.tv), ratio_bounds=None))
 
 
 def _check(cases: Sequence[InequalityCase], stack: _Stack, s_grid: Sequence[float],
@@ -494,6 +497,7 @@ def _generators(s_grid: Sequence[float]) -> dict:
 def check_chain(p: Distribution, q: Distribution, tol: float = DEFAULT_TOL) -> ChainReport:
     """Evaluate the seven-measure chain (and its published sub-chains) once."""
     _require_same_dim(p, q)
+    _check_tol(tol)
     stack = _stack([(p, q)], {})
     cases = _check(CHAIN_CASES, stack, (), (), tol)
     return ChainReport({key: float(stack.term(key, None)[0]) for key in _CHAIN_TERMS}, cases)
@@ -507,6 +511,7 @@ def check_parametric(p: Distribution, q: Distribution,
     _require_same_dim(p, q)
     if len(s_grid) == 0 or len(t_grid) == 0:
         raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
+    _check_tol(tol)
     return _check(PARAMETRIC_CASES, _stack([(p, q)], {}), s_grid, t_grid, tol)
 
 
@@ -517,6 +522,7 @@ def check_bounds_suite(p: Distribution, q: Distribution,
     _require_same_dim(p, q)
     if len(s_grid) == 0:
         raise InputError("EMPTY_GRID", "s grid must be nonempty")
+    _check_tol(tol)
     return _check(BOUNDS_CASES, _stack([(p, q)], _generators(s_grid)), s_grid, (), tol)
 
 

@@ -6,6 +6,9 @@ import warnings
 
 import pytest
 
+from symdiv import (GeneratorFamilyKind, ag_js_divergence_type_s, bound_report,
+                    family_generator, j_divergence_type_s, relative_information_type_s,
+                    validate_distribution)
 from symdiv.cli import run_cli
 from symdiv.verify import REGISTRY
 
@@ -26,6 +29,11 @@ def histograms(tmp_path):
     p.write_text(json.dumps({"weights": [0.6, 0.4]}))
     q.write_text(json.dumps({"weights": [0.4, 0.6]}))
     return str(p), str(q)
+
+
+def library_pair():
+    """The pair of the ``histograms`` files."""
+    return validate_distribution([0.6, 0.4]), validate_distribution([0.4, 0.6])
 
 
 def run(capsys, *argv):
@@ -57,6 +65,27 @@ class TestCompute:
                            "--measure", "W:0.5", "--format", "csv")
         assert code == 0
         assert out == "measure,value\nW:0.5,0.0202553879795\n"
+
+    @pytest.mark.parametrize("s", [-1.5, 0.5, 2.0])
+    def test_phi_tag_is_the_relative_information(self, capsys, histograms, s):
+        p, q = histograms
+        code, out, err = run(capsys, "compute", "--input-p", p, "--input-q", q,
+                             "--measure", f"PHI:{s}", "--format", "csv")
+        value = relative_information_type_s(s, *library_pair())
+        assert (code, out, err) == (0, f"measure,value\nPHI:{s:g},{value:.12g}\n", "")
+
+    @pytest.mark.parametrize("measure, message", [
+        ("PHI:", "[BAD_CONFIG] family measure needs an order, e.g. PHI:0.5"),
+        ("W", "[BAD_CONFIG] family measure needs an order, e.g. W:0.5"),
+        ("V:x", "[BAD_CONFIG] invalid order 'x'"),
+        ("J:1", "[BAD_CONFIG] measure 'J' does not take an order"),
+    ])
+    def test_measure_parse_errors(self, capsys, histograms, measure, message):
+        p, q = histograms
+        for command in ("compute", "bounds"):
+            code, out, err = run(capsys, command, "--input-p", p, "--input-q", q,
+                                 "--measure", measure)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_table_format(self, capsys, histograms):
         p, q = histograms
@@ -156,6 +185,35 @@ class TestBounds:
         assert payload["f3_sup"] == 9.0
         assert payload["ratio_bounds"]["R"] == 1.5
 
+    @pytest.mark.parametrize("fmt, line", [("csv", "{},{}"), ("table", "{:<23}  {}")])
+    def test_flat_formats_match_the_library(self, capsys, histograms, fmt, line):
+        p, q = histograms
+        code, out, err = run(capsys, "bounds", "--input-p", p, "--input-q", q,
+                             "--measure", "PSI:0.5", "--format", fmt)
+        report = bound_report(family_generator(GeneratorFamilyKind.PSI, 0.5), *library_pair())
+        rows = [(key, value) for key, value in report.to_json_dict().items()
+                if key != "ratio_bounds"]
+        rows += [(f"ratio_bounds.{key}", value)
+                 for key, value in report.to_json_dict()["ratio_bounds"].items()]
+        lines = (["field,value"] if fmt == "csv" else []) + [
+            line.format(key, format(value, ".12g") if isinstance(value, float) else value)
+            for key, value in rows]
+        assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+        assert "ratio_bounds.degenerate" in out and "ratio_bounds.R" in out
+
+    @pytest.mark.parametrize("tag, family", [("V", "PHI"), ("W", "PSI")])
+    def test_family_tags_name_the_same_generator(self, capsys, histograms, tag, family):
+        p, q = histograms
+        outs = [run(capsys, "bounds", "--input-p", p, "--input-q", q, "--measure",
+                    f"{name}:-1.5", "--format", "json") for name in (tag, family)]
+        report = bound_report(family_generator(GeneratorFamilyKind[family], -1.5),
+                              *library_pair())
+        code, out, _ = outs[0]
+        assert outs[1] == outs[0] and code == 0
+        payload = json.loads(out)
+        assert payload["generator"] == report.generator == f"{family}(s=-1.5)"
+        assert payload["value"] == float(format(report.value, ".12g"))
+
     def test_requires_family_generator(self, capsys, histograms):
         p, q = histograms
         code, _, err = run(capsys, "bounds", "--input-p", p, "--input-q", q,
@@ -172,9 +230,34 @@ class TestSweepS:
         assert code == 0
         assert out == GOLDEN_SWEEP_S
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_json_and_table_match_the_library(self, capsys, histograms, fmt):
+        p, q = histograms
+        code, out, err = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
+                             "--s-grid=-1.5,0.25,3", "--format", fmt)
+        rows = [(s, relative_information_type_s(s, *library_pair()),
+                 j_divergence_type_s(s, *library_pair()),
+                 ag_js_divergence_type_s(s, *library_pair())) for s in (-1.5, 0.25, 3.0)]
+        if fmt == "json":
+            expected = json.dumps([{"s": s, "Phi": float(f"{phi:.12g}"), "V": float(f"{v:.12g}"),
+                                    "W": float(f"{w:.12g}")} for s, phi, v, w in rows], indent=2)
+        else:
+            expected = "\n".join([f"{'s':>8} {'Phi':>18} {'V':>18} {'W':>18}"] + [
+                f"{s:>8.12g} {phi:>18.12g} {v:>18.12g} {w:>18.12g}" for s, phi, v, w in rows])
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("grid, message", [
+        ("a,1", "[BAD_CONFIG] invalid grid 'a,1'"),
+        ("", "[EMPTY_GRID] grid '' is empty"),
+        (",", "[EMPTY_GRID] grid ',' is empty"),
+    ])
+    def test_grid_parse_errors(self, capsys, histograms, grid, message):
+        p, q = histograms
+        code, out, err = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
+                             f"--s-grid={grid}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_round_trip_matches_library(self, capsys, histograms):
-        from symdiv import (ag_js_divergence_type_s, j_divergence_type_s,
-                            relative_information_type_s, validate_distribution)
         p, q = histograms
         _, out, _ = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
                         "--s-grid=-1.5,0.25,1.75")
@@ -239,6 +322,12 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: [BAD_CONFIG] ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tol_exits_one(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--dims", "2", "--samples", "2", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"error: [BAD_CONFIG] tol must be finite and > 0, got {float(tol)}\n"
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--dims", "2", "--samples", "2",

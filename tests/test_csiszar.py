@@ -8,7 +8,7 @@ from mpmath import mpf
 
 import oracle
 from conftest import assert_close, sampled_pairs
-from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind,
+from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, InputError,
                     MeasureKind, bound_report, classic_divergence,
                     compare_generators, csiszar_divergence, curvature_ratio,
                     endpoint_bounds, family_generator, generator_eval,
@@ -459,6 +459,28 @@ class TestBoundaryChecks:
             assert err.value.code == "GENERATOR_DOMAIN", name
             assert "'holed' evaluation failed at order 1" in str(err.value), name
         assert csiszar_divergence(gen, *pair) == pytest.approx(0.04 / 0.4 + 0.04 / 0.6, rel=1e-12)
+
+    def test_bound_report_names_the_first_failing_value(self, pair):
+        # f and f' both fail at R = 1.5: the report evaluates the value first,
+        # then E and E*, then the endpoint and smoothness terms
+        def evaluate(order, x):
+            out = {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
+            return np.where(np.abs(x - 1.5) < 1e-9, np.inf, out) if order < 2 else out
+        gen = Generator(name="holed", evaluate=evaluate, max_order=2)
+        with pytest.raises(DomainError) as err:
+            bound_report(gen, *pair)
+        assert str(err.value) == "[GENERATOR_DOMAIN] generator 'holed' evaluation failed at order 0"
+
+    @pytest.mark.parametrize("kind", [MeasureKind.J, "PHI", None, 1])
+    def test_family_generator_refuses_other_kinds(self, kind):
+        # a MeasureKind used to build the PSI generator under its own name
+        with pytest.raises(InputError) as err:
+            family_generator(kind, 0.5)
+        assert err.value.code == "PARAMETER_OUT_OF_RANGE"
+        with pytest.raises(InputError) as same:
+            generator_eval(kind, 0.5, 1.0)
+        assert str(err.value) == str(same.value) == (
+            f"[PARAMETER_OUT_OF_RANGE] unknown generator family {kind!r}")
 
 
 # the default grid, and s near where G's exponents collide (s = -3, -2, -1)

@@ -246,3 +246,11 @@ class TestGeneratorEval:
         with pytest.raises(DomainError) as err:
             generator_eval(PSI, 1, -1.0, 0)
         assert err.value.code == "NONPOSITIVE_ARGUMENT"
+
+    def test_argument_is_checked_before_the_family(self):
+        with pytest.raises(DomainError) as err:
+            generator_eval("PHI", 1, -1.0, 0)
+        assert err.value.code == "NONPOSITIVE_ARGUMENT"
+        with pytest.raises(InputError) as err:
+            generator_eval("PHI", 1, 1.0, 0)
+        assert err.value.code == "PARAMETER_OUT_OF_RANGE"

@@ -190,13 +190,47 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": 1.5}, {"seed": True},
                                      {"samples_per_dim": 2.5}, {"samples_per_dim": True},
-                                     {"dims": (2.5,)}, {"dims": (3, 4.0)}])
+                                     {"dims": (2.5,)}, {"dims": (3, 4.0)},
+                                     {"dims": ("x",)}, {"dims": (float("nan"),)}, {"dims": 2},
+                                     {"samples_per_dim": "3"}, {"samples_per_dim": None},
+                                     {"tol": "1e-10"}, {"tol": None}])
     def test_config_types_are_checked(self, bad):
         # the stack sampler trusts the config: a float dim would sample
-        # int(dim) rows and report the float
+        # int(dim) rows and report the float; a field that is no number at
+        # all must not escape as a Python error
         with pytest.raises(InputError) as err:
             SweepConfig(**bad)
         assert err.value.code == "BAD_CONFIG"
+
+    @pytest.mark.parametrize("bad, code", [
+        ({"dims": (2.5,)}, "EMPTY_GRID"), ({"seed": -1}, "EMPTY_GRID"),
+        ({"tol": float("inf")}, "EMPTY_GRID"), ({"dims": (1,)}, "BAD_CONFIG"),
+        ({"dims": (True,)}, "BAD_CONFIG"), ({"samples_per_dim": 0}, "BAD_CONFIG")])
+    def test_checks_keep_their_order(self, bad, code):
+        # the range checks come before the grid check, the rest after it
+        with pytest.raises(InputError) as err:
+            SweepConfig(s_grid=(), **bad)
+        assert err.value.code == code
+
+    def test_numpy_integers_become_plain_ints(self):
+        config = SweepConfig(dims=(np.int64(2),), samples_per_dim=np.int64(1), seed=np.int64(3))
+        assert [type(v) for v in (*config.dims, config.samples_per_dim, config.seed)] == [int] * 3
+        plain = SweepConfig(dims=(2,), samples_per_dim=1, seed=3)
+        payloads = [run_sweep(c).to_json_dict() for c in (config, plain)]
+        for payload in payloads:
+            payload.pop("elapsed_ms")
+        assert json.dumps(payloads[0]) == json.dumps(payloads[1])
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -float("inf"), -1.0, 0.0])
+    def test_tol_is_finite_and_positive_everywhere(self, pair, tol):
+        checks = {"SweepConfig": lambda: SweepConfig(tol=tol),
+                  "check_chain": lambda: check_chain(*pair, tol=tol),
+                  "check_parametric": lambda: check_parametric(*pair, tol=tol),
+                  "check_bounds_suite": lambda: check_bounds_suite(*pair, tol=tol)}
+        for name, check in checks.items():
+            with pytest.raises(InputError) as err:
+                check()
+            assert str(err.value) == f"[BAD_CONFIG] tol must be finite and > 0, got {tol}", name
 
     def test_output_matches_golden_bytes(self):
         golden = {}
