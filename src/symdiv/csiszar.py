@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import MeasureKind, _abs_chi, _classic
+from .divergences import MeasureKind, _abs_chi, _classic, _column
 from .errors import DomainError, InputError
 from .families import (FamilyParam, GeneratorFamilyKind, _argument, _family_eval, as_param,
                        generator_eval)
@@ -63,27 +63,32 @@ class Generator:
     checked public entry; the engine's kernels call ``evaluate`` on ratios
     of validated weights, and the public functions check their finished
     values (``_checked``). The engine evaluates on 1-D arrays of ratio-range
-    ends, one value per pair, for one pair and a stack alike.
+    ends, one value per pair, for one pair and a stack alike. A generator
+    over a grid of orders (``_family_generator``, for the sweep) has a name
+    and a flag per order, as tuples; its results lead with the grid axis,
+    and its construction checks name the first failing order.
     """
 
-    name: str
+    name: str | tuple[str, ...]
     evaluate: Callable[[int, np.ndarray], np.ndarray]
     max_order: int = 3
-    curvature_monotonicity: Curvature = Curvature.UNKNOWN
+    curvature_monotonicity: Curvature | tuple[Curvature, ...] = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
             raise DomainError("MISSING_DERIVATIVE",
                               "a generator must provide at least orders 0..2")
-        at_one = float(self.evaluate(0, np.array([1.0]))[0])
-        if abs(at_one) > 1e-12:
-            raise DomainError("GENERATOR_DOMAIN",
-                              f"generator {self.name!r} is not normalized: f(1) = {at_one!r}")
-        curvature = np.asarray(self.evaluate(2, _SPOT_GRID), dtype=float)
-        if not np.all(np.isfinite(curvature)) or np.any(curvature <= 0.0):
-            raise DomainError("GENERATOR_DOMAIN",
-                              f"generator {self.name!r} must have f'' > 0 (checked on a spot grid)")
+        names = (self.name,) if isinstance(self.name, str) else self.name
+        at_one = np.asarray(self.evaluate(0, np.array([1.0]))).reshape(len(names))
+        curvature = np.asarray(self.evaluate(2, _SPOT_GRID)).reshape(len(names), -1)
+        unnormalized = np.abs(at_one) > 1e-12
+        failed = unnormalized | ~(np.isfinite(curvature) & (curvature > 0.0)).all(axis=1)
+        if failed.any():  # the first failing order, normalization before curvature
+            row = int(failed.argmax())
+            problem = (f"is not normalized: f(1) = {float(at_one[row])!r}" if unnormalized[row]
+                       else "must have f'' > 0 (checked on a spot grid)")
+            raise DomainError("GENERATOR_DOMAIN", f"generator {names[row]!r} {problem}")
 
     def eval(self, order: int, x):
         if not (0 <= order <= self.max_order):
@@ -104,25 +109,42 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     |f'''| at r, at R and at the stationary points of f''' inside (r, R).
     Those points depend on s alone: they are solved on first use and kept.
     """
-    sp = as_param(s)
-    sv = sp.s
+    return _family_generator(kind, as_param(s).s)
+
+
+def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
+    """``family_generator`` at one validated order s, or at a 1-D array s of
+    them: one generator for a whole grid, whose results lead with the grid
+    axis, one row per order, with the checks and stationary points per row."""
     core = _family_eval(kind)
-    phi = kind is GeneratorFamilyKind.PHI
-    stationary = functools.cache(lambda: _phi_stationary(sv) if phi else _psi_stationary(sv))
+    grid = isinstance(s, np.ndarray)
+    one = lambda per_order: per_order if grid else per_order[0]
+    orders = s.tolist() if grid else [s]
+    solve = _phi_stationary if kind is GeneratorFamilyKind.PHI else _psi_stationary
+
+    @functools.cache
+    def stationary() -> list:
+        # the k-th point of every order, NaN where an order has fewer: a NaN
+        # lies inside no (r, R)
+        roots = [solve(v) for v in orders]
+        return [one(np.array([xs[k] if k < len(xs) else np.nan for xs in roots]))[..., None]
+                for k in range(max(map(len, roots)))]
 
     def evaluate(order: int, x: np.ndarray) -> np.ndarray:
-        return core(sp, x, order)
+        return core(_column(s, np.ndim(x)), x, order)
 
     def third_sup(r: np.ndarray, big_r: np.ndarray) -> np.ndarray:
-        # a lane whose (r, R) misses a stationary point takes r in its place
-        points = [r, big_r] + [np.where((r < x) & (x < big_r), x, r) for x in stationary()]
-        return np.abs(evaluate(3, np.array(points))).max(axis=0)
+        ends = np.abs(evaluate(3, np.array([r, big_r])))
+        sup = np.maximum(ends[..., 0, :], ends[..., 1, :])
+        for x in stationary():  # one point per order, against the lanes
+            at = np.abs(core(_column(s, 1), x, 3))
+            sup = np.where((r < x) & (x < big_r), np.maximum(sup, at), sup)
+        return sup
 
     return Generator(
-        name=f"{kind.value}(s={sv:g})",
-        evaluate=evaluate,
-        max_order=3,
-        curvature_monotonicity=Curvature.DECREASING if -1.0 <= sv <= 2.0 else Curvature.UNKNOWN,
+        name=one(tuple(f"{kind.value}(s={v:g})" for v in orders)), evaluate=evaluate,
+        max_order=3, curvature_monotonicity=one(tuple(
+            Curvature.DECREASING if -1.0 <= v <= 2.0 else Curvature.UNKNOWN for v in orders)),
         third_sup_closed_form=third_sup,
     )
 
@@ -243,43 +265,69 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
                  for v in _checked(_smoothness, gen, *rb.ends()))
 
 
-# the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one value per pair
+# the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one
+# value per pair (and per order of a grid generator); ``at`` may share the
+# generator's values at the ends between them (``_at_ends``)
 
-def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray):
-    f = gen.evaluate
-    a_bound = 0.25 * (big_r - r) * (f(1, big_r) - f(1, r))
-    b_bound = ((big_r - 1.0) * f(0, r) + (1.0 - r) * f(0, big_r)) / (big_r - r)
+def _at_ends(gen: Generator, r: np.ndarray, big_r: np.ndarray):
+    """order -> (f at r, f at R, their difference), each order evaluated once,
+    on the stacked (r, R)."""
+    stacked, values = np.array([r, big_r]), {}
+
+    def at(order: int):
+        if order not in values:
+            out = gen.evaluate(order, stacked)
+            values[order] = out[..., 0, :], out[..., 1, :], out[..., 1, :] - out[..., 0, :]
+        return values[order]
+    return at
+
+
+def _curvature_known(gen: Generator):
+    """Whether f'' is known monotonic: a flag, or a column of one per order."""
+    flags = gen.curvature_monotonicity
+    if isinstance(flags, Curvature):
+        return flags is not Curvature.UNKNOWN
+    return np.array([flag is not Curvature.UNKNOWN for flag in flags])[:, None]
+
+
+def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
+    at = at or _at_ends(gen, r, big_r)
+    a_bound = 0.25 * (big_r - r) * at(1)[2]
+    f_r, f_big_r, _ = at(0)
+    b_bound = ((big_r - 1.0) * f_r + (1.0 - r) * f_big_r) / (big_r - r)
     return a_bound, b_bound
 
 
-def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray):
-    """(delta, f3_sup, variation); delta and f3_sup may be None."""
-    delta = None
-    if gen.curvature_monotonicity is not Curvature.UNKNOWN:
-        delta = np.abs(gen.evaluate(2, r) - gen.evaluate(2, big_r))
-
+def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
+    """(delta, f3_sup, variation); delta and f3_sup may be None. A grid
+    generator has delta on every row; ``_report`` uses the rows whose f''
+    is known to be monotonic."""
+    at = at or _at_ends(gen, r, big_r)
+    delta = np.abs(at(2)[2]) if np.any(_curvature_known(gen)) else None
     sup = gen.third_sup_closed_form
     f3_sup = None if sup is None else sup(r, big_r)
-
-    variation = gen.evaluate(1, big_r) - gen.evaluate(1, r)
-    return delta, f3_sup, variation
+    return delta, f3_sup, at(1)[2]
 
 
 def _report(gen: Generator, a: np.ndarray, b: np.ndarray, ends, chi2, abs_chi3, tv):
     """The ``BoundReport`` fields from value to E_star_bound over (N, n) weight
-    arrays, one value per pair. ``ends`` is the (r, R) arrays, or None for
-    P = Q, which leaves the ratio-range fields None. The generator is
-    evaluated in a fixed order: value, E and E*, endpoints, smoothness."""
+    arrays, one value per pair; a grid generator's fields lead with its grid
+    axis. ``ends`` is the (r, R) arrays, or None for P = Q, which leaves the
+    ratio-range fields None. The generator is evaluated in a fixed order:
+    value, E and E*, endpoints, smoothness; at r and R once per order."""
     value = _divergence(gen, a, b)
     e, e_star = _linearized(gen, a, b)
     if ends is None:
         return value, e, e_star, None, None, None, None, None, chi2, abs_chi3, tv, None, None
-    a_bound, b_bound = _endpoints(gen, *ends)
-    delta, f3_sup, variation = _smoothness(gen, *ends)
+    at = _at_ends(gen, *ends)
+    a_bound, b_bound = _endpoints(gen, *ends, at)
+    delta, f3_sup, variation = _smoothness(gen, *ends, at)
     # each deviation bound is the min over the terms whose derivative data exists
     half, star = variation * tv, 0.5 * variation * tv
     if delta is not None:
-        half, star = np.minimum(half, delta * chi2 / 8.0), np.minimum(star, delta * chi2 / 8.0)
+        known, curved = _curvature_known(gen), delta * chi2 / 8.0
+        half = np.where(known, np.minimum(half, curved), half)
+        star = np.where(known, np.minimum(star, curved), star)
     if f3_sup is not None:
         half = np.minimum(half, f3_sup * abs_chi3 / 12.0)
         star = np.minimum(star, f3_sup * abs_chi3 / 24.0)

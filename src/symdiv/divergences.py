@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .simplex import Distribution, RatioBounds, _require_same_dim
+from .simplex import Distribution, RatioBounds, _real, _require_same_dim
 
 
 class MeasureKind(Enum):
@@ -89,13 +89,13 @@ def vajda_abs_chi(m: float, p: Distribution, q: Distribution) -> float:
 
 
 def _check_order(m: float) -> None:
-    if not (m >= 1.0 and np.isfinite(m)):
+    if not (_real(m) and m >= 1.0 and np.isfinite(m)):
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
 
 
-def _abs_chi(m: float, a: np.ndarray, b: np.ndarray):
-    """vajda_abs_chi summed over the last axis, for a validated order m."""
-    return (np.abs(a - b) ** m / b ** (m - 1.0)).sum(axis=-1)
+def _abs_chi(m, a: np.ndarray, b: np.ndarray):
+    """vajda_abs_chi summed over the last axis, for validated orders m (``_power``)."""
+    return (_power(np.abs(a - b), m) / _power(b, m - 1.0)).sum(axis=-1)
 
 
 def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
@@ -112,10 +112,11 @@ def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
     return tuple(float(v[0]) for v in _vajda_bounds(m, *rb.ends()))
 
 
-def _vajda_bounds(m: float, r: np.ndarray, R: np.ndarray):
+def _vajda_bounds(m, r: np.ndarray, R: np.ndarray):
     """vajda_upper_bounds over 1-D arrays of ratio ranges with r < R."""
-    bound1 = ((1.0 - r) * (R - 1.0) / (R - r)) * ((1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
-    bound2 = ((R - r) / 2.0) ** m
+    bound1 = ((1.0 - r) * (R - 1.0) / (R - r)) * (
+        _power(1.0 - r, m - 1.0) + _power(R - 1.0, m - 1.0))
+    bound2 = _power((R - r) / 2.0, m)
     return bound1, bound2
 
 
@@ -131,6 +132,27 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
     return tuple(float(v[0]) for v in _vajda_coefficients(m, *rb.ends()))
 
 
-def _vajda_coefficients(m: float, r: np.ndarray, R: np.ndarray):
+def _vajda_coefficients(m, r: np.ndarray, R: np.ndarray):
     """vajda_variation_coefficients over 1-D arrays of ratio ranges with r < R."""
-    return (1.0 - r ** m) / (1.0 - r), (R ** m - 1.0) / (R - 1.0)
+    return (1.0 - _power(r, m)) / (1.0 - r), (_power(R, m) - 1.0) / (R - 1.0)
+
+
+def _column(orders, ndim: int):
+    """One order as it is; a grid of them (1-D) as a column over ``ndim`` more axes."""
+    if not isinstance(orders, (tuple, list, np.ndarray)):
+        return orders
+    return np.array(orders, float).reshape(-1, *[1] * ndim)
+
+
+def _power(x, e):
+    """x ** e for one exponent e or a column of them (``_column``). numpy takes
+    sqrt, square or reciprocal for a scalar e in {0.5, 2, -1}, but may take
+    plain pow for a column; those rows are recomputed as scalar powers, so
+    every row has the bits of the scalar evaluation."""
+    if not isinstance(e, np.ndarray):
+        return x ** e
+    out = np.power(x, e)
+    for row, value in enumerate(e.ravel().tolist()):
+        if value in (0.5, 2.0, -1.0):  # x leads with the grid axis, or broadcasts along it
+            out[row] = (x if np.ndim(x) < out.ndim else x[min(row, len(x) - 1)]) ** value
+    return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -25,6 +26,12 @@ from .errors import DomainError, InputError
 
 NORMALIZATION_TOL = 1e-9
 SIMPLEX_FLOOR = 1e-6
+
+
+def _real(value) -> bool:
+    """Whether a parameter is a real number: not a string, None, complex or bool."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 class NormalizationMode(Enum):
@@ -45,7 +52,7 @@ class NormalizationPolicy:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0 or not np.isfinite(self.epsilon):
+        if not (_real(self.epsilon) and self.epsilon >= 0 and np.isfinite(self.epsilon)):
             raise InputError("PARAMETER_OUT_OF_RANGE",
                              f"smoothing epsilon must be finite and >= 0, got {self.epsilon}")
 

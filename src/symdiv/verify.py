@@ -15,14 +15,17 @@ relative part guards the large symmetric chi-square cases, the absolute
 floor guards comparisons between near-zero values.
 
 One batched engine checks the table: a sweep samples the pairs of one
-dimension straight into (N, n) weight arrays, validated once, evaluates
-every row over all N at once and counts violations and skips with array
-reductions. Inputs are checked at the boundary (``SweepConfig``, the
-sampled stack); inside, a non-finite comparison is refused. A witness is
-built only for each case's largest violation, the first in sequential
-(pair, grid value, comparison) order, so results equal those of checking
-the pairs one at a time. The single-pair checks are the same engine at
-N = 1.
+dimension straight into (N, n) weight arrays, validated once, and
+evaluates every row over all N and its whole s, t or m grid at once. The
+grid is a leading axis: V and W are computed once per dim over the grid,
+each family's generator is built once over the s grid and reports once
+per dim, and each case compares one (pairs x points*comparisons) block,
+counting violations and skips with array reductions. Inputs are checked
+at the boundary (``SweepConfig``, the sampled stack); inside, a
+non-finite comparison is refused. A witness is built only for each
+case's largest violation, the first in sequential (pair, grid value,
+comparison) order, so results equal those of checking the pairs one at a
+time. The single-pair checks are the same engine at N = 1.
 
 Sweeps are deterministic: the pair for (dim, index) is derived from
 (seed, dim, index) alone, so sharding the work over any number of
@@ -41,12 +44,12 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .csiszar import BoundReport, _report, family_generator
-from .divergences import (MeasureKind, _abs_chi, _classic, _vajda_bounds,
+from .csiszar import BoundReport, _family_generator, _report
+from .divergences import (MeasureKind, _abs_chi, _classic, _column, _vajda_bounds,
                           _vajda_coefficients)
 from .errors import DomainError, InputError
 from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
-from .simplex import (Distribution, _check_simplex_rows, _floored, _ratio_range,
+from .simplex import (Distribution, _check_simplex_rows, _floored, _ratio_range, _real,
                       _require_same_dim, sample_simplex)
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -63,13 +66,14 @@ class Severity(Enum):
 class InequalityCase:
     """One registered claim and how to check it over a stack of pairs.
 
-    ``links(stack, point)`` gives the comparisons ``lhs <= rhs`` claimed
-    at one point, each side an array with one value per pair. The points
-    are the values of the ``param`` grid ("s", "t", or the chi orders
-    "m"; one point when None) for which ``domain`` holds; with ``steps``
-    they are the adjacent (lower, upper) pairs of the sorted grid, and a
-    witness carries the upper value. ``spread`` cases need r < R and skip
-    a pair with P = Q.
+    ``links(stack, points)`` gives the comparisons ``lhs <= rhs`` claimed
+    at every point at once, each side an array that broadcasts to one row
+    per point and one column per pair. The points are the values of the
+    ``param`` grid ("s", "t", or the chi orders "m"; one point, None, when
+    None) for which ``domain`` holds, as a tuple; with ``steps`` they are
+    the adjacent (lower, upper) pairs of the sorted grid, and a witness
+    carries the upper value. ``spread`` cases need r < R and skip a pair
+    with P = Q.
     """
 
     id: str
@@ -78,7 +82,7 @@ class InequalityCase:
     severity: Severity = Severity.ASSERT
     param: Optional[str] = None
     domain: Callable[[Any], bool] = lambda point: True
-    links: Callable[["_Stack", Any], list] = field(kw_only=True)
+    links: Callable[["_Stack", tuple], list] = field(kw_only=True)
     steps: bool = False
     spread: bool = False
 
@@ -99,18 +103,27 @@ def _stated(id_, description, domain="none", param=None, when=lambda point: True
     if len(terms) == 1:
         terms = description.split(" >= ")[::-1]
     return InequalityCase(id_, description, domain, param=param, domain=when,
-                          links=lambda x, point: [(x.term(lo, point), x.term(hi, point))
-                                                  for lo, hi in zip(terms, terms[1:])])
+                          links=lambda x, points: [(x.term(lo, points), x.term(hi, points))
+                                                   for lo, hi in zip(terms, terms[1:])])
 
 
 def _vajda_links(x, m, lhs):
-    """lhs <= bound1 <= bound2, the order-m absolute chi bounds."""
-    bound1, bound2 = _vajda_bounds(m, x.r, x.big_r)
+    """lhs <= bound1 <= bound2, the order-m absolute chi bounds; m is one
+    order or a tuple of them, one row each."""
+    bound1, bound2 = _vajda_bounds(_column(m, 1), x.r, x.big_r)
     return [(lhs, bound1), (bound1, bound2)]
 
 
 def _coefficient(x, m, upper):
-    return _vajda_coefficients(m, x.r, x.big_r)[upper]
+    return _vajda_coefficients(_column(m, 1), x.r, x.big_r)[upper]
+
+
+def _monotone_links(x, steps):
+    """V_s toward s = 1/2 along each step (lower, upper) of the s grid:
+    nonincreasing for s <= 1/2, nondecreasing for s >= 1/2."""
+    lower, upper = (x.family("V", ends) for ends in zip(*steps))
+    falling = _column([hi <= 0.5 for _, hi in steps], 1)
+    return [(np.where(falling, upper, lower), np.where(falling, lower, upper))]
 
 
 _DELTA = "delta term needs -1 <= s <= 2"
@@ -172,11 +185,10 @@ PARAMETRIC_CASES = (
     InequalityCase("PROP42_MONO", "V_s nonincreasing for s <= 1/2, nondecreasing for s >= 1/2",
                    "adjacent grid points on one side of 1/2", param="s", steps=True,
                    domain=lambda st: st[1] <= 0.5 or st[0] >= 0.5,
-                   links=lambda x, st: [(x.v(st[1]), x.v(st[0])) if st[1] <= 0.5
-                                        else (x.v(st[0]), x.v(st[1]))]),
+                   links=_monotone_links),
     InequalityCase("PROP44_MONO", "W_s nondecreasing", "adjacent grid points with s >= -1",
                    param="s", steps=True, domain=lambda st: st[0] >= -1.0,
-                   links=lambda x, st: [(x.w(st[0]), x.w(st[1]))]),
+                   links=lambda x, steps: [tuple(x.family("W", ends) for ends in zip(*steps))]),
 )
 
 BOUNDS_CASES = (
@@ -301,8 +313,7 @@ class SweepConfig:
         if few:
             raise InputError("BAD_CONFIG",
                              f"samples_per_dim must be >= 1, got {self.samples_per_dim}")
-        if len(self.s_grid) == 0 or len(self.t_grid) == 0:
-            raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
+        _check_sized((self.s_grid, self.t_grid), "s and t grids")
         _check_tol(self.tol)
         # the pair sampler trusts these: a float dim would sample int(dim) rows
         whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -313,6 +324,8 @@ class SweepConfig:
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         object.__setattr__(self, "samples_per_dim", int(self.samples_per_dim))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "s_grid", _grid(self.s_grid))
+        object.__setattr__(self, "t_grid", _grid(self.t_grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,6 +341,30 @@ class SweepConfig:
 def _check_tol(tol) -> None:
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise InputError("BAD_CONFIG", f"tol must be finite and > 0, got {tol}")
+
+
+def _check_sized(grids, what: str) -> None:
+    """Each grid in turn is a tuple, list or 1-D array (BAD_CONFIG) with an
+    entry (EMPTY_GRID)."""
+    for g in grids:
+        if not (isinstance(g, (tuple, list)) or isinstance(g, np.ndarray) and g.ndim == 1):
+            raise InputError("BAD_CONFIG", f"a grid must be a sequence of real numbers, got {g!r}")
+        if len(g) == 0:
+            raise InputError("EMPTY_GRID", f"{what} must be nonempty")
+
+
+def _grid(values) -> tuple:
+    """A sized grid's entries, refused unless real numbers and not bools
+    (BAD_CONFIG), then unless finite (PARAMETER_OUT_OF_RANGE). Plain ints and
+    floats are kept as given; any other number, a numpy scalar say, becomes
+    the equal Python int or float, which the JSON summary can print."""
+    if not all(map(_real, values)):
+        raise InputError("BAD_CONFIG", f"grid entries must be real numbers, got {values!r}")
+    grid = tuple(v if type(v) in (int, float) else int(v) if isinstance(v, numbers.Integral)
+                 else float(v) for v in values)
+    for value in grid:
+        as_param(value)
+    return grid
 
 
 @dataclass
@@ -369,14 +406,23 @@ _MEASURES = {"tri": MeasureKind.TRIANGULAR, "hel": MeasureKind.HELLINGER, "j": M
 _TERM = re.compile(r"(?:(\d+) ?)?([A-Za-z]\w*)(?:/(\d+))?")
 
 
+def _grids(s_grid: Sequence, t_grid: Sequence, kinds=()) -> dict:
+    """A check's points for each ``param`` (None, "s", "t", "m"), and for each
+    of ``kinds`` its family generator over the whole s grid."""
+    grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
+    return grids | {kind: _family_generator(kind, np.array(grids["s"], float)) for kind in kinds}
+
+
 class _Stack:
     """N pairs of one dimension as (N, n) weight arrays ``a`` (P) and ``b``
-    (Q). Every quantity is an array with one value per pair; measures and
-    reports are computed once over all N, on first use. There is no
-    per-pair path: a single pair is a stack of one and rounds alike."""
+    (Q), with the check's ``grids``. Every quantity is an array with one
+    value per pair, and one row per grid point where it depends on one;
+    each is computed once over all N and the whole grid, on first use.
+    There is no per-pair or per-point path: a single pair is a stack of one
+    and rounds alike."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, gens: dict):
-        self.a, self.b, self.gens = a, b, gens
+    def __init__(self, a: np.ndarray, b: np.ndarray, grids: dict):
+        self.a, self.b, self.grids = a, b, grids
         self.size = a.shape[0]
         self._memo: dict = {}
 
@@ -388,26 +434,30 @@ class _Stack:
     def classic(self, kind: MeasureKind) -> np.ndarray:
         return self._memoized(kind, lambda: _classic(kind, self.a, self.b))
 
-    def v(self, s) -> np.ndarray:
-        return self._memoized(("V", s), lambda: _v_values(as_param(s), self.a, self.b))
+    def family(self, name: str, points) -> np.ndarray:
+        """V ("V") or W ("W") at each point, one row per point, taken from
+        their values over the distinct s grid values (V also t)."""
+        grid = tuple(dict.fromkeys(self.grids["s"] + (self.grids["t"] if name == "V" else ())))
+        values = self._memoized(name, lambda: (_v_values if name == "V" else _w_values)(
+            _column(grid, 2), self.a, self.b))
+        return values[[grid.index(point) for point in points]]
 
-    def w(self, s) -> np.ndarray:
-        return self._memoized(("W", s), lambda: _w_values(as_param(s), self.a, self.b))
-
-    def term(self, text: str, point) -> np.ndarray:
-        """A printed term at a grid point: a classic measure ("hel", "4d",
-        "sym_chi2/16") or V_s, V_t, W_s, with an optional factor or divisor."""
+    def term(self, text: str, points) -> np.ndarray:
+        """A printed term: a classic measure ("hel", "4d", "sym_chi2/16"),
+        one value per pair, or V_s, V_t, W_s, one row per point; with an
+        optional factor or divisor."""
         def compute():
             factor, name, divisor = _TERM.fullmatch(text).groups()
-            value = (self.v(point) if name in ("V_s", "V_t") else self.w(point)
-                     if name == "W_s" else self.classic(_MEASURES[name]))
+            value = (self.family(name[0], points) if name in ("V_s", "V_t", "W_s")
+                     else self.classic(_MEASURES[name]))
             if factor:
                 value = float(factor) * value
             return value / float(divisor) if divisor else value
-        return self._memoized((text, point), compute)
+        return self._memoized((text, points), compute)
 
-    def chi(self, m: float) -> np.ndarray:
-        return self._memoized(("chi", m), lambda: _abs_chi(m, self.a, self.b))
+    def chi(self, m) -> np.ndarray:
+        """|chi|^m for one order m, or one row per order of a tuple m."""
+        return self._memoized(("chi", m), lambda: _abs_chi(_column(m, 2), self.a, self.b))
 
     @property
     def tv(self) -> np.ndarray:
@@ -428,48 +478,55 @@ class _Stack:
         """The pairs with r < R, that is P != Q."""
         def compute():
             keep = self.r < self.big_r
-            return None if keep.all() else _Stack(self.a[keep], self.b[keep], self.gens)
+            return None if keep.all() else _Stack(self.a[keep], self.b[keep], self.grids)
         # None stands for self: a stack that held itself would live until
         # the cyclic garbage collector ran
         sub = self._memoized("spread", compute)
         return self if sub is None else sub
 
-    def report(self, kind: GeneratorFamilyKind, s) -> BoundReport:
-        """The bound_report fields of the family generator at s, as arrays."""
-        gen = self.gens[(kind, s)]
-        return self._memoized((kind, s), lambda: BoundReport(gen.name, *_report(
-            gen, self.a, self.b, self.ends, self.classic(MeasureKind.CHI2), self.chi(3.0),
-            self.tv), ratio_bounds=None))
+    def report(self, kind: GeneratorFamilyKind, points) -> BoundReport:
+        """The bound_report fields of the family generator at each s point,
+        one row per point, taken from one report over the whole s grid."""
+        fields = self._memoized(kind, lambda: _report(
+            self.grids[kind], self.a, self.b, self.ends, self.classic(MeasureKind.CHI2),
+            self.chi(3.0), self.tv))
+        rows = [self.grids["s"].index(point) for point in points]
+        return self._memoized((kind, points), lambda: BoundReport(
+            None, *(v[rows] if np.ndim(v) == 2 else v for v in fields), ratio_bounds=None))
 
 
-def _check(cases: Sequence[InequalityCase], stack: _Stack, s_grid: Sequence[float],
-           t_grid: Sequence[float], tol: float) -> list[CaseResult]:
-    """Evaluate each case over every pair of the stack at once."""
-    grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
+def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[CaseResult]:
+    """Evaluate each case over every pair of the stack and every kept point
+    at once: one block of violations per case."""
     results = []
     for case in cases:
         pairs = stack.spread if case.spread else stack
-        points = [(value, value) for value in grids[case.param]]
+        grid = stack.grids[case.param]
+        points = [(value, value) for value in grid]
         if case.steps:
-            ordered = sorted(grids[case.param])
+            ordered = sorted(grid)
             points = [((lo, hi), hi) for lo, hi in zip(ordered, ordered[1:])]
         kept = [(point, label) for point, label in points if case.domain(point)]
         result = CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
                             + pairs.size * (len(points) - len(kept)))
         results.append(result)
-        links = [(lhs, rhs, label) for point, label in kept
-                 for lhs, rhs in case.links(pairs, point)] if pairs.size else []
-        if links:
-            lhs, rhs, labels = zip(*links)
-            # one row per pair, one column per comparison in sequential order
-            violations = slack_violation(np.array(lhs).T, np.array(rhs).T, tol)
-            if not np.isfinite(violations).all():  # a NaN would count as a pass
-                col = np.nonzero(~np.isfinite(violations))[1][0]
-                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
-                raise DomainError("NON_FINITE_RESULT",
-                                  f"case {case.id} compared a non-finite value{where}")
-            result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
-                          _witness(pairs, lane, case.param, labels[col]))
+        if not (kept and pairs.size):
+            continue
+        links = case.links(pairs, tuple(point for point, _ in kept))
+        labels = [label for _, label in kept for _ in links]
+        # one row per pair, one column per (point, comparison) in sequential order
+        lhs, rhs = np.empty((2, len(kept), len(links), pairs.size))
+        for k, (lo, hi) in enumerate(links):
+            lhs[:, k], rhs[:, k] = lo, hi
+        violations = slack_violation(lhs.reshape(len(labels), -1).T,
+                                     rhs.reshape(len(labels), -1).T, tol)
+        if not np.isfinite(violations).all():  # a NaN would count as a pass
+            col = np.nonzero(~np.isfinite(violations))[1][0]
+            where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
+            raise DomainError("NON_FINITE_RESULT",
+                              f"case {case.id} compared a non-finite value{where}")
+        result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
+                      _witness(pairs, lane, case.param, labels[col]))
     return results
 
 
@@ -480,14 +537,9 @@ def _witness(stack: _Stack, lane: int, param: Optional[str], value) -> dict:
     return out
 
 
-def _stack(pairs: Sequence[tuple[Distribution, Distribution]], gens: dict) -> _Stack:
+def _stack(pairs: Sequence[tuple[Distribution, Distribution]], grids: dict) -> _Stack:
     return _Stack(np.stack([p.weights for p, _ in pairs]),
-                  np.stack([q.weights for _, q in pairs]), gens)
-
-
-def _generators(s_grid: Sequence[float]) -> dict:
-    return {(family, s): family_generator(family, s)
-            for family in GeneratorFamilyKind for s in s_grid}
+                  np.stack([q.weights for _, q in pairs]), grids)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +550,8 @@ def check_chain(p: Distribution, q: Distribution, tol: float = DEFAULT_TOL) -> C
     """Evaluate the seven-measure chain (and its published sub-chains) once."""
     _require_same_dim(p, q)
     _check_tol(tol)
-    stack = _stack([(p, q)], {})
-    cases = _check(CHAIN_CASES, stack, (), (), tol)
+    stack = _stack([(p, q)], _grids((), ()))
+    cases = _check(CHAIN_CASES, stack, tol)
     return ChainReport({key: float(stack.term(key, None)[0]) for key in _CHAIN_TERMS}, cases)
 
 
@@ -509,10 +561,10 @@ def check_parametric(p: Distribution, q: Distribution,
                      tol: float = DEFAULT_TOL) -> list[CaseResult]:
     """Check every grid-parameterized claim on one pair; a sweep fragment."""
     _require_same_dim(p, q)
-    if len(s_grid) == 0 or len(t_grid) == 0:
-        raise InputError("EMPTY_GRID", "s and t grids must be nonempty")
+    _check_sized((s_grid, t_grid), "s and t grids")
     _check_tol(tol)
-    return _check(PARAMETRIC_CASES, _stack([(p, q)], {}), s_grid, t_grid, tol)
+    grids = _grids(_grid(s_grid), _grid(t_grid))
+    return _check(PARAMETRIC_CASES, _stack([(p, q)], grids), tol)
 
 
 def check_bounds_suite(p: Distribution, q: Distribution,
@@ -520,10 +572,10 @@ def check_bounds_suite(p: Distribution, q: Distribution,
                        tol: float = DEFAULT_TOL) -> list[CaseResult]:
     """Check the ratio-range and bound-engine claims on one pair."""
     _require_same_dim(p, q)
-    if len(s_grid) == 0:
-        raise InputError("EMPTY_GRID", "s grid must be nonempty")
+    _check_sized((s_grid,), "s grid")
     _check_tol(tol)
-    return _check(BOUNDS_CASES, _stack([(p, q)], _generators(s_grid)), s_grid, (), tol)
+    grids = _grids(_grid(s_grid), (), GeneratorFamilyKind)
+    return _check(BOUNDS_CASES, _stack([(p, q)], grids), tol)
 
 
 def pair_for(seed: int, dim: int, index: int) -> tuple[Distribution, Distribution]:
@@ -535,7 +587,7 @@ def _draw_seed(seed: int, dim: int, index: int, k: int) -> int:
     return int(np.random.SeedSequence((seed, dim, index, k)).generate_state(1)[0])
 
 
-def _sample_stack(seed: int, dim: int, count: int, gens: dict) -> _Stack:
+def _sample_stack(seed: int, dim: int, count: int, grids: dict) -> _Stack:
     """``pair_for(seed, dim, i)`` for i < count as one stack, bit for bit: the
     same draws, written into one array, floored and renormalized row-wise
     and validated once."""
@@ -546,18 +598,18 @@ def _sample_stack(seed: int, dim: int, count: int, gens: dict) -> _Stack:
             rng.standard_exponential(out=draws[k, index])
     w = _floored(draws)
     _check_simplex_rows(w)
-    return _Stack(w[0], w[1], gens)
+    return _Stack(w[0], w[1], grids)
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> SweepSummary:
     """Run the whole registry over deterministic random pairs, one batch per
     dim: each dim's ``pair_for`` pairs, sampled straight into one stack."""
     start = time.perf_counter()
-    gens = _generators(config.s_grid)
+    grids = _grids(config.s_grid, config.t_grid, GeneratorFamilyKind)
     results = [CaseResult(c.id, c.severity) for c in REGISTRY]
     for dim in config.dims:
-        stack = _sample_stack(config.seed, dim, config.samples_per_dim, gens)
-        batch = _check(REGISTRY, stack, config.s_grid, config.t_grid, config.tol)
+        stack = _sample_stack(config.seed, dim, config.samples_per_dim, grids)
+        batch = _check(REGISTRY, stack, config.tol)
         for total, part in zip(results, batch):
             total.merge(part)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))

@@ -14,7 +14,7 @@ from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, Inpu
                     endpoint_bounds, family_generator, generator_eval,
                     linearized_functionals, mixture, ratio_bounds,
                     smoothness_bounds, validate_distribution)
-from symdiv.csiszar import _psi_stationary
+from symdiv.csiszar import _family_generator, _psi_stationary
 from symdiv.means import raised_mean
 from symdiv.verify import DEFAULT_GRID, pair_for
 
@@ -481,6 +481,23 @@ class TestBoundaryChecks:
             generator_eval(kind, 0.5, 1.0)
         assert str(err.value) == str(same.value) == (
             f"[PARAMETER_OUT_OF_RANGE] unknown generator family {kind!r}")
+
+
+class TestGridGenerator:
+    def test_rows_are_the_generators_of_each_order(self):
+        grid = (-5.0, -1.5, 0.0, 0.5, 2.0, 2.5)
+        x = np.array([0.3, 1.0, 2.7])
+        for family in (PHI, PSI):
+            gen = _family_generator(family, np.array(grid))
+            assert gen.name == tuple(family_generator(family, s).name for s in grid)
+            assert gen.curvature_monotonicity == tuple(
+                family_generator(family, s).curvature_monotonicity for s in grid)
+            for order in range(4):
+                assert np.array_equal(gen.evaluate(order, x), [
+                    family_generator(family, s).evaluate(order, x) for s in grid])
+            r, big_r = np.array([0.05, 0.5]), np.array([1.5, 30.0])
+            assert np.array_equal(gen.third_sup_closed_form(r, big_r), [
+                family_generator(family, s).third_sup_closed_form(r, big_r) for s in grid])
 
 
 # the default grid, and s near where G's exponents collide (s = -3, -2, -1)

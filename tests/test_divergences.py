@@ -173,6 +173,15 @@ class TestVajda:
             vajda_abs_chi(0.5, *pair)
         assert err.value.code == "PARAMETER_OUT_OF_RANGE"
 
+    @pytest.mark.parametrize("m", ["a", "2", None, True, 2j])
+    def test_orders_must_be_real_numbers(self, pair, m):
+        rb = ratio_bounds(*pair)
+        for call in (lambda: vajda_abs_chi(m, *pair), lambda: vajda_upper_bounds(m, rb),
+                     lambda: vajda_variation_coefficients(m, rb)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == f"[PARAMETER_OUT_OF_RANGE] order must satisfy m >= 1, got {m}"
+
     def test_rejects_degenerate_bounds(self):
         p = validate_distribution([0.5, 0.5])
         with pytest.raises(Exception) as err:

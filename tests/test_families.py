@@ -3,10 +3,12 @@ import pytest
 
 import oracle
 from conftest import assert_close, sampled_pairs
-from symdiv import (DomainError, GeneratorFamilyKind, InputError,
+from symdiv import (DomainError, FamilyParam, GeneratorFamilyKind, InputError,
                     MeasureKind, ag_js_divergence_type_s, classic_divergence,
-                    generator_eval, j_divergence_type_s, mixture,
+                    family_generator, generator_eval, j_divergence_type_s, mixture,
                     relative_information_type_s, validate_distribution)
+from symdiv.divergences import _column
+from symdiv.families import LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=15)
@@ -254,3 +256,76 @@ class TestGeneratorEval:
         with pytest.raises(InputError) as err:
             generator_eval("PHI", 1, 1.0, 0)
         assert err.value.code == "PARAMETER_OUT_OF_RANGE"
+
+
+# s whose exponents (s, 1 - s, s - 1, -s, s - 2, -s - 1, s - 3, -s - 2) hit
+# numpy's sqrt, square and reciprocal paths; the limit windows at 0 and 1 with
+# their edges, the cushion (1 + 1e-6) and just past it; and large orders
+_EDGE = LIMIT_TOLERANCE * (1.0 + 1e-6)
+GRID_ROWS_S = (-5.0, -2.0, -1.5, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 10.0, 60.0,
+               0.0, -0.0, 1e-6, -1e-6, 1e-5, -1e-5, _EDGE, -_EDGE, _EDGE * (1.0 + 1e-9),
+               1.0, 1.0 + 1e-5, 1.0 - 1e-5, 1.0 + _EDGE, 1.0 - _EDGE, 1.0 + _EDGE * (1.0 + 1e-9))
+
+
+class TestGridRows:
+    """A grid column evaluates every order at once; each row must carry the
+    bits of the scalar evaluation at that order."""
+
+    @pytest.mark.parametrize("family", [PHI, PSI])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_generator_rows_equal_scalar_evaluation(self, family, order):
+        x = np.concatenate([np.geomspace(1e-3, 1e3, 97), [1.0, 0.5, 2.0]])
+        core = _family_eval(family)
+        column = _column(GRID_ROWS_S, 1)
+        # x broadcast along the grid, and x as a full contiguous (S, n) array
+        full = np.ascontiguousarray(np.broadcast_to(x, (len(GRID_ROWS_S), x.size)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in (core(column, x, order), core(column, full, order)):
+                for row, s in zip(rows, GRID_ROWS_S):
+                    expected = generator_eval(family, s, x, order)
+                    assert np.array_equal(row, expected, equal_nan=True), (family, order, s)
+
+    def test_family_sum_rows_equal_the_public_functions(self):
+        pairs = PAIRS[::3]
+        for shape in ("stack", "full"):
+            for dim in (2, 3, 5, 10):
+                a = np.stack([p.weights for p, _ in pairs if p.dim == dim])
+                b = np.stack([q.weights for p, q in pairs if p.dim == dim])
+                if shape == "full":  # (S, N, n) contiguous bases
+                    a, b = (np.ascontiguousarray(np.broadcast_to(w, (len(GRID_ROWS_S),) + w.shape))
+                            for w in (a, b))
+                column = _column(GRID_ROWS_S, 2)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for values, public in ((_v_values(column, a, b), j_divergence_type_s),
+                                           (_w_values(column, a, b), ag_js_divergence_type_s)):
+                        lanes = [(p, q) for p, q in pairs if p.dim == dim]
+                        for row, s in zip(values, GRID_ROWS_S):
+                            expected = [public(s, p, q) for p, q in lanes]
+                            assert np.array_equal(row, expected, equal_nan=True), (shape, dim, s)
+
+
+class TestOrderBoundary:
+    @pytest.mark.parametrize("order", ["a", "0.5", None, True, np.True_, 0.5j, [0.5]])
+    def test_orders_must_be_real_numbers(self, pair, order):
+        calls = {"relative_information_type_s": lambda: relative_information_type_s(order, *pair),
+                 "j_divergence_type_s": lambda: j_divergence_type_s(order, *pair),
+                 "ag_js_divergence_type_s": lambda: ag_js_divergence_type_s(order, *pair),
+                 "generator_eval": lambda: generator_eval(PHI, order, 1.5, 2),
+                 "family_generator": lambda: family_generator(PSI, order),
+                 "FamilyParam": lambda: FamilyParam(order)}
+        for name, call in calls.items():
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == (f"[PARAMETER_OUT_OF_RANGE] family order must be a real "
+                                      f"number, got {order!r}"), name
+
+    def test_non_finite_orders_keep_their_message(self, pair):
+        for order in (np.nan, np.inf, np.float32(-np.inf)):
+            with pytest.raises(InputError) as err:
+                j_divergence_type_s(order, *pair)
+            assert str(err.value) == (f"[PARAMETER_OUT_OF_RANGE] family order must be finite, "
+                                      f"got {float(order)}")
+
+    def test_numpy_and_integer_orders_are_accepted(self, pair):
+        for order in (np.float32(0.5), np.int64(2), 2):
+            assert j_divergence_type_s(order, *pair) == j_divergence_type_s(float(order), *pair)

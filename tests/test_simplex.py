@@ -57,6 +57,13 @@ class TestValidation:
                 NormalizationMode.RENORMALIZE, epsilon=0.5))
         assert err.value.code == "PARAMETER_OUT_OF_RANGE"
 
+    @pytest.mark.parametrize("epsilon", [None, "0.1", True, 0.1j, float("nan"), -0.1])
+    def test_epsilon_must_be_a_real_number(self, epsilon):
+        with pytest.raises(InputError) as err:
+            NormalizationPolicy(NormalizationMode.RENORMALIZE, epsilon)
+        assert str(err.value) == ("[PARAMETER_OUT_OF_RANGE] smoothing epsilon must be finite "
+                                  f"and >= 0, got {epsilon}")
+
     def test_weights_are_immutable(self):
         d = validate_distribution([0.6, 0.4])
         with pytest.raises(ValueError):

@@ -8,11 +8,11 @@ import symdiv.verify as verify_mod
 from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, Severity,
                     SweepConfig, check_bounds_suite, check_chain, check_parametric,
                     ratio_bounds, run_sweep, validate_distribution)
-from symdiv.csiszar import (_endpoints, _smoothness, bound_report, endpoint_bounds,
-                            family_generator, smoothness_bounds)
+from symdiv.csiszar import (_smoothness, bound_report, endpoint_bounds, family_generator,
+                            smoothness_bounds)
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
-from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _generators, _sample_stack, _stack,
+from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _grids, _sample_stack, _stack,
                            pair_for, slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
@@ -193,7 +193,11 @@ class TestRunSweep:
                                      {"dims": (2.5,)}, {"dims": (3, 4.0)},
                                      {"dims": ("x",)}, {"dims": (float("nan"),)}, {"dims": 2},
                                      {"samples_per_dim": "3"}, {"samples_per_dim": None},
-                                     {"tol": "1e-10"}, {"tol": None}])
+                                     {"tol": "1e-10"}, {"tol": None}, {"s_grid": None},
+                                     {"s_grid": ("a",)}, {"s_grid": (True,)},
+                                     {"s_grid": (np.True_, 1.0)}, {"t_grid": (1.0, None)},
+                                     {"t_grid": "0.5"}, {"t_grid": 0.5}, {"s_grid": (0.5j,)},
+                                     {"s_grid": np.zeros((2, 2))}])
     def test_config_types_are_checked(self, bad):
         # the stack sampler trusts the config: a float dim would sample
         # int(dim) rows and report the float; a field that is no number at
@@ -213,9 +217,13 @@ class TestRunSweep:
         assert err.value.code == code
 
     def test_numpy_integers_become_plain_ints(self):
-        config = SweepConfig(dims=(np.int64(2),), samples_per_dim=np.int64(1), seed=np.int64(3))
+        # numpy grid entries become the equal Python number; plain ones stay as given
+        config = SweepConfig(dims=(np.int64(2),), samples_per_dim=np.int64(1), seed=np.int64(3),
+                             s_grid=(np.int64(1), np.float32(0.5), 2), t_grid=[np.float64(-1.5)])
         assert [type(v) for v in (*config.dims, config.samples_per_dim, config.seed)] == [int] * 3
-        plain = SweepConfig(dims=(2,), samples_per_dim=1, seed=3)
+        assert [type(v) for v in (*config.s_grid, *config.t_grid)] == [int, float, int, float]
+        plain = SweepConfig(dims=(2,), samples_per_dim=1, seed=3, s_grid=(1, 0.5, 2),
+                            t_grid=(-1.5,))
         payloads = [run_sweep(c).to_json_dict() for c in (config, plain)]
         for payload in payloads:
             payload.pop("elapsed_ms")
@@ -232,6 +240,34 @@ class TestRunSweep:
                 check()
             assert str(err.value) == f"[BAD_CONFIG] tol must be finite and > 0, got {tol}", name
 
+    @pytest.mark.parametrize("grid, code", [
+        (None, "BAD_CONFIG"), ("0.5", "BAD_CONFIG"), ((), "EMPTY_GRID"), (("a",), "BAD_CONFIG"),
+        ((True,), "BAD_CONFIG"), ((0.5, 1j), "BAD_CONFIG"), ((0.5, float("nan")),
+                                                            "PARAMETER_OUT_OF_RANGE")])
+    def test_grids_are_checked_everywhere(self, pair, grid, code):
+        checks = {"SweepConfig": lambda: SweepConfig(s_grid=grid),
+                  "SweepConfig t": lambda: SweepConfig(t_grid=grid),
+                  "check_parametric": lambda: check_parametric(*pair, s_grid=grid),
+                  "check_parametric t": lambda: check_parametric(*pair, t_grid=grid),
+                  "check_bounds_suite": lambda: check_bounds_suite(*pair, s_grid=grid)}
+        for name, check in checks.items():
+            with pytest.raises(InputError) as err:
+                check()
+            assert err.value.code == code, name
+        if code == "PARAMETER_OUT_OF_RANGE":
+            assert str(err.value) == "[PARAMETER_OUT_OF_RANGE] family order must be finite, got nan"
+
+    def test_grid_checks_keep_their_order(self, pair):
+        # an empty s grid is named before a malformed t grid, as before, and
+        # the entries are checked after both grids' sizes and after tol
+        code = lambda call: pytest.raises(InputError, call).value.code
+        assert code(lambda: SweepConfig(s_grid=(), t_grid=None)) == "EMPTY_GRID"
+        assert code(lambda: SweepConfig(s_grid=("a",), t_grid=())) == "EMPTY_GRID"
+        assert code(lambda: SweepConfig(s_grid=(float("nan"),), tol=0.0)) == "BAD_CONFIG"
+        assert code(lambda: check_parametric(*pair, s_grid=(), t_grid=None)) == "EMPTY_GRID"
+        assert code(lambda: check_bounds_suite(*pair, s_grid=(float("nan"),), tol=0.0)) == \
+            "BAD_CONFIG"
+
     def test_output_matches_golden_bytes(self):
         golden = {}
         for seed in (7, 1402):
@@ -244,24 +280,18 @@ class TestRunSweep:
     def test_equals_sequential_merge_of_single_pair_checks(self, tol):
         # the batched engine against the single-pair checks merged in sweep
         # order; tol 1e-16 makes ASSERT cases fail and print their witness
-        config = SweepConfig(dims=(2, 3, 6), samples_per_dim=4, seed=1402, tol=tol,
-                             s_grid=(-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0),
-                             t_grid=(-1.5, 0.25, 1.0, 2.5))
-        totals = {c.id: CaseResult(c.id, c.severity) for c in REGISTRY}
-        for dim in config.dims:
-            for index in range(config.samples_per_dim):
-                p, q = pair_for(config.seed, dim, index)
-                parts = (check_chain(p, q, tol).cases
-                         + check_parametric(p, q, config.s_grid, config.t_grid, tol)
-                         + check_bounds_suite(p, q, config.s_grid, tol))
-                for part in parts:
-                    totals[part.case_id].merge(part)
-        summary = run_sweep(config)
-        assert any(c.violations for c in summary.cases)
-        for case in summary.cases:
-            expected = totals[case.case_id]
-            assert case.to_json_dict() == expected.to_json_dict(), case.case_id
-            assert case.witness == expected.witness, case.case_id
+        assert_equals_sequential_merge(SweepConfig(
+            dims=(2, 3, 6), samples_per_dim=4, seed=1402, tol=tol,
+            s_grid=(-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0), t_grid=(-1.5, 0.25, 1.0, 2.5)))
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-16])
+    def test_awkward_grids_equal_sequential_merge(self, tol):
+        # an unsorted s grid with a duplicate and -0.0, a t grid of its own,
+        # and s where psi''' has stationary points (-5, -2.5, -1.2, 2.2, 2.9, 6)
+        assert_equals_sequential_merge(SweepConfig(
+            dims=(2, 3, 6), samples_per_dim=4, seed=77, tol=tol,
+            s_grid=(6.0, -1.2, 0.5, -0.0, 2.9, -5.0, 0.0, 2.2, -2.5, 0.5, 1.0, -2.0),
+            t_grid=(2.5, -1.5, -0.0, 0.25, 1.0)))
 
     def test_pair_stream_is_shard_deterministic(self):
         a1, b1 = pair_for(7, 5, 3)
@@ -298,6 +328,25 @@ class TestRunSweep:
                 assert np.array_equal(stacked, lanes), (dim, s)
 
 
+def assert_equals_sequential_merge(config: SweepConfig) -> None:
+    """run_sweep(config) equals the single-pair checks merged in sweep order."""
+    totals = {c.id: CaseResult(c.id, c.severity) for c in REGISTRY}
+    for dim in config.dims:
+        for index in range(config.samples_per_dim):
+            p, q = pair_for(config.seed, dim, index)
+            parts = (check_chain(p, q, config.tol).cases
+                     + check_parametric(p, q, config.s_grid, config.t_grid, config.tol)
+                     + check_bounds_suite(p, q, config.s_grid, config.tol))
+            for part in parts:
+                totals[part.case_id].merge(part)
+    summary = run_sweep(config)
+    assert any(c.violations for c in summary.cases)
+    for case in summary.cases:
+        expected = totals[case.case_id]
+        assert case.to_json_dict() == expected.to_json_dict(), case.case_id
+        assert case.witness == expected.witness, case.case_id
+
+
 class TestNonFinite:
     def test_overflowing_family_is_refused(self):
         # V_200 overflows to inf or NaN on some of these pairs; a NaN
@@ -307,6 +356,24 @@ class TestNonFinite:
                 run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, t_grid=(200.0,)))
         assert err.value.code == "NON_FINITE_RESULT"
         assert "t = 200.0" in str(err.value)
+
+    @pytest.mark.parametrize("grids, message", [
+        ({"t_grid": (200.0,)},
+         "[NON_FINITE_RESULT] case EQ143_LOWER compared a non-finite value at t = 200.0"),
+        ({"s_grid": (-200.0,)},
+         "[NON_FINITE_RESULT] case EQ165_UPPER compared a non-finite value at s = -200.0"),
+        ({"s_grid": (1000.0,)},
+         "[GENERATOR_DOMAIN] generator 'PHI(s=1000)' must have f'' > 0 (checked on a spot grid)"),
+        ({"s_grid": (-800.0,)},
+         "[GENERATOR_DOMAIN] generator 'PHI(s=-800)' must have f'' > 0 (checked on a spot grid)"),
+        ({"s_grid": (0.5, 2.0, 1000.0, -800.0)},
+         "[GENERATOR_DOMAIN] generator 'PHI(s=1000)' must have f'' > 0 (checked on a spot grid)")])
+    def test_large_orders_keep_their_refusal(self, grids, message):
+        # the grid generators name the first failing (family, s), as one
+        # generator per order did
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+            run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, **grids))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [MeasureKind.HELLINGER, MeasureKind.SYM_CHI2])
@@ -328,13 +395,13 @@ def test_single_pair_equals_stack_of_one_bit_for_bit():
     # the public single-pair functions and the engine's stack at N = 1 run
     # the same array kernels, so every field rounds alike
     first = lambda v: None if v is None else float(v[0])
-    gens = _generators(ONE_ROUNDING_S)
+    grids = _grids(ONE_ROUNDING_S, (), GeneratorFamilyKind)
     mismatches, compared = [], 0
     for dim in range(2, 11):
         for index in range(2):
             p, q = pair_for(11, dim, index)
             rb = ratio_bounds(p, q)
-            x = _stack([(p, q)], gens)
+            x = _stack([(p, q)], grids)
             fields = {"r": (rb.r, x.r[0]), "R": (rb.R, x.big_r[0])}
             for m in (1.0, 2.0, 3.0):
                 for name, public, kernel in (("bounds", vajda_upper_bounds, _vajda_bounds),
@@ -344,28 +411,58 @@ def test_single_pair_equals_stack_of_one_bit_for_bit():
                                                            kernel(m, x.r, x.big_r))):
                         fields[f"{name}{k} m={m}"] = (one, first(stacked))
             for kind in GeneratorFamilyKind:
-                for s in ONE_ROUNDING_S:
-                    gen = gens[(kind, s)]
-                    report, engine = bound_report(gen, p, q), x.report(kind, s)
+                # one report over the whole s grid; row i is the generator at s_i
+                engine = x.report(kind, ONE_ROUNDING_S)
+                for row, s in enumerate(ONE_ROUNDING_S):
+                    gen = family_generator(kind, s)
+                    report = bound_report(gen, p, q)
                     tag = f"{kind.value} s={s}"
                     for name in ("value", "linearized", "linearized_mid", "endpoint_A",
-                                 "endpoint_B", "half_E_bound", "E_star_bound"):
+                                 "endpoint_B", "f3_sup", "variation", "chi2", "abs_chi3",
+                                 "total_variation", "half_E_bound", "E_star_bound"):
+                        stacked = getattr(engine, name)
                         fields[f"{tag} {name}"] = (getattr(report, name),
-                                                   first(getattr(engine, name)))
-                    ends = _endpoints(gen, x.r, x.big_r)
-                    smooth = _smoothness(gen, x.r, x.big_r)
+                                                   first(stacked[row] if stacked.ndim == 2
+                                                         else stacked))
+                    # the grid report computes delta on every row; bound_report
+                    # leaves it out where f'' is not known to be monotonic
+                    delta = None if report.delta is None else first(engine.delta[row])
+                    fields[f"{tag} delta"] = (report.delta, delta)
                     for name, one, stacked in zip(
                             ("endpoint_A", "endpoint_B", "delta", "f3_sup", "variation"),
                             endpoint_bounds(gen, rb) + smoothness_bounds(gen, rb),
-                            ends + smooth):
-                        fields[f"{tag} {name} (function)"] = (one, first(stacked))
-                    for name, stacked in (("delta", smooth[0]), ("f3_sup", smooth[1]),
-                                          ("variation", smooth[2]),
-                                          ("chi2", x.classic(MeasureKind.CHI2)),
-                                          ("abs_chi3", x.chi(3.0)), ("total_variation", x.tv)):
-                        fields[f"{tag} {name} (report)"] = (getattr(report, name), first(stacked))
+                            (report.endpoint_A, report.endpoint_B, report.delta,
+                             report.f3_sup, report.variation)):
+                        fields[f"{tag} {name} (function)"] = (one, stacked)
             compared += len(fields)
             mismatches += [(dim, index, key, one, stacked)
                            for key, (one, stacked) in fields.items() if one != stacked]
     assert compared > 9000
+    assert mismatches == []
+
+
+def test_sweep_report_rows_equal_bound_report():
+    # one report per family over the whole s grid and a stack of pairs: row i,
+    # lane j has the bits of bound_report(family_generator(kind, s_i), P_j, Q_j)
+    grid = (-5.0, -2.5, -2.0, -1.5, -1.2, -1.0, -0.5, 0.0, 1e-5, 0.5, 1.0, 1.5, 2.0, 2.2,
+            2.9, 3.0, 6.0, 10.0)
+    grids = _grids(grid, (), GeneratorFamilyKind)
+    mismatches, compared = [], 0
+    for dim in (2, 3, 5, 10):
+        pairs = [pair_for(77, dim, index) for index in range(6)]
+        x = _stack(pairs, grids)
+        for kind in GeneratorFamilyKind:
+            engine = x.report(kind, grid)
+            for row, s in enumerate(grid):
+                for lane, (p, q) in enumerate(pairs):
+                    report = bound_report(family_generator(kind, s), p, q)
+                    for name, one in vars(report).items():
+                        if name in ("generator", "ratio_bounds") or one is None:
+                            continue  # delta is None where f'' is not known monotone
+                        stacked = getattr(engine, name)
+                        stacked = stacked[row, lane] if stacked.ndim == 2 else stacked[lane]
+                        compared += 1
+                        if one != float(stacked):
+                            mismatches.append((dim, kind.value, s, lane, name, one, stacked))
+    assert compared > 8000
     assert mismatches == []
