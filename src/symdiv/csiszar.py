@@ -107,7 +107,7 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     f'' is monotonically decreasing exactly for s in [-1, 2] (both
     families). ``third_sup_closed_form`` is exact at every s: the largest
     |f'''| at r, at R and at the stationary points of f''' inside (r, R).
-    Those points depend on s alone: they are solved on first use and kept.
+    Those points depend on s alone: each order's are solved once per process.
     """
     return _family_generator(kind, as_param(s).s)
 
@@ -149,6 +149,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def _phi_stationary(s: float) -> tuple[float, ...]:
     """phi_s'''' = 0 at x^(2s-1) = (s+1)(s+2)/((2-s)(s-3)), a positive
     ratio only for s in (-2, -1) and (2, 3)."""
@@ -156,6 +157,7 @@ def _phi_stationary(s: float) -> tuple[float, ...]:
     return ((num / den) ** (1.0 / (2.0 * s - 1.0)),) if num * den > 0.0 else ()
 
 
+@functools.lru_cache(maxsize=256)
 def _psi_stationary(s: float) -> tuple[float, ...]:
     """The positive roots of G(x) = (2-s)(s-3)x^(s+3) - 12x^2 - 8(s+1)x
     - (s+1)(s+2), where d/dx log|psi_s'''| vanishes, that are finite doubles.
@@ -241,6 +243,10 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
     return e, e_star
 
 
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray):
+    return (_divergence(gen, a, b), *_linearized(gen, a, b))
+
+
 # ---------------------------------------------------------------------------
 # endpoint and smoothness bounds over [r, R]
 # ---------------------------------------------------------------------------
@@ -309,14 +315,13 @@ def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
     return delta, f3_sup, at(1)[2]
 
 
-def _report(gen: Generator, a: np.ndarray, b: np.ndarray, ends, chi2, abs_chi3, tv):
-    """The ``BoundReport`` fields from value to E_star_bound over (N, n) weight
-    arrays, one value per pair; a grid generator's fields lead with its grid
-    axis. ``ends`` is the (r, R) arrays, or None for P = Q, which leaves the
-    ratio-range fields None. The generator is evaluated in a fixed order:
-    value, E and E*, endpoints, smoothness; at r and R once per order."""
-    value = _divergence(gen, a, b)
-    e, e_star = _linearized(gen, a, b)
+def _report(gen: Generator, sums, ends, chi2, abs_chi3, tv):
+    """The ``BoundReport`` fields from value to E_star_bound, one value per
+    pair, elementwise from the pairs' ``_sums`` and (r, R) arrays (None for
+    P = Q, which leaves the ratio-range fields None), so pairs of any dims
+    share one call; a grid generator's fields lead with its grid axis. The
+    generator is evaluated in order: sums, endpoints, smoothness."""
+    value, e, e_star = sums
     if ends is None:
         return value, e, e_star, None, None, None, None, None, chi2, abs_chi3, tv, None, None
     at = _at_ends(gen, *ends)
@@ -373,13 +378,13 @@ class BoundReport:
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
     """Assemble the divergence value and every applicable bound for a pair:
-    the sweep's kernel on the pair as a stack of one."""
+    both halves of the sweep's kernel on the pair as a block of one."""
     _require_same_dim(p, q)
     rb = ratio_bounds(p, q)
     a, b = p.weights[None], q.weights[None]
-    fields = _checked(_report, gen, a, b, None if rb.degenerate else rb.ends(),
-                      _classic(MeasureKind.CHI2, a, b), _abs_chi(3.0, a, b),
-                      _classic(MeasureKind.TOTAL_VARIATION, a, b))
+    fields = _checked(lambda gen, *rest: _report(gen, _sums(gen, a, b), *rest), gen,
+                      None if rb.degenerate else rb.ends(), _classic(MeasureKind.CHI2, a, b),
+                      _abs_chi(3.0, a, b), _classic(MeasureKind.TOTAL_VARIATION, a, b))
     return BoundReport(gen.name, *(None if v is None else float(v[0]) for v in fields), rb)
 
 

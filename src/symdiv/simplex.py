@@ -52,6 +52,9 @@ class NormalizationPolicy:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.mode, NormalizationMode):
+            raise InputError("PARAMETER_OUT_OF_RANGE", "normalization mode must be a "
+                             f"NormalizationMode, got {self.mode!r}")
         if not (_real(self.epsilon) and self.epsilon >= 0 and np.isfinite(self.epsilon)):
             raise InputError("PARAMETER_OUT_OF_RANGE",
                              f"smoothing epsilon must be finite and >= 0, got {self.epsilon}")

@@ -14,23 +14,22 @@ An inequality ``L <= R`` passes when ``L <= R + tol * max(1, |R|)``: the
 relative part guards the large symmetric chi-square cases, the absolute
 floor guards comparisons between near-zero values.
 
-One batched engine checks the table: a sweep samples the pairs of one
-dimension straight into (N, n) weight arrays, validated once, and
-evaluates every row over all N and its whole s, t or m grid at once. The
-grid is a leading axis: V and W are computed once per dim over the grid,
-each family's generator is built once over the s grid and reports once
-per dim, and each case compares one (pairs x points*comparisons) block,
-counting violations and skips with array reductions. Inputs are checked
-at the boundary (``SweepConfig``, the sampled stack); inside, a
-non-finite comparison is refused. A witness is built only for each
-case's largest violation, the first in sequential (pair, grid value,
-comparison) order, so results equal those of checking the pairs one at a
-time. The single-pair checks are the same engine at N = 1.
+One batched engine checks the table in one pass over all the sweep's
+pairs, held as one (N, n) block of weight arrays per dim, sampled straight
+into it and validated once. Sums over a pair's entries run per block and
+are joined along the pair axis; the rest is elementwise over all the
+pairs. So each family's generator is built once over the s grid, the
+ratio-range half of its bound report runs once, and each case compares
+one (pairs x points*comparisons) block, counting violations and skips
+with array reductions. Inputs are checked at the boundary (``SweepConfig``,
+the sampled blocks). Inside, a non-finite comparison is refused and a
+witness is built for each case's largest violation, each the first in
+the order of checking the pairs one at a time (dim, case, pair, grid
+value, comparison), so results equal that; a single pair is a block of one.
 
 Sweeps are deterministic: the pair for (dim, index) is derived from
-(seed, dim, index) alone, so sharding the work over any number of
-workers would reproduce the same summary (assembly is an ordered merge).
-The JSON summary is byte-stable apart from ``elapsed_ms``.
+(seed, dim, index) alone. The JSON summary is byte-stable apart from
+``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .csiszar import BoundReport, _family_generator, _report
+from .csiszar import BoundReport, _family_generator, _report, _sums
 from .divergences import (MeasureKind, _abs_chi, _classic, _column, _vajda_bounds,
                           _vajda_coefficients)
 from .errors import DomainError, InputError
@@ -249,15 +248,6 @@ class CaseResult:
             self.max_violation = worst
             self.witness = witness_at(*np.unravel_index(top, violations.shape))
 
-    def merge(self, other: "CaseResult") -> None:
-        self.evaluations += other.evaluations
-        self.violations += other.violations
-        self.skipped += other.skipped
-        if other.max_violation is not None and (
-                self.max_violation is None or other.max_violation > self.max_violation):
-            self.max_violation = other.max_violation
-            self.witness = other.witness
-
     def to_json_dict(self) -> dict:
         out = {
             "id": self.case_id,
@@ -414,16 +404,16 @@ def _grids(s_grid: Sequence, t_grid: Sequence, kinds=()) -> dict:
 
 
 class _Stack:
-    """N pairs of one dimension as (N, n) weight arrays ``a`` (P) and ``b``
-    (Q), with the check's ``grids``. Every quantity is an array with one
-    value per pair, and one row per grid point where it depends on one;
-    each is computed once over all N and the whole grid, on first use.
-    There is no per-pair or per-point path: a single pair is a stack of one
-    and rounds alike."""
+    """Pairs as blocks (a, b), one (N_k, n_k) weight array each for P and Q per
+    dim, with the check's ``grids``. Each quantity is computed once, on first
+    use, with one value per pair, block after block, and one row per grid
+    point where it depends on one: sums over a pair's entries per block, then
+    joined, the rest over all pairs at once. A single pair is a block of one."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, grids: dict):
-        self.a, self.b, self.grids = a, b, grids
-        self.size = a.shape[0]
+    def __init__(self, blocks: list, grids: dict):
+        self.blocks, self.grids = blocks, grids
+        self.starts = np.cumsum([0] + [len(a) for a, _ in blocks])  # each block's, then the end
+        self.size = int(self.starts[-1])
         self._memo: dict = {}
 
     def _memoized(self, key, compute):
@@ -431,15 +421,23 @@ class _Stack:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def _summed(self, key, total: Callable) -> np.ndarray:
+        """``total(a, b)`` on each block, joined along the last (pair) axis."""
+        return self._memoized(key, lambda: np.concatenate(
+            [total(a, b) for a, b in self.blocks], axis=-1))
+
+    def block_of(self, lane: int) -> int:
+        return int(np.searchsorted(self.starts, lane, side="right")) - 1
+
     def classic(self, kind: MeasureKind) -> np.ndarray:
-        return self._memoized(kind, lambda: _classic(kind, self.a, self.b))
+        return self._summed(kind, lambda a, b: _classic(kind, a, b))
 
     def family(self, name: str, points) -> np.ndarray:
         """V ("V") or W ("W") at each point, one row per point, taken from
         their values over the distinct s grid values (V also t)."""
         grid = tuple(dict.fromkeys(self.grids["s"] + (self.grids["t"] if name == "V" else ())))
-        values = self._memoized(name, lambda: (_v_values if name == "V" else _w_values)(
-            _column(grid, 2), self.a, self.b))
+        values = self._summed(name, lambda a, b: (_v_values if name == "V" else _w_values)(
+            _column(grid, 2), a, b))
         return values[[grid.index(point) for point in points]]
 
     def term(self, text: str, points) -> np.ndarray:
@@ -457,7 +455,7 @@ class _Stack:
 
     def chi(self, m) -> np.ndarray:
         """|chi|^m for one order m, or one row per order of a tuple m."""
-        return self._memoized(("chi", m), lambda: _abs_chi(_column(m, 2), self.a, self.b))
+        return self._summed(("chi", m), lambda a, b: _abs_chi(_column(m, 2), a, b))
 
     @property
     def tv(self) -> np.ndarray:
@@ -466,19 +464,21 @@ class _Stack:
     # ratio-range quantities, defined on the spread stack -------------------
 
     @property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, R), the ratio range of each pair."""
-        return self._memoized("ends", lambda: _ratio_range(self.a, self.b))
+    def ends(self) -> np.ndarray:
+        """(r, R), the ratio range of each pair, as two rows."""
+        return self._summed("ends", lambda a, b: np.array(_ratio_range(a, b)))
 
     r = property(lambda self: self.ends[0])
     big_r = property(lambda self: self.ends[1])
 
     @property
     def spread(self) -> "_Stack":
-        """The pairs with r < R, that is P != Q."""
+        """The pairs with r < R, that is P != Q, in this stack's blocks."""
         def compute():
             keep = self.r < self.big_r
-            return None if keep.all() else _Stack(self.a[keep], self.b[keep], self.grids)
+            return None if keep.all() else _Stack(
+                [(a[k], b[k]) for (a, b), k in zip(self.blocks, np.split(keep, self.starts[1:-1]))],
+                self.grids)
         # None stands for self: a stack that held itself would live until
         # the cyclic garbage collector ran
         sub = self._memoized("spread", compute)
@@ -487,9 +487,10 @@ class _Stack:
     def report(self, kind: GeneratorFamilyKind, points) -> BoundReport:
         """The bound_report fields of the family generator at each s point,
         one row per point, taken from one report over the whole s grid."""
+        gen = self.grids[kind]
         fields = self._memoized(kind, lambda: _report(
-            self.grids[kind], self.a, self.b, self.ends, self.classic(MeasureKind.CHI2),
-            self.chi(3.0), self.tv))
+            gen, self._summed(("sums", kind), lambda a, b: np.array(_sums(gen, a, b))),
+            self.ends, self.classic(MeasureKind.CHI2), self.chi(3.0), self.tv))
         rows = [self.grids["s"].index(point) for point in points]
         return self._memoized((kind, points), lambda: BoundReport(
             None, *(v[rows] if np.ndim(v) == 2 else v for v in fields), ratio_bounds=None))
@@ -497,9 +498,10 @@ class _Stack:
 
 def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[CaseResult]:
     """Evaluate each case over every pair of the stack and every kept point
-    at once: one block of violations per case."""
-    results = []
-    for case in cases:
+    at once: one block of violations per case. The first non-finite
+    comparison in (block, case, pair, point, comparison) order is refused."""
+    results, refusals = [], []
+    for position, case in enumerate(cases):
         pairs = stack.spread if case.spread else stack
         grid = stack.grids[case.param]
         points = [(value, value) for value in grid]
@@ -520,26 +522,30 @@ def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[C
             lhs[:, k], rhs[:, k] = lo, hi
         violations = slack_violation(lhs.reshape(len(labels), -1).T,
                                      rhs.reshape(len(labels), -1).T, tol)
-        if not np.isfinite(violations).all():  # a NaN would count as a pass
-            col = np.nonzero(~np.isfinite(violations))[1][0]
+        finite = np.isfinite(violations)
+        if not finite.all():  # a NaN would count as a pass
+            lane, col = divmod(int(np.argmin(finite)), len(labels))
             where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
-            raise DomainError("NON_FINITE_RESULT",
-                              f"case {case.id} compared a non-finite value{where}")
+            refusals.append((pairs.block_of(lane), position,
+                             f"case {case.id} compared a non-finite value{where}"))
+            continue
         result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
                       _witness(pairs, lane, case.param, labels[col]))
+    if refusals:
+        raise DomainError("NON_FINITE_RESULT", min(refusals)[2])
     return results
 
 
 def _witness(stack: _Stack, lane: int, param: Optional[str], value) -> dict:
-    out = {"p": stack.a[lane].tolist(), "q": stack.b[lane].tolist(), "s": None, "t": None}
-    if param is not None:
-        out[param] = float(value)
-    return out
+    k = stack.block_of(lane)
+    p, q = (w[lane - stack.starts[k]].tolist() for w in stack.blocks[k])
+    out = {"p": p, "q": q, "s": None, "t": None}
+    return out if param is None else out | {param: float(value)}
 
 
 def _stack(pairs: Sequence[tuple[Distribution, Distribution]], grids: dict) -> _Stack:
-    return _Stack(np.stack([p.weights for p, _ in pairs]),
-                  np.stack([q.weights for _, q in pairs]), grids)
+    return _Stack([(np.stack([p.weights for p, _ in pairs]),
+                    np.stack([q.weights for _, q in pairs]))], grids)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +593,10 @@ def _draw_seed(seed: int, dim: int, index: int, k: int) -> int:
     return int(np.random.SeedSequence((seed, dim, index, k)).generate_state(1)[0])
 
 
-def _sample_stack(seed: int, dim: int, count: int, grids: dict) -> _Stack:
-    """``pair_for(seed, dim, i)`` for i < count as one stack, bit for bit: the
-    same draws, written into one array, floored and renormalized row-wise
-    and validated once."""
+def _sample_stack(seed: int, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_for(seed, dim, i)`` for i < count as one (count, dim) block of P
+    and one of Q, bit for bit: the same draws, written into one array,
+    floored and renormalized row-wise and validated once."""
     draws = np.empty((2, count, dim))
     for index in range(count):
         for k in (0, 1):
@@ -598,20 +604,16 @@ def _sample_stack(seed: int, dim: int, count: int, grids: dict) -> _Stack:
             rng.standard_exponential(out=draws[k, index])
     w = _floored(draws)
     _check_simplex_rows(w)
-    return _Stack(w[0], w[1], grids)
+    return w[0], w[1]
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> SweepSummary:
-    """Run the whole registry over deterministic random pairs, one batch per
-    dim: each dim's ``pair_for`` pairs, sampled straight into one stack."""
+    """Run the whole registry over deterministic random pairs in one pass:
+    each dim's ``pair_for`` pairs, sampled straight into one block."""
     start = time.perf_counter()
     grids = _grids(config.s_grid, config.t_grid, GeneratorFamilyKind)
-    results = [CaseResult(c.id, c.severity) for c in REGISTRY]
-    for dim in config.dims:
-        stack = _sample_stack(config.seed, dim, config.samples_per_dim, grids)
-        batch = _check(REGISTRY, stack, config.tol)
-        for total, part in zip(results, batch):
-            total.merge(part)
+    blocks = [_sample_stack(config.seed, dim, config.samples_per_dim) for dim in config.dims]
+    results = _check(REGISTRY, _Stack(blocks, grids), config.tol)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     samples = len(config.dims) * config.samples_per_dim
     return SweepSummary(config=config, cases=results,

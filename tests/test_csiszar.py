@@ -9,11 +9,12 @@ from mpmath import mpf
 import oracle
 from conftest import assert_close, sampled_pairs
 from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, InputError,
-                    MeasureKind, bound_report, classic_divergence,
+                    MeasureKind, RatioBounds, SweepConfig, bound_report, classic_divergence,
                     compare_generators, csiszar_divergence, curvature_ratio,
                     endpoint_bounds, family_generator, generator_eval,
-                    linearized_functionals, mixture, ratio_bounds,
+                    linearized_functionals, mixture, ratio_bounds, run_sweep,
                     smoothness_bounds, validate_distribution)
+import symdiv.csiszar as csiszar
 from symdiv.csiszar import _family_generator, _psi_stationary
 from symdiv.means import raised_mean
 from symdiv.verify import DEFAULT_GRID, pair_for
@@ -516,3 +517,24 @@ class TestPsiStationary:
         assert len(roots) == len(expected), (roots, expected)
         for x, ref in zip(roots, expected):
             assert abs(x - ref) <= 1e-14 * ref, (x, ref)
+
+    def test_roots_are_solved_once_per_order(self, monkeypatch):
+        # the roots depend on s alone: a second sweep or generator at the
+        # same orders runs no bisection and finds the same tuples
+        calls = []
+        real = csiszar._bisect
+        monkeypatch.setattr(csiszar, "_bisect", lambda *args: calls.append(args) or real(*args))
+        _psi_stationary.cache_clear()
+        grid = (-5.0, -2.5, 0.5, 2.2, 6.0)
+        config = SweepConfig(dims=(3,), samples_per_dim=2, seed=3, s_grid=grid)
+        counts, roots = [], []
+        for _ in range(2):
+            before = len(calls)
+            run_sweep(config)
+            for s in grid:
+                smoothness_bounds(family_generator(PSI, s), RatioBounds(0.5, 2.0))
+            counts.append(len(calls) - before)
+            roots.append([_psi_stationary(s) for s in grid])
+        assert counts[0] > 0 and counts[1] == 0
+        assert roots[0] == roots[1] == [_psi_stationary.__wrapped__(s) for s in grid]
+        assert all(type(xs) is tuple for xs in roots[0])

@@ -64,6 +64,14 @@ class TestValidation:
         assert str(err.value) == ("[PARAMETER_OUT_OF_RANGE] smoothing epsilon must be finite "
                                   f"and >= 0, got {epsilon}")
 
+    @pytest.mark.parametrize("mode", ["renormalize", "reject", None, 1, True])
+    def test_mode_must_be_a_normalization_mode(self, mode):
+        # a string that names a mode would otherwise act silently as REJECT
+        with pytest.raises(InputError) as err:
+            NormalizationPolicy(mode)
+        assert str(err.value) == ("[PARAMETER_OUT_OF_RANGE] normalization mode must be a "
+                                  f"NormalizationMode, got {mode!r}")
+
     def test_weights_are_immutable(self):
         d = validate_distribution([0.6, 0.4])
         with pytest.raises(ValueError):

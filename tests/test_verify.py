@@ -12,8 +12,8 @@ from symdiv.csiszar import (_smoothness, bound_report, endpoint_bounds, family_g
                             smoothness_bounds)
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
-from symdiv.verify import (DEFAULT_TOL, REGISTRY, CaseResult, _grids, _sample_stack, _stack,
-                           pair_for, slack_violation)
+from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, CaseResult, _check, _grids,
+                           _sample_stack, _stack, _Stack, pair_for, slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
 # run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for S = 7 and 1402,
@@ -293,6 +293,12 @@ class TestRunSweep:
             s_grid=(6.0, -1.2, 0.5, -0.0, 2.9, -5.0, 0.0, 2.2, -2.5, 0.5, 1.0, -2.0),
             t_grid=(2.5, -1.5, -0.0, 0.25, 1.0)))
 
+    def test_repeated_unsorted_dims_equal_sequential_merge(self):
+        # dim 2 twice draws the same pairs twice: their violations tie across
+        # blocks, and the earlier block's witness must win
+        assert_equals_sequential_merge(SweepConfig(dims=(10, 2, 3, 2), samples_per_dim=4,
+                                                   seed=77, tol=1e-16))
+
     def test_pair_stream_is_shard_deterministic(self):
         a1, b1 = pair_for(7, 5, 3)
         a2, b2 = pair_for(7, 5, 3)
@@ -308,11 +314,11 @@ class TestRunSweep:
         for seed in range(201):
             count = 250 if seed % 100 == 0 else 8
             for dim in (2, 3, 5, 10, 37):
-                x = _sample_stack(seed, dim, count, {})
+                a, b = _sample_stack(seed, dim, count)
                 for index in range(count):
                     p, q = pair_for(seed, dim, index)
-                    assert np.array_equal(x.a[index], p.weights), (seed, dim, index)
-                    assert np.array_equal(x.b[index], q.weights), (seed, dim, index)
+                    assert np.array_equal(a[index], p.weights), (seed, dim, index)
+                    assert np.array_equal(b[index], q.weights), (seed, dim, index)
 
     def test_f3_sup_of_a_lane_is_independent_of_its_stack(self):
         # psi_s''' has stationary points for these s; they depend on s alone,
@@ -328,6 +334,17 @@ class TestRunSweep:
                 assert np.array_equal(stacked, lanes), (dim, s)
 
 
+def merge(total: CaseResult, part: CaseResult) -> None:
+    """Add one pair's result to a running total; a strictly larger maximum
+    takes over the witness, so the first of equal maxima wins."""
+    total.evaluations += part.evaluations
+    total.violations += part.violations
+    total.skipped += part.skipped
+    if part.max_violation is not None and (
+            total.max_violation is None or part.max_violation > total.max_violation):
+        total.max_violation, total.witness = part.max_violation, part.witness
+
+
 def assert_equals_sequential_merge(config: SweepConfig) -> None:
     """run_sweep(config) equals the single-pair checks merged in sweep order."""
     totals = {c.id: CaseResult(c.id, c.severity) for c in REGISTRY}
@@ -338,13 +355,33 @@ def assert_equals_sequential_merge(config: SweepConfig) -> None:
                      + check_parametric(p, q, config.s_grid, config.t_grid, config.tol)
                      + check_bounds_suite(p, q, config.s_grid, config.tol))
             for part in parts:
-                totals[part.case_id].merge(part)
+                merge(totals[part.case_id], part)
     summary = run_sweep(config)
     assert any(c.violations for c in summary.cases)
     for case in summary.cases:
         expected = totals[case.case_id]
         assert case.to_json_dict() == expected.to_json_dict(), case.case_id
         assert case.witness == expected.witness, case.case_id
+
+
+def test_a_block_left_empty_by_equal_pairs_equals_single_pair_checks():
+    # the cases that need r < R drop P = Q pairs, leaving the first block
+    # empty; skips, counts and witnesses still match the pairs one at a time
+    same = validate_distribution([0.3, 0.7])
+    blocks = [[(same, same)], [pair_for(1, 3, i) for i in range(2)],
+              [(same, same), pair_for(1, 2, 0)]]
+    stack = _Stack([tuple(np.stack([d.weights for d in side]) for side in zip(*block))
+                    for block in blocks], _grids(DEFAULT_GRID, DEFAULT_GRID, GeneratorFamilyKind))
+    results = _check(REGISTRY, stack, 1e-16)
+    totals = {c.id: CaseResult(c.id, c.severity) for c in REGISTRY}
+    for p, q in (pair for block in blocks for pair in block):
+        for part in (check_chain(p, q, 1e-16).cases + check_parametric(p, q, tol=1e-16)
+                     + check_bounds_suite(p, q, tol=1e-16)):
+            merge(totals[part.case_id], part)
+    assert any(c.skipped for c in results) and any(c.violations for c in results)
+    for case in results:
+        assert case.to_json_dict() == totals[case.case_id].to_json_dict(), case.case_id
+        assert case.witness == totals[case.case_id].witness, case.case_id
 
 
 class TestNonFinite:
@@ -374,6 +411,20 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
             run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, **grids))
         assert str(err.value) == message
+
+    def test_refusal_names_the_first_failure_in_sweep_order(self, monkeypatch):
+        # TRIANGULAR fails on the dim-2 pairs, HELLINGER on the dim-10 ones:
+        # EQ77 (hel) comes first in the registry, but the first non-finite
+        # comparison in (dim, case, pair, point, comparison) order is EQ104's
+        # tri/4 on the dim-2 pairs
+        real = verify_mod._classic
+        broken = {MeasureKind.TRIANGULAR: 2, MeasureKind.HELLINGER: 10}
+        monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b: (
+            np.full(a.shape[0], np.nan) if broken.get(kind) == a.shape[-1]
+            else real(kind, a, b)))
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+            run_sweep(SweepConfig(dims=(2, 10), samples_per_dim=3, seed=5))
+        assert str(err.value) == "[NON_FINITE_RESULT] case EQ104 compared a non-finite value"
 
     @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [MeasureKind.HELLINGER, MeasureKind.SYM_CHI2])
