@@ -28,6 +28,17 @@ NORMALIZATION_TOL = 1e-9
 SIMPLEX_FLOOR = 1e-6
 
 
+def _check_sampling(n, *counts) -> None:
+    """Refuse a sampler's size n and counts (seed, index) unless integers, not
+    bools, with counts >= 0 (BAD_CONFIG), then n >= 2 (DIMENSION_TOO_SMALL)."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in (n, *counts)) or min(counts) < 0:
+        raise InputError("BAD_CONFIG", f"a sampler's size and counts must be integers, "
+                                       f"counts >= 0; got {n!r} and {counts!r}")
+    if n < 2:
+        raise InputError("DIMENSION_TOO_SMALL", f"need n >= 2, got {n}")
+
+
 def _real(value) -> bool:
     """Whether a parameter is a real number: not a string, None, complex or bool."""
     return type(value) in (float, int) or (isinstance(value, numbers.Real)
@@ -195,8 +206,7 @@ def sample_simplex(n: int, seed: int) -> Distribution:
     conditioned. The RNG state is local to the call: same seed, same
     output.
     """
-    if n < 2:
-        raise InputError("DIMENSION_TOO_SMALL", f"need n >= 2, got {n}")
+    _check_sampling(n, seed)
     return Distribution(_floored(np.random.default_rng(seed).standard_exponential(n)))
 
 

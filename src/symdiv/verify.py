@@ -27,9 +27,11 @@ witness is built for each case's largest violation, each the first in
 the order of checking the pairs one at a time (dim, case, pair, grid
 value, comparison), so results equal that; a single pair is a block of one.
 
-Sweeps are deterministic: the pair for (dim, index) is derived from
-(seed, dim, index) alone. The JSON summary is byte-stable apart from
-``elapsed_ms``.
+Sweeps are deterministic: pair i of (seed, dim) is the 2*dim uniforms from
+word 2*dim*i on of one counter-based Philox stream keyed on (seed, dim), as
+exponentials floored like ``sample_simplex``'s; :func:`pair_for` jumps to
+it. Seeds yield other pairs than under the old per-draw seeding. The JSON
+summary is byte-stable apart from ``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .divergences import (MeasureKind, _abs_chi, _classic, _column, _vajda_bound
                           _vajda_coefficients)
 from .errors import DomainError, InputError
 from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
-from .simplex import (Distribution, _check_simplex_rows, _floored, _ratio_range, _real,
-                      _require_same_dim, sample_simplex)
+from .simplex import (Distribution, _check_sampling, _check_simplex_rows, _floored,
+                      _ratio_range, _real, _require_same_dim)
 
 DEFAULT_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TOL = 1e-10
@@ -305,11 +307,8 @@ class SweepConfig:
                              f"samples_per_dim must be >= 1, got {self.samples_per_dim}")
         _check_sized((self.s_grid, self.t_grid), "s and t grids")
         _check_tol(self.tol)
-        # the pair sampler trusts these: a float dim would sample int(dim) rows
-        whole = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
-        if not all(map(whole, (*self.dims, self.samples_per_dim, self.seed))) or self.seed < 0:
-            raise InputError("BAD_CONFIG", "dims, samples_per_dim and seed must be integers, "
-                             f"seed >= 0; got {self.dims!r}, {self.samples_per_dim!r}, {self.seed!r}")
+        for dim in self.dims:  # the pair sampler trusts these
+            _check_sampling(dim, self.samples_per_dim, self.seed)
         # numpy integers pass as whole; the JSON summary needs plain ints
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         object.__setattr__(self, "samples_per_dim", int(self.samples_per_dim))
@@ -585,26 +584,24 @@ def check_bounds_suite(p: Distribution, q: Distribution,
 
 
 def pair_for(seed: int, dim: int, index: int) -> tuple[Distribution, Distribution]:
-    """The deterministic sampled pair for one (seed, dim, index) shard."""
-    return tuple(sample_simplex(dim, _draw_seed(seed, dim, index, k)) for k in (0, 1))
+    """Row ``index`` of every block ``run_sweep`` samples for (seed, dim)."""
+    _check_sampling(dim, seed, index)
+    a, b = _sample_stack(int(seed), int(dim), 1, start=int(index))
+    return Distribution(a[0]), Distribution(b[0])
 
 
-def _draw_seed(seed: int, dim: int, index: int, k: int) -> int:
-    return int(np.random.SeedSequence((seed, dim, index, k)).generate_state(1)[0])
-
-
-def _sample_stack(seed: int, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_for(seed, dim, i)`` for i < count as one (count, dim) block of P
-    and one of Q, bit for bit: the same draws, written into one array,
-    floored and renormalized row-wise and validated once."""
-    draws = np.empty((2, count, dim))
-    for index in range(count):
-        for k in (0, 1):
-            rng = np.random.default_rng(_draw_seed(seed, dim, index, k))
-            rng.standard_exponential(out=draws[k, index])
-    w = _floored(draws)
+def _sample_stack(seed: int, dim: int, count: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs start .. start + count - 1 of the (seed, dim) stream as one
+    (count, dim) block of P and one of Q, validated once. Pair i takes the
+    2*dim words from 2*dim*i on; Philox makes 4 words per counter step."""
+    bits = np.random.Philox(np.random.SeedSequence((seed, dim)))
+    bits.advance(2 * dim * start // 4)
+    bits.random_raw(2 * dim * start % 4)
+    u = np.random.Generator(bits).random((count, 2, dim))
+    w = _floored(-np.log1p(-u))  # inverse-CDF standard exponentials
     _check_simplex_rows(w)
-    return w[0], w[1]
+    # contiguous P and Q rows, so their sums take the same bits in a block as alone
+    return np.ascontiguousarray(w[:, 0]), np.ascontiguousarray(w[:, 1])
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> SweepSummary:

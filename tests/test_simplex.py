@@ -147,6 +147,13 @@ class TestSampling:
         a, b = sample_simplex(2, 42), sample_simplex(2, 42)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_keeps_its_stream(self):
+        # C7 and the test fixtures draw from this stream, apart from the sweep's
+        assert sample_simplex(3, 42).weights.tolist() == [
+            0.3374252443136453, 0.32787893865749046, 0.3346958170288642]
+        np.testing.assert_array_equal(sample_simplex(np.int64(3), np.int64(42)).weights,
+                                      sample_simplex(3, 42).weights)
+
     def test_floor_and_sum(self):
         for seed in range(20):
             d = sample_simplex(5, seed)
@@ -158,9 +165,17 @@ class TestSampling:
         np.testing.assert_allclose(means, 1 / 3, atol=0.05)
 
     def test_rejects_small_dimension(self):
+        for n in (1, 0, -1, np.int64(1)):
+            with pytest.raises(InputError) as err:
+                sample_simplex(n, 0)
+            assert err.value.code == "DIMENSION_TOO_SMALL", n
+
+    @pytest.mark.parametrize("n, seed", [(3, -1), (3, 1.5), (3, True), (3, "1"), (3, None),
+                                         (2.5, 0), (True, 0), ("3", 0), (1.0, 0), (1.5, -1)])
+    def test_rejects_inputs_that_are_not_integers(self, n, seed):
         with pytest.raises(InputError) as err:
-            sample_simplex(1, 0)
-        assert err.value.code == "DIMENSION_TOO_SMALL"
+            sample_simplex(n, seed)
+        assert err.value.code == "BAD_CONFIG"
 
 
 class TestInputFormats:
