@@ -35,8 +35,8 @@ import numpy as np
 
 from .divergences import MeasureKind, _abs_chi, _classic, _column
 from .errors import DomainError, InputError
-from .families import (FamilyParam, GeneratorFamilyKind, _argument, _family_eval, as_param,
-                       generator_eval)
+from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _family_eval,
+                       as_param, generator_eval)
 from .simplex import Distribution, RatioBounds, _require_same_dim, ratio_bounds
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -98,7 +98,7 @@ class Generator:
         if not np.all(np.isfinite(out)):
             raise DomainError("GENERATOR_DOMAIN",
                               f"generator {self.name!r} evaluation failed at order {order}")
-        return out if np.ndim(x) else float(out)
+        return out if np.ndim(x) else float(out.reshape(-1)[0])
 
 
 def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Generator:
@@ -234,12 +234,12 @@ def _checked(kernel, gen: Generator, *args):
 # the sums over the last axis of weight arrays: one value per pair of rows
 
 def _divergence(gen: Generator, a: np.ndarray, b: np.ndarray):
-    return (b * gen.evaluate(0, a / b)).sum(axis=-1)
+    return _blocked(lambda a, b: b * gen.evaluate(0, a / b), a, b)
 
 
 def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
-    e = ((a - b) * gen.evaluate(1, a / b)).sum(axis=-1)
-    e_star = ((a - b) * gen.evaluate(1, (a + b) / (2.0 * b))).sum(axis=-1)
+    e = _blocked(lambda a, b: (a - b) * gen.evaluate(1, a / b), a, b)
+    e_star = _blocked(lambda a, b: (a - b) * gen.evaluate(1, (a + b) / (2.0 * b)), a, b)
     return e, e_star
 
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
+from .families import _blocked, _r_values, _v_values, _w_values
 from .simplex import Distribution, RatioBounds, _real, _require_same_dim
 
 
@@ -38,6 +39,32 @@ DIRECTIONAL_KINDS = frozenset({MeasureKind.CHI2, MeasureKind.KL})
 AFFINITY_KINDS = frozenset({MeasureKind.BHATTACHARYYA, MeasureKind.HARMONIC})
 
 
+def _hellinger(a, b):
+    """(sqrt a - sqrt b)^2 / 2 as ((a - b)/(sqrt a + sqrt b))^2 / 2, exact near a = b."""
+    root = np.sqrt(a)
+    root += np.sqrt(b)
+    out = a - b
+    out /= root
+    out *= out
+    out *= 0.5
+    return out
+
+
+# the classic measures that are family members: (family sum, order)
+_MEMBERS = {MeasureKind.J: (_v_values, 0.0), MeasureKind.JS: (_w_values, 0.0),
+            MeasureKind.AG: (_w_values, 1.0), MeasureKind.KL: (_r_values, 1.0)}
+# the summands of the others, each single-signed
+_SUMMANDS = {
+    MeasureKind.HELLINGER: _hellinger,
+    MeasureKind.BHATTACHARYYA: lambda a, b: np.sqrt(a * b),
+    MeasureKind.TRIANGULAR: lambda a, b: (a - b) ** 2 / (a + b),
+    MeasureKind.HARMONIC: lambda a, b: 2.0 * a * b / (a + b),
+    MeasureKind.SYM_CHI2: lambda a, b: (a - b) ** 2 * (a + b) / (a * b),
+    MeasureKind.CHI2: lambda a, b: (a - b) ** 2 / b,
+    MeasureKind.TOTAL_VARIATION: lambda a, b: np.abs(a - b),
+}
+
+
 def classic_divergence(kind: MeasureKind, p: Distribution, q: Distribution) -> float:
     """Evaluate one classic measure by direct summation of its formula."""
     _require_same_dim(p, q)
@@ -46,35 +73,15 @@ def classic_divergence(kind: MeasureKind, p: Distribution, q: Distribution) -> f
 
 def _classic(kind: MeasureKind, a: np.ndarray, b: np.ndarray):
     """classic_divergence summed over the last axis: one value per pair of rows."""
-    if kind is MeasureKind.HELLINGER:
-        return ((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=-1) / 2.0
-    if kind is MeasureKind.BHATTACHARYYA:
-        return np.sqrt(a * b).sum(axis=-1)
-    if kind is MeasureKind.TRIANGULAR:
-        return ((a - b) ** 2 / (a + b)).sum(axis=-1)
-    if kind is MeasureKind.HARMONIC:
-        return (2.0 * a * b / (a + b)).sum(axis=-1)
-    if kind is MeasureKind.SYM_CHI2:
-        return ((a - b) ** 2 * (a + b) / (a * b)).sum(axis=-1)
-    if kind is MeasureKind.CHI2:
-        return ((a - b) ** 2 / b).sum(axis=-1)
-    if kind is MeasureKind.KL:
-        return (a * np.log(a / b)).sum(axis=-1)
-    if kind is MeasureKind.J:
-        return ((a - b) * np.log(a / b)).sum(axis=-1)
-    if kind is MeasureKind.JS:
-        m = (a + b) / 2.0
-        return (a * np.log(a / m) + b * np.log(b / m)).sum(axis=-1) / 2.0
-    if kind is MeasureKind.AG:
-        m = (a + b) / 2.0
-        return (m * np.log(m / np.sqrt(a * b))).sum(axis=-1)
-    if kind is MeasureKind.D_NEW:
-        # evaluated exactly as defined; the formula is numerically benign
-        affinity = (((np.sqrt(a) + np.sqrt(b)) / 2.0) * np.sqrt((a + b) / 2.0)).sum(axis=-1)
-        return 1.0 - affinity
-    if kind is MeasureKind.TOTAL_VARIATION:
-        return np.abs(a - b).sum(axis=-1)
-    raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown measure kind {kind!r}")
+    if not isinstance(kind, MeasureKind):
+        raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown measure kind {kind!r}")
+    if kind in _MEMBERS:
+        values, order = _MEMBERS[kind]
+        return values(order, a, b)
+    if kind is MeasureKind.D_NEW:  # as defined: 1 - sum affinity
+        return 1.0 - _blocked(
+            lambda a, b: ((np.sqrt(a) + np.sqrt(b)) / 2.0) * np.sqrt((a + b) / 2.0), a, b)
+    return _blocked(_SUMMANDS[kind], a, b)
 
 
 def vajda_abs_chi(m: float, p: Distribution, q: Distribution) -> float:
@@ -94,8 +101,8 @@ def _check_order(m: float) -> None:
 
 
 def _abs_chi(m, a: np.ndarray, b: np.ndarray):
-    """vajda_abs_chi summed over the last axis, for validated orders m (``_power``)."""
-    return (_power(np.abs(a - b), m) / _power(b, m - 1.0)).sum(axis=-1)
+    """vajda_abs_chi summed over the last axis, for validated orders m."""
+    return _blocked(lambda a, b: np.power(np.abs(a - b), m) / np.power(b, m - 1.0), a, b)
 
 
 def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
@@ -115,8 +122,8 @@ def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
 def _vajda_bounds(m, r: np.ndarray, R: np.ndarray):
     """vajda_upper_bounds over 1-D arrays of ratio ranges with r < R."""
     bound1 = ((1.0 - r) * (R - 1.0) / (R - r)) * (
-        _power(1.0 - r, m - 1.0) + _power(R - 1.0, m - 1.0))
-    bound2 = _power((R - r) / 2.0, m)
+        np.power(1.0 - r, m - 1.0) + np.power(R - 1.0, m - 1.0))
+    bound2 = np.power((R - r) / 2.0, m)
     return bound1, bound2
 
 
@@ -134,7 +141,7 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
 
 def _vajda_coefficients(m, r: np.ndarray, R: np.ndarray):
     """vajda_variation_coefficients over 1-D arrays of ratio ranges with r < R."""
-    return (1.0 - _power(r, m)) / (1.0 - r), (_power(R, m) - 1.0) / (R - 1.0)
+    return (1.0 - np.power(r, m)) / (1.0 - r), (np.power(R, m) - 1.0) / (R - 1.0)
 
 
 def _column(orders, ndim: int):
@@ -142,17 +149,3 @@ def _column(orders, ndim: int):
     if not isinstance(orders, (tuple, list, np.ndarray)):
         return orders
     return np.array(orders, float).reshape(-1, *[1] * ndim)
-
-
-def _power(x, e):
-    """x ** e for one exponent e or a column of them (``_column``). numpy takes
-    sqrt, square or reciprocal for a scalar e in {0.5, 2, -1}, but may take
-    plain pow for a column; those rows are recomputed as scalar powers, so
-    every row has the bits of the scalar evaluation."""
-    if not isinstance(e, np.ndarray):
-        return x ** e
-    out = np.power(x, e)
-    for row, value in enumerate(e.ravel().tolist()):
-        if value in (0.5, 2.0, -1.0):  # x leads with the grid axis, or broadcasts along it
-            out[row] = (x if np.ndim(x) < out.ndim else x[min(row, len(x) - 1)]) ** value
-    return out

@@ -1,49 +1,49 @@
-"""One-parameter divergence families and their convex generators.
+"""One-parameter divergence families, their convex generators and the one
+table of formulas behind them and the classic measures they contain.
 
-Three families share the order parameter ``s``:
-
-* ``relative_information_type_s`` -- the power-family deformation of
+* ``relative_information_type_s`` -- R_s, the power-family deformation of
   Kullback-Leibler divergence (KL(Q||P) at s = 0, KL(P||Q) at s = 1).
-* ``j_divergence_type_s`` -- its symmetrization V_s, equal to J at
-  s in {0, 1}, 8*Hellinger at s = 1/2, half the symmetric chi-square at
-  s in {-1, 2}. Symmetric under s <-> 1-s.
-* ``ag_js_divergence_type_s`` -- the mixture family W_s, equal to
-  triangular/4 at s = -1, JS at s = 0, 4*d at s = 1/2, AG at s = 1 and
-  symmetric chi-square/16 at s = 2.
+* ``j_divergence_type_s`` -- its symmetrization V_s: J at s in {0, 1},
+  8*Hellinger at s = 1/2, half the symmetric chi-square at s in {-1, 2},
+  symmetric under s <-> 1-s.
+* ``ag_js_divergence_type_s`` -- the mixture family W_s: triangular/4 at
+  s = -1, JS at s = 0, 4*d at s = 1/2, AG at s = 1, symmetric
+  chi-square/16 at s = 2.
 
-``generator_eval`` exposes the two convex normalized generators backing
-these families (tags PHI for the V family, PSI for the W family) together
-with their first three derivatives, which the bound engine consumes.
+``generator_eval`` exposes the generators of V (PHI) and W (PSI) with
+their first three derivatives, which the bound engine consumes.
 
-Evaluation near the removable singularities at s in {0, 1} dispatches to
-the closed-form limit branch whenever ``|s - s0| <= LIMIT_TOLERANCE``, and
-the limit branches of the families are the classic measures themselves
-(J, JS, AG, KL). The prefactor 1/(s(s-1)) amplifies float rounding near
-the poles, and the near-pole contract (family values within 1e-8 of the
-limit at s0 +- 1e-5) pins the width at 1e-5: inside the window the limit
-form is both the contract and the numerically accurate answer.
-The bound engine evaluates the generators on 1-D arrays, one value per
-pair, so a single pair and a stack of pairs round alike.
+Each measure is a sum of single-signed summands b f(x), x = a/b, written
+once on u = x - 1 and L = log x, both exact near a = b. With
+E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 
-The evaluators take s as a float (plain ``x ** s``) or as a column over a
-grid of orders whose axis leads the result; each formula is written once.
-Grid rows inside a window take their limit form by mask, and the grid
-power (``divergences._power``) gives every row the scalar's bits.
+* V's generator is E(s) E(1-s) and its slope E(s-1) + E(-s);
+* relative information's is phi_s = (E(s) - u)/(s - 1), which takes its
+  Taylor series in L where that difference cancels; R_s for s > 1/2 is
+  R_{1-s} with P and Q swapped, and W's summand is
+  (a phi_s(m/a) + b phi_s(m/b))/2 with m = (a + b)/2;
+* J is V_0; JS and AG, the summands of W_0 and W_1, are
+  (|a-b| log(hi/lo) - (a+b) log(m^2/ab))/4 and (a+b) log(m^2/ab)/4, both
+  without cancellation; KL, R_s at its limit orders, keeps its definition
+  sum a log(a/b) and so carries the weights' sum defect.
 
-Family sums subtract the unit mass per term (e.g. ``p^s q^(1-s) - sp -
-(1-s)q``) rather than subtracting 1 from the total, which keeps every
-summand single-signed and avoids inheriting the small float defect of the
-weight sums.
+Powers are taken in log space, so a large |s| overflows only with the
+value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
+that order: the values inside a window are the limit values by contract.
+The evaluators take s as a float or as a column over a grid of orders
+whose axis leads the result, and every step is elementwise or per row, so
+a grid row has the bits of its order alone. Long sums run a block of
+entries at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .divergences import MeasureKind, _classic, _power
 from .errors import DomainError, InputError
 from .simplex import Distribution, _real, _require_same_dim
 
@@ -52,6 +52,12 @@ LIMIT_TOLERANCE = 1e-5
 # are not dyadic, so |s - 1| can exceed the literal tolerance by representation
 # error alone
 _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
+# entries per block of a long sum, so that its temporaries stay small
+_BLOCK = 32768
+# phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
+# that the direct difference loses at most a factor 700; 8 terms of the
+# series then reach the last bit
+_SERIES_EDGE, _SERIES_TERMS = 0.003, 8
 
 
 @dataclass(frozen=True)
@@ -78,24 +84,201 @@ def as_param(s: float | FamilyParam) -> FamilyParam:
     return s if isinstance(s, FamilyParam) else FamilyParam(s)
 
 
-def _branch(s, general, at_zero, at_one):
-    """``general(s)``, or the limit form ``at_zero()`` / ``at_one()`` inside
-    the window of 0 / 1. A grid column runs ``general`` on every row, with
-    the order 1/4 for the rows inside a window (its powers stay small and
-    take no special numpy path), then masks them."""
-    zero, one = abs(s) <= _WINDOW, abs(s - 1.0) <= _WINDOW
-    if not isinstance(s, np.ndarray):
-        return at_zero() if zero else at_one() if one else general(s)
-    out = general(np.where(zero | one, 0.25, s))
-    for inside, form in ((zero, at_zero), (one, at_one)):
-        if inside.any():
-            out = np.where(inside.reshape((-1,) + (1,) * (out.ndim - 1)), form(), out)
+# ---------------------------------------------------------------------------
+# the formula table: summands at x = a/b = 1 + u = e^L, for one order or a
+# column of them
+# ---------------------------------------------------------------------------
+
+def _per_column(fn):
+    """fn(k) of a column of orders, memoized on its values (a sweep reuses a
+    few columns)."""
+    cached = functools.lru_cache(maxsize=256)(
+        lambda shape, data: fn(np.frombuffer(data).reshape(shape)))
+    return lambda k: cached(k.shape, k.tobytes())
+
+
+def _clamp(s):
+    """s with the orders inside the window of 0 or 1 set to that order."""
+    if isinstance(s, np.ndarray):
+        return _clamp_column(s)
+    return 0.0 if abs(s) <= _WINDOW else 1.0 if abs(s - 1.0) <= _WINDOW else s
+
+
+_clamp_column = _per_column(lambda s: np.vectorize(_clamp, otypes=[float])(s))
+
+
+def _e(k, L, u):
+    """E(k) = expm1(k L)/k, L at k = 0 and u at k = 1, also in those rows of
+    a column of orders."""
+    if not isinstance(k, np.ndarray) and k in (0.0, 1.0):
+        return L if k == 0.0 else u
+    out = np.multiply(k, L)
+    np.expm1(out, out=out)
+    if not isinstance(k, np.ndarray):
+        out *= 1.0 / k
+        return out
+    reciprocal, *rows = _e_constants(k)
+    out *= reciprocal
+    for exact, at in zip((L, u), rows):
+        if at is not None:
+            np.copyto(out, exact, where=at)
     return out
 
 
-def _over_poles(terms: np.ndarray, s):
-    """The family sum: ``terms`` summed over the last axis, over s(s - 1)."""
-    return (terms.sum(axis=-1, keepdims=True) / (s * (s - 1.0)))[..., 0]
+@_per_column
+def _e_constants(k: np.ndarray):
+    """1/k (0 at k = 0: the bits of 1.0 / k for one order), and the k = 0 and
+    the k = 1 rows (None when there are none)."""
+    return (np.divide(1.0, k, out=np.zeros_like(k), where=k != 0.0),
+            *(k == v if (k == v).any() else None for v in (0.0, 1.0)))
+
+
+@functools.lru_cache(maxsize=256)
+def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...]]:
+    """1/(k - 1); the least phi_k at the edge of its series, |L| =
+    edge/max(|k - 1|, 1/2), below which a direct value is replaced; and the
+    series coefficients h_n/(n+2)! of L^(n+2), h_n = 1 + k + ... + k^n."""
+    h, scale, c = 1.0, 2.0, []
+    for n in range(_SERIES_TERMS):
+        c.append(h / scale)
+        h, scale = 1.0 + k * h, scale * (n + 3)
+    edge = _SERIES_EDGE / max(abs(k - 1.0), 0.5)
+    least = min(L * L * sum(cn * L ** n for n, cn in enumerate(c)) for L in (edge, -edge))
+    return 1.0 / (k - 1.0), least, tuple(c)
+
+
+@_per_column
+def _phi_edges(k: np.ndarray):
+    """1/(k - 1) and the least value of _phi_edge, as columns."""
+    rows = [_phi_edge(v)[:2] for v in k.reshape(-1).tolist()]
+    return tuple(np.array(column).reshape(k.shape) for column in zip(*rows))
+
+
+def _phi(k, L, u, log=None):
+    """phi_k = (x^k - 1 - k u)/(k (k - 1)) for k != 1, the generator of
+    relative information: (E(k) - u)/(k - 1), or where that cancels (below
+    the least value at the edge) its series in L. L spans the trailing axes
+    of the result; ``log(near)``, when given, is L exact on those entries."""
+    grid = isinstance(k, np.ndarray)
+    reciprocal, least = _phi_edges(k) if grid else _phi_edge(k)[:2]
+    out = _e(k, L, u)
+    out = out - u if out is L or out is u else np.subtract(out, u, out=out)
+    out *= reciprocal
+    near = out < least
+    if not near.any():
+        return out
+    if not grid:
+        x = L[near] if log is None else log(near)
+        out[near] = _series(_phi_edge(k)[2][:_series_length(k, np.abs(x).max())], x)
+        return out
+    # all rows at once, each with its order's coefficients, zero past the
+    # length that row needs: a zero lead leaves Horner's sum the bits of
+    # the shorter one
+    tops = np.where(near, np.abs(L), 0.0).max(axis=tuple(range(1, near.ndim)))
+    c = np.zeros((_SERIES_TERMS, tops.size))
+    for j, (order, top) in enumerate(zip(k.reshape(-1).tolist(), tops.tolist())):
+        n = _series_length(order, top)
+        c[:n, j] = _phi_edge(order)[2][:n]
+    np.copyto(out, _series(c.reshape((-1,) + k.shape), L), where=near)
+    return out
+
+
+def _series_length(k: float, top: float) -> int:
+    """The terms of phi_k's series that reach the last bit at |L| <= top:
+    |h_n| L^n <= (n + 1) q^n with q = max(1, |k|) top."""
+    q, n, term = max(1.0, abs(k)) * top, 1, 1.0
+    while n < _SERIES_TERMS and (n + 1) * term * q / (n + 2) > 2.0 ** -55:
+        term *= q / (n + 2)
+        n += 1
+    return n
+
+
+def _series(c, x):
+    """sum c_n x^(n+2) by Horner's rule."""
+    out = np.multiply(c[-1], x)
+    for coefficient in c[-2::-1]:
+        out += coefficient
+        out *= x
+    out *= x
+    return out
+
+
+def _by_order(s, rows, general, *args):
+    """general(s, *args), or rows[s](*args) at an order that is a key of
+    ``rows``; a column of orders is cut into those groups of rows (with
+    every argument that has the grid axis)."""
+    if not isinstance(s, np.ndarray):
+        return rows[s](*args) if s in rows else general(s, *args)
+    flat = s.reshape(-1)
+    groups = [(flat == order, lambda s, *args, row=row: row(*args)) for order, row in rows.items()]
+    groups = [group for group in groups if group[0].any()]
+    if not groups:
+        return general(s, *args)
+    rest = ~np.logical_or.reduce([at for at, _ in groups])
+    out = np.empty(np.broadcast_shapes(s.shape, *map(np.shape, args)))
+    for at, form in groups + [(rest, general)] * bool(rest.any()):
+        out[at] = form(s[at], *(v[at] if np.ndim(v) == s.ndim else v for v in args))
+    return out
+
+
+def _v_term(s, L, u):
+    """V's generator phi_s(x) = E(s) E(1-s), at a clamped order; L and u are
+    the caller's temporaries, which it may overwrite."""
+    out = _e(s, L, u)
+    other = out if not isinstance(s, np.ndarray) and s == 0.5 else _e(1.0 - s, L, u)
+    return np.multiply(out, other, out=out)
+
+
+def _w_term(s, a, b, d):
+    """W's summand b psi_s(a/b) with d = a - b, at a clamped order."""
+    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, d)
+
+
+def _w_general(s, a, b, d):
+    out = _to_midpoint(s, a, d, -0.5)
+    out += _to_midpoint(s, b, d, 0.5)
+    out *= 0.5
+    return out
+
+
+def _to_midpoint(s, w, d, half):
+    """w phi_s(m/w), m/w = 1 + half d/w > 1/2 (half = +-1/2): its offset and
+    log are accurate for every ratio."""
+    u = d / w
+    u *= half
+    out = _phi(s, np.log1p(u), u)
+    out *= w
+    return out
+
+
+def _js_row(a, b, d):
+    """JS's summand: both terms are >= 0 and keep a third of their size."""
+    size = np.abs(d)
+    out = np.minimum(a, b)
+    np.divide(size, out, out=out)
+    np.log1p(out, out=out)
+    out *= size
+    size = _log_mid(a, b, d)
+    size *= a + b
+    out -= size
+    out *= 0.25
+    return out
+
+
+def _ag_row(a, b, d):
+    out = _log_mid(a, b, d)
+    out *= a + b
+    out *= 0.25
+    return out
+
+
+def _log_mid(a, b, d):
+    """log(m^2/(ab)) = log1p(d^2/(4ab)) >= 0."""
+    out = d * d
+    out /= a
+    out /= b
+    out *= 0.25
+    return np.log1p(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +289,7 @@ def relative_information_type_s(s: float | FamilyParam, p: Distribution,
                                 q: Distribution) -> float:
     sv = as_param(s).s
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    return float(_branch(
-        sv, lambda s: _over_poles(_power(a, s) * _power(b, 1.0 - s) - s * a - (1.0 - s) * b, s),
-        lambda: _classic(MeasureKind.KL, b, a), lambda: _classic(MeasureKind.KL, a, b)))
+    return float(_r_values(sv, p.weights, q.weights))
 
 
 def j_divergence_type_s(s: float | FamilyParam, p: Distribution,
@@ -126,21 +306,74 @@ def ag_js_divergence_type_s(s: float | FamilyParam, p: Distribution,
     return float(_w_values(sv, p.weights, q.weights))
 
 
-# V_s and W_s summed over the last axis of weight arrays: one value per pair
-# of rows, and for a column of orders one row of them per order
+# V_s, W_s and R_s summed over the last axis of weight arrays: one value per
+# pair of rows, and for a column of orders (V and W) one row of them per order
 
 def _v_values(s, a: np.ndarray, b: np.ndarray):
-    j = lambda: _classic(MeasureKind.J, a, b)
-    return _branch(s, lambda s: _over_poles(
-        _power(a, s) * _power(b, 1.0 - s) + _power(a, 1.0 - s) * _power(b, s) - (a + b), s), j, j)
+    s = _clamp(s)
+    return _blocked(lambda a, b: _v_summands(s, a, b), a, b)
 
 
 def _w_values(s, a: np.ndarray, b: np.ndarray):
-    def general(s):
-        m = (a + b) / 2.0
-        return _over_poles(((_power(a, 1.0 - s) + _power(b, 1.0 - s)) / 2.0) * _power(m, s) - m, s)
-    return _branch(s, general, lambda: _classic(MeasureKind.JS, a, b),
-                   lambda: _classic(MeasureKind.AG, a, b))
+    s = _clamp(s)
+    return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b)
+
+
+def _r_values(s: float, a: np.ndarray, b: np.ndarray):
+    """R_s(P||Q) = sum b phi_s(a/b), and R_{1-s}(Q||P) for s > 1/2. At its
+    limit orders it is KL(Q||P) and KL(P||Q), as defined."""
+    s = _clamp(s)
+    if s > 0.5:
+        return _r_values(1.0 - s, b, a)
+    if s == 0.0:
+        return _kl(b, a)
+    return _blocked(lambda a, b: _r_summands(s, a, b), a, b)
+
+
+def _kl(a: np.ndarray, b: np.ndarray):
+    """KL(P||Q) = sum a log(a/b), which carries the weights' sum defect; each
+    log is log1p((a - b)/b), exact near a = b (where a << b, a/b is off by
+    its rounding alone, and a small term keeps it small)."""
+    return _blocked(_kl_summands, a, b)
+
+
+def _kl_summands(a, b):
+    out = a - b
+    out /= b
+    np.log1p(out, out=out)
+    out *= a
+    return out
+
+
+def _blocked(summands, a: np.ndarray, b: np.ndarray):
+    """summands(a, b) summed over the last axis, a block of entries at a time."""
+    n = a.shape[-1]
+    if n <= _BLOCK:
+        return summands(a, b).sum(axis=-1)
+    return sum(summands(a[..., i:i + _BLOCK], b[..., i:i + _BLOCK]).sum(axis=-1)
+               for i in range(0, n, _BLOCK))
+
+
+def _v_summands(s, a, b):
+    # phi is self-conjugate (b phi(a/b) = a phi(b/a)), so the summand is
+    # taken at the ratio >= 1 of each entry
+    u = np.subtract(a, b)
+    np.abs(u, out=u)
+    lo = np.minimum(a, b)
+    u /= lo
+    out = _v_term(s, np.log1p(u), u)
+    out *= lo
+    return out
+
+
+def _r_summands(s, a, b):
+    """b phi_s(a/b) on L = log(a/b) and u = expm1(L), so that an error in L
+    moves a/b alone; near a = b, where phi_s takes its series, on
+    L = log1p((a - b)/b), exact there."""
+    L = np.log(a / b)
+    out = _phi(s, L, np.expm1(L), lambda near: np.log1p((a[near] - b[near]) / b[near]))
+    out *= b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +385,15 @@ def generator_eval(family: GeneratorFamilyKind, s: float | FamilyParam,
     """Evaluate a family generator or one of its first three derivatives.
 
     ``x`` may be a positive scalar or array; the result matches its shape.
-    Orders 2 and 3 have pole-free expressions valid for every ``s``; the
-    value and first derivative dispatch to their limit branches near
-    s in {0, 1}.
+    Orders 2 and 3 are pole-free for every ``s``; the value and first
+    derivative clamp an order near s in {0, 1} to it.
     """
     sv = as_param(s).s
     if order not in (0, 1, 2, 3):
         raise InputError("UNSUPPORTED_ORDER", f"derivative order must be 0..3, got {order}")
     xv = _argument(x)  # the argument is checked before the family
     out = _family_eval(family)(sv, xv, order)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(x) else float(out[0])
 
 
 def _family_eval(family: GeneratorFamilyKind):
@@ -173,8 +405,9 @@ def _family_eval(family: GeneratorFamilyKind):
 
 
 def _argument(x) -> np.ndarray:
-    """A generator argument as a float array, refused unless finite and > 0."""
-    xv = np.asarray(x, dtype=float)
+    """A generator argument as a float array of at least one axis, refused
+    unless finite and > 0."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
         raise DomainError("NONPOSITIVE_ARGUMENT", "generator argument must be finite and > 0")
     return xv
@@ -182,34 +415,44 @@ def _argument(x) -> np.ndarray:
 
 def _phi_eval(s, x: np.ndarray, order: int):
     if order == 0:
-        log_form = lambda: (x - 1.0) * np.log(x)
-        return _branch(s, lambda s: (_power(x, s) + _power(x, 1.0 - s) - (1.0 + x))
-                       / (s * (s - 1.0)), log_form, log_form)
+        return _v_term(_clamp(s), np.log(x), x - 1.0)
     if order == 1:
-        log_form = lambda: 1.0 - 1.0 / x + np.log(x)
-        return _branch(s, lambda s: (s * _power(x, s - 1.0) + (1.0 - s) * _power(x, -s) - 1.0)
-                       / (s * (s - 1.0)), log_form, log_form)
+        s, L, u = _clamp(s), np.log(x), x - 1.0
+        return _e(s - 1.0, L, u) + _e(-s, L, u)
+    L = np.log(x)
     if order == 2:
-        return _power(x, s - 2.0) + _power(x, -s - 1.0)
-    return -((2.0 - s) * _power(x, s - 3.0) + (s + 1.0) * _power(x, -s - 2.0))
+        return np.exp((s - 2.0) * L) + np.exp((-s - 1.0) * L)
+    return -((2.0 - s) * np.exp((s - 3.0) * L) + (s + 1.0) * np.exp((-s - 2.0) * L))
 
 
 def _psi_eval(s, x: np.ndarray, order: int):
-    half = (x + 1.0) / 2.0
     if order == 0:
-        return _branch(
-            s, lambda s: (((_power(x, 1.0 - s) + 1.0) / 2.0) * _power(half, s) - half)
-            / (s * (s - 1.0)),
-            lambda: (x / 2.0) * np.log(x) - half * np.log(half),
-            lambda: half * np.log(half / np.sqrt(x)))
+        return _w_term(_clamp(s), x, 1.0, x - 1.0)
     if order == 1:
-        return _branch(
-            s, lambda s: (((1.0 - s) / 2.0) * _power(x, -s) * _power(half, s)
-                          + (s / 4.0) * (_power(x, 1.0 - s) + 1.0) * _power(half, s - 1.0)
-                          - 0.5) / (s * (s - 1.0)),
-            lambda: -0.5 * np.log(half / x),
-            lambda: (1.0 - 1.0 / x - np.log(x) + 2.0 * np.log(half)) / 4.0)
+        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_slope, x, x - 1.0)
+    L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
-        return ((_power(x, -s - 1.0) + 1.0) / 8.0) * _power(half, s - 2.0)
-    return -(_power(half, s) / (2.0 * (x + 1.0) ** 3)) * (
-        3.0 * _power(x, -s - 1.0) + (s + 1.0) * _power(x, -s - 2.0) + (2.0 - s))
+        return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
+    return -(np.exp(s * half) / (2.0 * (x + 1.0) ** 3)) * (
+        3.0 * np.exp((-s - 1.0) * L) + (s + 1.0) * np.exp((-s - 2.0) * L) + (2.0 - s))
+
+
+def _psi_slope(s, x, d):
+    """psi_s' = phi_s(m/x)/2 - E(s - 1) at m/x over 4x + E(s - 1) at m over 4,
+    the derivative of _w_general at b = 1 (phi_s' = E(s - 1))."""
+    ua = d / x
+    ua *= -0.5
+    la = np.log1p(ua)
+    slope = _e(s - 1.0, la, ua) / x
+    ub = 0.5 * d
+    slope -= _e(s - 1.0, np.log1p(ub), ub)
+    slope *= 0.5
+    out = _phi(s, la, ua)
+    out -= slope
+    out *= 0.5
+    return out
+
+
+def _ag_slope(x, d):
+    """psi_1' = log(m^2/x)/4 + (x - 1)/(4x), the derivative of _ag_row at b = 1."""
+    return 0.25 * (_log_mid(x, 1.0, d) + d / x)

@@ -241,14 +241,16 @@ class CaseResult:
     def record(self, violations: np.ndarray, witness_at: Callable[..., dict]) -> None:
         """Count a block of signed violations, taken in the order of its
         flattened index. Only a new maximum builds its witness, through
-        ``witness_at(*index)``; the first of equal maxima wins."""
+        ``witness_at(*index)``, and only one that is printed: a violation, or
+        any value of a DIAGNOSTIC case. The first of equal maxima wins."""
         self.evaluations += violations.size
         self.violations += int(np.count_nonzero(violations > 0.0))
         top = int(np.argmax(violations))
         worst = float(violations.flat[top])
         if self.max_violation is None or worst > self.max_violation:
             self.max_violation = worst
-            self.witness = witness_at(*np.unravel_index(top, violations.shape))
+            printed = worst > 0.0 or self.severity is Severity.DIAGNOSTIC
+            self.witness = witness_at(*np.unravel_index(top, violations.shape)) if printed else None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -260,8 +262,7 @@ class CaseResult:
             "skipped": self.skipped,
             "max_violation": self.max_violation,
         }
-        if self.witness is not None and (self.violations > 0
-                                         or self.severity is Severity.DIAGNOSTIC):
+        if self.witness is not None:
             out["witness"] = self.witness
         return out
 

@@ -10,9 +10,15 @@ from mpmath import mp, mpf
 mp.dps = 50
 
 
+def _mp(value):
+    """A float as its exact binary value (never through its decimal repr,
+    which moves a near-diagonal pair); an mpf as it is."""
+    return value if isinstance(value, mpf) else mpf(float(value))
+
+
 def _pairs(p, q):
     assert len(p) == len(q)
-    return [(mpf(str(a)), mpf(str(b))) for a, b in zip(p, q)]
+    return [(_mp(a), _mp(b)) for a, b in zip(p, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,37 +84,37 @@ def d_new(p, q):
 
 
 def vajda(m, p, q):
-    m = mpf(str(m))
+    m = _mp(m)
     return sum(abs(a - b) ** m / b ** (m - 1) for a, b in _pairs(p, q))
 
 
 def mixture(p, q):
-    return [(mpf(str(a)) + mpf(str(b))) / 2 for a, b in zip(p, q)]
+    return [(_mp(a) + _mp(b)) / 2 for a, b in zip(p, q)]
 
 
 # ---------------------------------------------------------------------------
 # type-s families, generic branch only (callers keep s away from 0 and 1;
-# at the limit points use kl/j/js/ag above)
+# at the limit points use kl/j/js/ag above). The unit mass is subtracted in
+# each term, which is the program's definition and stays exact when the
+# float weights do not sum to one exactly.
 # ---------------------------------------------------------------------------
 
 def phi_s(s, p, q):
-    s = mpf(str(s))
-    total = sum(a ** s * b ** (1 - s) for a, b in _pairs(p, q))
-    return (total - 1) / (s * (s - 1))
+    s = _mp(s)
+    return sum(a ** s * b ** (1 - s) - s * a - (1 - s) * b
+               for a, b in _pairs(p, q)) / (s * (s - 1))
 
 
 def v_s(s, p, q):
-    s = mpf(str(s))
-    total = sum(a ** s * b ** (1 - s) + a ** (1 - s) * b ** s
-                for a, b in _pairs(p, q))
-    return (total - 2) / (s * (s - 1))
+    s = _mp(s)
+    return sum(a ** s * b ** (1 - s) + a ** (1 - s) * b ** s - a - b
+               for a, b in _pairs(p, q)) / (s * (s - 1))
 
 
 def w_s(s, p, q):
-    s = mpf(str(s))
-    total = sum(((a ** (1 - s) + b ** (1 - s)) / 2) * ((a + b) / 2) ** s
-                for a, b in _pairs(p, q))
-    return (total - 1) / (s * (s - 1))
+    s = _mp(s)
+    return sum(((a ** (1 - s) + b ** (1 - s)) / 2) * ((a + b) / 2) ** s - (a + b) / 2
+               for a, b in _pairs(p, q)) / (s * (s - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +123,14 @@ def w_s(s, p, q):
 # ---------------------------------------------------------------------------
 
 def phi_gen(s, x):
-    s, x = mpf(str(s)), mpf(str(x))
+    s, x = _mp(s), _mp(x)
     if s in (0, 1):
         return (x - 1) * mp.log(x)
     return (x ** s + x ** (1 - s) - (1 + x)) / (s * (s - 1))
 
 
 def psi_gen(s, x):
-    s, x = mpf(str(s)), mpf(str(x))
+    s, x = _mp(s), _mp(x)
     if s == 0:
         return (x / 2) * mp.log(x) - ((x + 1) / 2) * mp.log((x + 1) / 2)
     if s == 1:
@@ -134,7 +140,7 @@ def psi_gen(s, x):
 
 
 def gen_derivative(gen, s, x, order):
-    return mp.diff(lambda t: gen(s, t), mpf(str(x)), order)
+    return mp.diff(lambda t: gen(s, t), _mp(x), order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +158,13 @@ def linearized_mid(gen, s, p, q):
 
 
 def endpoint_a(gen, s, r, big_r):
-    r, big_r = mpf(str(r)), mpf(str(big_r))
+    r, big_r = _mp(r), _mp(big_r)
     return (big_r - r) * (gen_derivative(gen, s, big_r, 1)
                           - gen_derivative(gen, s, r, 1)) / 4
 
 
 def endpoint_b(gen, s, r, big_r):
-    r, big_r = mpf(str(r)), mpf(str(big_r))
+    r, big_r = _mp(r), _mp(big_r)
     return ((big_r - 1) * gen(s, r) + (1 - r) * gen(s, big_r)) / (big_r - r)
 
 
@@ -195,18 +201,18 @@ def third_sup(family, s, r, big_r, scan=200):
     largest |f'''| at r, at R and at each stationary point of f''' inside
     (r, R)."""
     gen = {"PHI": phi_gen, "PSI": psi_gen}[family]
-    s, r, big_r = mpf(str(s)), mpf(str(r)), mpf(str(big_r))
+    s, r, big_r = _mp(s), _mp(r), _mp(big_r)
     points = [r, big_r] + stationary_points(family, s, r, big_r, scan)
     return max(abs(gen_derivative(gen, s, x, 3)) for x in points)
 
 
 def variation(gen, s, r, big_r):
-    return (gen_derivative(gen, s, mpf(str(big_r)), 1)
-            - gen_derivative(gen, s, mpf(str(r)), 1))
+    return (gen_derivative(gen, s, _mp(big_r), 1)
+            - gen_derivative(gen, s, _mp(r), 1))
 
 
 def log_power_mean(power, a, b, raised=False):
-    power, a, b = mpf(str(power)), mpf(str(a)), mpf(str(b))
+    power, a, b = _mp(power), _mp(a), _mp(b)
     if a == b:
         return a ** power if raised else a
     if power == -1:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from symdiv import (GeneratorFamilyKind, ag_js_divergence_type_s, bound_report,
@@ -161,6 +162,15 @@ class TestCompute:
         assert err.splitlines() == [
             "error: [NON_FINITE_RESULT] the result is not finite in double precision"]
 
+    def test_large_order_is_finite(self, capsys, histograms):
+        # V_1000 of this pair is about 9.88e169: finite, and the powers are
+        # taken in log space, so no factor overflows on its own
+        p, q = histograms
+        code, out, err = run(capsys, "compute", "--input-p", p, "--input-q", q,
+                             "--measure", "V:1000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"V:1000": 9.88060538063e+169}
+
     def test_binary_input_exits_one(self, capsys, tmp_path, histograms):
         _, q = histograms
         blob = tmp_path / "blob.bin"
@@ -256,6 +266,14 @@ class TestSweepS:
         code, out, err = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
                              f"--s-grid={grid}")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_large_orders_print_finite_cells(self, capsys, histograms):
+        p, q = histograms
+        code, out, err = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
+                             "--s-grid=-800,1000")
+        assert (code, err) == (0, "")
+        cells = [float(tok) for line in out.strip().splitlines()[1:] for tok in line.split(",")]
+        assert len(cells) == 8 and all(np.isfinite(cells))
 
     def test_round_trip_matches_library(self, capsys, histograms):
         p, q = histograms

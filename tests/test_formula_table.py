@@ -1,0 +1,126 @@
+"""The formula table against 50-digit mpmath near P = Q and at large |s|.
+
+Pairs p = q(1 + eps z) with sum(q z) = 0 and max |z| = 1 put every ratio
+within eps of 1, where summands that cancel lose their digits; the orders
+-800 and 1000 on (0.6, 0.4) against (0.4, 0.6) give values near 1e135 and
+1e170 that overflow when the powers are taken one factor at a time.
+"""
+
+import numpy as np
+import pytest
+from mpmath import mp, mpf
+
+import oracle
+from symdiv import (GeneratorFamilyKind, MeasureKind, ag_js_divergence_type_s,
+                    classic_divergence, generator_eval, j_divergence_type_s,
+                    relative_information_type_s, validate_distribution)
+from symdiv.verify import DEFAULT_GRID
+
+EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+REL = 1e-12
+Q = (0.1, 0.2, 0.3, 0.4)
+Z = (1.0, 1.0, -1.0, 0.0)  # sum(q z) = 0
+FAMILIES = {"V": (j_divergence_type_s, oracle.v_s), "W": (ag_js_divergence_type_s, oracle.w_s),
+            "R": (relative_information_type_s, oracle.phi_s)}
+# the families at their limit orders are classic measures
+LIMITS = {("V", 0.0): lambda p, q: oracle.j_divergence(p, q),
+          ("V", 1.0): lambda p, q: oracle.j_divergence(p, q),
+          ("W", 0.0): lambda p, q: oracle.js_divergence(p, q),
+          ("W", 1.0): lambda p, q: oracle.ag_divergence(p, q),
+          ("R", 0.0): lambda p, q: oracle.kl(q, p),
+          ("R", 1.0): lambda p, q: oracle.kl(p, q)}
+CLASSIC = {MeasureKind.HELLINGER: oracle.hellinger,
+           MeasureKind.BHATTACHARYYA: oracle.bhattacharyya, MeasureKind.TRIANGULAR: oracle.triangular, MeasureKind.HARMONIC: oracle.harmonic,
+           MeasureKind.SYM_CHI2: oracle.sym_chi2, MeasureKind.CHI2: oracle.chi2,
+           MeasureKind.KL: oracle.kl, MeasureKind.J: oracle.j_divergence,
+           MeasureKind.JS: oracle.js_divergence, MeasureKind.AG: oracle.ag_divergence,
+           MeasureKind.D_NEW: oracle.d_new, MeasureKind.TOTAL_VARIATION: oracle.total_variation}
+
+
+def near_pair(eps):
+    p = [q * (1.0 + eps * z) for q, z in zip(Q, Z)]
+    return validate_distribution(p), validate_distribution(Q)
+
+
+def rel_err(value, ref):
+    return float(abs((mpf(value) - ref) / ref))
+
+
+def kl_scale(p, q):
+    return sum(abs(a * mp.log(a / b)) for a, b in zip(map(mpf, p), map(mpf, q)))
+
+
+def defect_err(value, ref, scale):
+    """The error of a measure defined with the weights' sum defect (KL is
+    sum a log(a/b), D_NEW is 1 - sum affinity), relative to the size of its
+    terms: near P = Q the defect is most of the value, and only a sum of
+    the terms that carries it reaches it."""
+    return float(abs(mpf(value) - ref) / scale)
+
+
+@pytest.mark.parametrize("eps", EPS)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_near_the_diagonal(name, eps):
+    p, q = near_pair(eps)
+    pw, qw = p.as_tuple(), q.as_tuple()
+    fn, ref = FAMILIES[name]
+    for s in DEFAULT_GRID:
+        got = fn(s, p, q)
+        if name == "R" and s in (0.0, 1.0):  # KL, as defined
+            a, b = (pw, qw) if s == 1.0 else (qw, pw)
+            assert defect_err(got, LIMITS[name, s](pw, qw), kl_scale(a, b)) <= REL, s
+            continue
+        want = LIMITS[name, s](pw, qw) if (name, s) in LIMITS else ref(s, pw, qw)
+        assert rel_err(got, want) <= REL, (name, s, rel_err(got, want))
+
+
+@pytest.mark.parametrize("eps", EPS)
+def test_classic_measures_near_the_diagonal(eps):
+    p, q = near_pair(eps)
+    pw, qw = p.as_tuple(), q.as_tuple()
+    for kind, ref in CLASSIC.items():
+        got, want = classic_divergence(kind, p, q), ref(pw, qw)
+        if kind is MeasureKind.KL:
+            assert defect_err(got, want, kl_scale(pw, qw)) <= REL
+        elif kind is MeasureKind.D_NEW:
+            assert defect_err(got, want, 1 - want) <= REL
+        else:
+            assert rel_err(got, want) <= REL, (kind, rel_err(got, want))
+
+
+@pytest.mark.parametrize("s", [-800.0, 1000.0])
+def test_families_at_large_orders(s):
+    p, q = validate_distribution([0.6, 0.4]), validate_distribution([0.4, 0.6])
+    for name, (fn, ref) in FAMILIES.items():
+        got = fn(s, p, q)
+        assert np.isfinite(got)
+        assert rel_err(got, ref(s, p.as_tuple(), q.as_tuple())) <= REL, name
+    assert j_divergence_type_s(1000.0, p, q) == pytest.approx(9.88060538063e169, rel=1e-11)
+
+
+@pytest.mark.parametrize("family", list(GeneratorFamilyKind), ids=lambda f: f.value)
+def test_generators_near_one(family):
+    gen = oracle.phi_gen if family is GeneratorFamilyKind.PHI else oracle.psi_gen
+    for s in DEFAULT_GRID:
+        for eps in EPS:
+            for x in (1.0 + eps, 1.0 - eps):
+                for order in range(4):
+                    want = gen(s, x) if order == 0 else oracle.gen_derivative(gen, s, x, order)
+                    got = generator_eval(family, s, x, order)
+                    assert rel_err(got, want) <= REL, (family.value, s, x, order)
+
+
+def test_error_at_the_window_edges(capsys):
+    # just outside a limit window the generic formulas meet the poles of
+    # 1/(s (s - 1)): the worst error against mpmath there is printed, and it
+    # must stay inside C5's 1e-8
+    p, q = near_pair(1e-2)
+    pw, qw = p.as_tuple(), q.as_tuple()
+    worst = 0.0
+    for name, (fn, ref) in FAMILIES.items():
+        for s0 in (0.0, 1.0):
+            for s in (s0 - 1.00001e-5, s0 + 1.00001e-5):
+                worst = max(worst, rel_err(fn(s, p, q), ref(s, pw, qw)))
+    with capsys.disabled():
+        print(f"\nworst relative error at s0 +- 1.00001e-5: {worst:.2e}")
+    assert worst <= 1e-8

@@ -180,6 +180,15 @@ class TestRunSweep:
         payload = diag.to_json_dict()
         assert "witness" in payload
 
+    def test_passing_assert_case_builds_no_witness(self, pair):
+        # a witness is built only when it is printed
+        results = check_bounds_suite(*pair, s_grid=(0.5,))
+        passing = [c for c in results if c.severity is Severity.ASSERT and c.evaluations]
+        assert passing and all(c.passed for c in passing)
+        for case in passing:
+            assert case.witness is None, case.case_id
+            assert "witness" not in case.to_json_dict()
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             SweepConfig(samples_per_dim=0)
