@@ -33,11 +33,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import MeasureKind, _abs_chi, _classic, _column
+from .divergences import _abs_chi_terms, _column
 from .errors import DomainError, InputError
-from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _family_eval,
-                       as_param, generator_eval)
-from .simplex import Distribution, RatioBounds, _require_same_dim, ratio_bounds
+from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks,
+                       _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
+                       generator_eval)
+from .simplex import Distribution, RatioBounds, _ratio_range, _require_same_dim
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 _COMPARE_GRID_POINTS = 1024
@@ -59,14 +60,17 @@ class Generator:
     monotonic on (0, inf); when it is UNKNOWN the curvature-drop bound is
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
-    without it the third-derivative bound is unavailable. ``eval`` is the
-    checked public entry; the engine's kernels call ``evaluate`` on ratios
-    of validated weights, and the public functions check their finished
-    values (``_checked``). The engine evaluates on 1-D arrays of ratio-range
-    ends, one value per pair, for one pair and a stack alike. A generator
-    over a grid of orders (``_family_generator``, for the sweep) has a name
-    and a flag per order, as tuples; its results lead with the grid axis,
-    and its construction checks name the first failing order.
+    without it the third-derivative bound is unavailable.
+    ``value_and_slope(x)`` may return (f, f') at one array x together, with
+    the bits of ``evaluate`` at orders 0 and 1. ``eval`` is the checked
+    public entry; the engine's kernels call ``evaluate`` and
+    ``value_and_slope`` on ratios of validated weights, and the public
+    functions check their finished values, rerunning a failure through
+    ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
+    ratio-range ends, one value per pair, for one pair and a stack alike. A
+    generator over a grid of orders (``_family_generator``, for the sweep)
+    has a name and a flag per order, as tuples; its results lead with the
+    grid axis, and its construction checks name the first failing order.
     """
 
     name: str | tuple[str, ...]
@@ -74,6 +78,7 @@ class Generator:
     max_order: int = 3
     curvature_monotonicity: Curvature | tuple[Curvature, ...] = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    value_and_slope: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -121,6 +126,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     one = lambda per_order: per_order if grid else per_order[0]
     orders = s.tolist() if grid else [s]
     solve = _phi_stationary if kind is GeneratorFamilyKind.PHI else _psi_stationary
+    both = _phi_value_and_slope if kind is GeneratorFamilyKind.PHI else _psi_value_and_slope
 
     @functools.cache
     def stationary() -> list:
@@ -146,6 +152,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
         max_order=3, curvature_monotonicity=one(tuple(
             Curvature.DECREASING if -1.0 <= v <= 2.0 else Curvature.UNKNOWN for v in orders)),
         third_sup_closed_form=third_sup,
+        value_and_slope=lambda x: both(_column(s, np.ndim(x)), x),
     )
 
 
@@ -227,8 +234,14 @@ def _checked(kernel, gen: Generator, *args):
     out = kernel(gen, *args)
     values = out if isinstance(out, tuple) else (out,)
     if not all(v is None or np.isfinite(v).all() for v in values):
-        kernel(replace(gen, evaluate=gen.eval), *args)
+        kernel(_checking(gen), *args)
     return out
+
+
+def _checking(gen: Generator, orders=range(4)) -> Generator:
+    """gen on the generic path, its ``orders`` taken through ``gen.eval``."""
+    return replace(gen, value_and_slope=None, evaluate=lambda order, x: (
+        gen.eval if order in orders else gen.evaluate)(order, x))
 
 
 # the sums over the last axis of weight arrays: one value per pair of rows
@@ -243,8 +256,27 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
     return e, e_star
 
 
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray):
-    return (_divergence(gen, a, b), *_linearized(gen, a, b))
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, pair: bool = False) -> list:
+    """[value, E, E*] (with ``pair``, then chi^2, |chi|^3, TV, r and R) in one
+    pass over blocks that form d = a - b, x = a/b and x* = (a + b)/(2b) once;
+    each sum adds its blocks in order, so it has the bits of a pass alone."""
+    both = gen.value_and_slope or (lambda x: (gen.evaluate(0, x), gen.evaluate(1, x)))
+    sums, ends = [], []
+    for a, b in _blocks(a, b):  # each term is summed as it is formed: few temporaries live
+        d, x = a - b, a / b
+        spread = [(d ** 2 / b).sum(axis=-1), _abs_chi_terms(3.0, np.abs(d), b).sum(axis=-1),
+                  np.abs(d).sum(axis=-1)] if pair else []
+        f, slope = both(x)
+        sums.append([(b * f).sum(axis=-1), (d * slope).sum(axis=-1),
+                     (d * gen.evaluate(1, (a + b) / (2.0 * b))).sum(axis=-1), *spread])
+        if pair:
+            ends.append(_ratio_range(x))
+    # as _blocked adds them: one block's sum as it is, several from 0
+    out = [column[0] if len(column) == 1 else sum(column) for column in zip(*sums)]
+    if ends:
+        low, high = zip(*ends)
+        out += [functools.reduce(np.minimum, low), functools.reduce(np.maximum, high)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +410,21 @@ class BoundReport:
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
     """Assemble the divergence value and every applicable bound for a pair:
-    both halves of the sweep's kernel on the pair as a block of one."""
+    one pass over its entries (``_sums``), then the sweep's report kernel
+    on the pair as a block of one."""
     _require_same_dim(p, q)
-    rb = ratio_bounds(p, q)
     a, b = p.weights[None], q.weights[None]
-    fields = _checked(lambda gen, *rest: _report(gen, _sums(gen, a, b), *rest), gen,
-                      None if rb.degenerate else rb.ends(), _classic(MeasureKind.CHI2, a, b),
-                      _abs_chi(3.0, a, b), _classic(MeasureKind.TOTAL_VARIATION, a, b))
-    return BoundReport(gen.name, *(None if v is None else float(v[0]) for v in fields), rb)
+    *sums, chi2, abs_chi3, tv, r, big_r = _sums(gen, a, b, pair=True)
+    rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
+    report = lambda gen: [None if v is None else float(v[0]) for v in _report(
+        gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
+    fields = report(gen)
+    if not all(v is None or math.isfinite(v) for v in fields):
+        # _checked's rerun, f over every block first (the value precedes E)
+        _sums(_checking(gen, {0}), a, b)
+        _sums(_checking(gen), a, b)
+        report(_checking(gen))
+    return BoundReport(gen.name, *fields, rb)
 
 
 # ---------------------------------------------------------------------------

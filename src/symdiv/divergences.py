@@ -102,7 +102,12 @@ def _check_order(m: float) -> None:
 
 def _abs_chi(m, a: np.ndarray, b: np.ndarray):
     """vajda_abs_chi summed over the last axis, for validated orders m."""
-    return _blocked(lambda a, b: np.power(np.abs(a - b), m) / np.power(b, m - 1.0), a, b)
+    return _blocked(lambda a, b: _abs_chi_terms(m, np.abs(a - b), b), a, b)
+
+
+def _abs_chi_terms(m, size, b):
+    """|chi|^m's summands from size = |a - b|."""
+    return np.power(size, m) / np.power(b, m - 1.0)
 
 
 def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:

@@ -347,11 +347,14 @@ def _kl_summands(a, b):
 
 def _blocked(summands, a: np.ndarray, b: np.ndarray):
     """summands(a, b) summed over the last axis, a block of entries at a time."""
-    n = a.shape[-1]
-    if n <= _BLOCK:
+    if a.shape[-1] <= _BLOCK:
         return summands(a, b).sum(axis=-1)
-    return sum(summands(a[..., i:i + _BLOCK], b[..., i:i + _BLOCK]).sum(axis=-1)
-               for i in range(0, n, _BLOCK))
+    return sum(summands(a, b).sum(axis=-1) for a, b in _blocks(a, b))
+
+
+def _blocks(a: np.ndarray, b: np.ndarray) -> list:
+    """(a, b) cut into blocks of ``_BLOCK`` entries along the last axis."""
+    return [(a[..., i:i + _BLOCK], b[..., i:i + _BLOCK]) for i in range(0, a.shape[-1], _BLOCK)]
 
 
 def _v_summands(s, a, b):
@@ -414,11 +417,9 @@ def _argument(x) -> np.ndarray:
 
 
 def _phi_eval(s, x: np.ndarray, order: int):
-    if order == 0:
-        return _v_term(_clamp(s), np.log(x), x - 1.0)
-    if order == 1:
+    if order < 2:
         s, L, u = _clamp(s), np.log(x), x - 1.0
-        return _e(s - 1.0, L, u) + _e(-s, L, u)
+        return _v_term(s, L, u) if order == 0 else _phi_slope(s, L, u)
     L = np.log(x)
     if order == 2:
         return np.exp((s - 2.0) * L) + np.exp((-s - 1.0) * L)
@@ -429,7 +430,7 @@ def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
         return _w_term(_clamp(s), x, 1.0, x - 1.0)
     if order == 1:
-        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_slope, x, x - 1.0)
+        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_general, x, x - 1.0)
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
         return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
@@ -437,20 +438,49 @@ def _psi_eval(s, x: np.ndarray, order: int):
         3.0 * np.exp((-s - 1.0) * L) + (s + 1.0) * np.exp((-s - 2.0) * L) + (2.0 - s))
 
 
-def _psi_slope(s, x, d):
+def _phi_slope(s, L, u):
+    """phi_s' = E(s - 1) + E(-s), at a clamped order."""
+    return _e(s - 1.0, L, u) + _e(-s, L, u)
+
+
+def _phi_value_and_slope(s, x: np.ndarray):
+    """(phi_s, phi_s') on one log x and x - 1."""
+    s, L, u = _clamp(s), np.log(x), x - 1.0
+    slope = _phi_slope(s, L, u)  # first: _v_term may overwrite L and u
+    return _v_term(s, L, u), slope
+
+
+def _psi_value_and_slope(s, x: np.ndarray):
+    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
+    phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
+    s = _clamp(s)
+    if np.any((s == 0.0) | (s == 1.0)):
+        return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
+    return _psi_general(s, x, x - 1.0, value=True)
+
+
+def _psi_general(s, x, d, value=False):
     """psi_s' = phi_s(m/x)/2 - E(s - 1) at m/x over 4x + E(s - 1) at m over 4,
-    the derivative of _w_general at b = 1 (phi_s' = E(s - 1))."""
+    the derivative of _w_general at b = 1 (phi_s' = E(s - 1)); with
+    ``value``, (psi_s, psi_s'), psi_s with the bits of _w_general from the
+    same logs and phi_s(m/x)."""
     ua = d / x
     ua *= -0.5
     la = np.log1p(ua)
-    slope = _e(s - 1.0, la, ua) / x
     ub = 0.5 * d
-    slope -= _e(s - 1.0, np.log1p(ub), ub)
+    lb = np.log1p(ub)
+    slope = _e(s - 1.0, la, ua) / x
+    slope -= _e(s - 1.0, lb, ub)
     slope *= 0.5
-    out = _phi(s, la, ua)
-    out -= slope
-    out *= 0.5
-    return out
+    at_a = _phi(s, la, ua)
+    np.subtract(at_a, slope, out=slope)
+    slope *= 0.5
+    if not value:
+        return slope
+    at_a *= x
+    at_a += _phi(s, lb, ub)
+    at_a *= 0.5
+    return at_a, slope
 
 
 def _ag_slope(x, d):

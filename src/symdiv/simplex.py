@@ -187,13 +187,12 @@ def ratio_bounds(p: Distribution, q: Distribution) -> RatioBounds:
     ratio sum(P)/sum(Q)); the interval is widened to include one, which
     keeps every downstream bound valid."""
     _require_same_dim(p, q)
-    r, big_r = _ratio_range(p.weights, q.weights)
+    r, big_r = _ratio_range(p.weights / q.weights)
     return RatioBounds(float(r), float(big_r))
 
 
-def _ratio_range(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, R) of ``ratio_bounds`` for each pair of rows (last axis) of weights."""
-    ratios = a / b
+def _ratio_range(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, R) of ``ratio_bounds`` for each row (last axis) of likelihood ratios."""
     return np.minimum(ratios.min(axis=-1), 1.0), np.maximum(ratios.max(axis=-1), 1.0)
 
 

@@ -466,7 +466,7 @@ class _Stack:
     @property
     def ends(self) -> np.ndarray:
         """(r, R), the ratio range of each pair, as two rows."""
-        return self._summed("ends", lambda a, b: np.array(_ratio_range(a, b)))
+        return self._summed("ends", lambda a, b: np.array(_ratio_range(a / b)))
 
     r = property(lambda self: self.ends[0])
     big_r = property(lambda self: self.ends[1])

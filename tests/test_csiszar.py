@@ -16,8 +16,9 @@ from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, Inpu
                     smoothness_bounds, validate_distribution)
 import symdiv.csiszar as csiszar
 from symdiv.csiszar import _family_generator, _psi_stationary
+from symdiv.families import _BLOCK, _family_eval, _phi_value_and_slope, _psi_value_and_slope
 from symdiv.means import raised_mean
-from symdiv.verify import DEFAULT_GRID, pair_for
+from symdiv.verify import DEFAULT_GRID, _grids, _stack, pair_for
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=10)
@@ -310,6 +311,59 @@ class TestBoundReport:
                     assert_close(rep.value, rep.endpoint_B, 1e-12,
                                  f"{family.value} s={s}")
 
+    @pytest.mark.parametrize("kind", [PHI, PSI])
+    def test_shared_logs_keep_the_generic_bits(self, kind):
+        # family_generator takes f and f' at one x together (value_and_slope);
+        # a plain Generator over the same evaluate takes the generic path, one
+        # call per order. Every field keeps its bits, or both refuse alike, in
+        # one block, across blocks and near P = Q, and so does the stack that
+        # check_bounds_suite builds for the pair
+        orders = DEFAULT_GRID + (1e-6, -1e-6, 1.0 + 1e-6, 1.0 - 1e-6, -800.0, 1000.0)
+        rng = np.random.default_rng(23)
+        pairs = [tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, n)))
+                 for n in (3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3)]
+        pairs.append((blend(*pairs[0], 1e-6), pairs[0][1]))
+        core = _family_eval(kind)
+        both = _phi_value_and_slope if kind is PHI else _psi_value_and_slope
+        plain = lambda gen: Generator(gen.name, gen.evaluate, gen.max_order,
+                                      gen.curvature_monotonicity, gen.third_sup_closed_form)
+
+        def outcome(call):
+            try:
+                return vars(call())
+            except DomainError as err:
+                return str(err)
+        grid = []
+        with np.errstate(over="ignore", invalid="ignore"):  # -800 and 1000 overflow
+            for s in orders:
+                for p, q in pairs:  # the closed form itself, also where f'' overflows
+                    for x in (p.weights / q.weights, (p.weights + q.weights) / (2.0 * q.weights)):
+                        for got, order in zip(both(s, x), (0, 1)):
+                            assert np.array_equal(got, core(s, x, order), equal_nan=True), (s, order)
+                family = outcome(lambda: family_generator(kind, s))
+                if isinstance(family, str):  # -800 and 1000: f'' overflows on the spot grid
+                    assert outcome(lambda: Generator(
+                        f"{kind.value}(s={s:g})", lambda order, x: core(s, x, order))) == family
+                    continue
+                grid.append(s)
+                gen = family_generator(kind, s)
+                assert gen.value_and_slope is not None and plain(gen).value_and_slope is None
+                for p, q in pairs:
+                    assert outcome(lambda: bound_report(gen, p, q)) == \
+                        outcome(lambda: bound_report(plain(gen), p, q)), (s, p.dim)
+        compared = 0
+        for p, q in pairs:
+            engine = _stack([(p, q)], _grids(grid, (), (kind,))).report(kind, tuple(grid))
+            for row, s in enumerate(grid):
+                for name, one in vars(bound_report(family_generator(kind, s), p, q)).items():
+                    if name in ("generator", "ratio_bounds") or one is None:
+                        continue  # delta is None where f'' is not known monotone
+                    stacked = getattr(engine, name)
+                    assert one == float(stacked[row, 0] if stacked.ndim == 2 else stacked[0]), \
+                        (s, p.dim, name)
+                    compared += 1
+        assert compared > 500
+
     def test_json_field_names(self, pair):
         rep = bound_report(family_generator(PSI, 0.5), *pair)
         payload = rep.to_json_dict()
@@ -463,14 +517,23 @@ class TestBoundaryChecks:
 
     def test_bound_report_names_the_first_failing_value(self, pair):
         # f and f' both fail at R = 1.5: the report evaluates the value first,
-        # then E and E*, then the endpoint and smoothness terms
-        def evaluate(order, x):
-            out = {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
-            return np.where(np.abs(x - 1.5) < 1e-9, np.inf, out) if order < 2 else out
-        gen = Generator(name="holed", evaluate=evaluate, max_order=2)
-        with pytest.raises(DomainError) as err:
-            bound_report(gen, *pair)
-        assert str(err.value) == "[GENERATOR_DOMAIN] generator 'holed' evaluation failed at order 0"
+        # then E and E*, then the endpoint and smoothness terms. Over more
+        # than one block of entries, f' failing in the first block and f only
+        # in the second, the value still comes first
+        def holed(at_f, at_slope):
+            def evaluate(order, x):
+                out = {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
+                hole = (at_f, at_slope)[order] if order < 2 else None
+                return out if hole is None else np.where(np.abs(x - hole) < 1e-9, np.inf, out)
+            return Generator(name="holed", evaluate=evaluate, max_order=2)
+        q = np.full(_BLOCK + 2, 1.0 / (_BLOCK + 2))
+        p = q * np.concatenate([[1.5], np.ones(_BLOCK), [0.5]])  # ratio 1.5 first, 0.5 last
+        for gen, pq in ((holed(1.5, 1.5), pair),
+                        (holed(0.5, 1.5), (validate_distribution(p), validate_distribution(q)))):
+            with pytest.raises(DomainError) as err:
+                bound_report(gen, *pq)
+            assert str(err.value) == \
+                "[GENERATOR_DOMAIN] generator 'holed' evaluation failed at order 0"
 
     @pytest.mark.parametrize("kind", [MeasureKind.J, "PHI", None, 1])
     def test_family_generator_refuses_other_kinds(self, kind):
