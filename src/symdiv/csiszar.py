@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -86,9 +87,11 @@ class Generator:
                               "a generator must provide at least orders 0..2")
         names = (self.name,) if isinstance(self.name, str) else self.name
         at_one = np.asarray(self.evaluate(0, np.array([1.0]))).reshape(len(names))
-        curvature = np.asarray(self.evaluate(2, _SPOT_GRID)).reshape(len(names), -1)
+        with warnings.catch_warnings():  # f'' may overflow to +inf; np.errstate slows later ufuncs
+            warnings.simplefilter("ignore", RuntimeWarning)
+            curvature = np.asarray(self.evaluate(2, _SPOT_GRID)).reshape(len(names), -1)
         unnormalized = np.abs(at_one) > 1e-12
-        failed = unnormalized | ~(np.isfinite(curvature) & (curvature > 0.0)).all(axis=1)
+        failed = unnormalized | ~(curvature > 0.0).all(axis=1)  # NaN fails too
         if failed.any():  # the first failing order, normalization before curvature
             row = int(failed.argmax())
             problem = (f"is not normalized: f(1) = {float(at_one[row])!r}" if unnormalized[row]

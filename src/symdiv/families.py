@@ -19,8 +19,9 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 
 * V's generator is E(s) E(1-s) and its slope E(s-1) + E(-s);
 * relative information's is phi_s = (E(s) - u)/(s - 1), which takes its
-  Taylor series in L where that difference cancels; R_s for s > 1/2 is
-  R_{1-s} with P and Q swapped, and W's summand is
+  Taylor series in L where that difference cancels (alone, on a block of
+  one order wholly inside half the series edge: the same branch and bits);
+  R_s for s > 1/2 is R_{1-s} with P and Q swapped, and W's summand is
   (a phi_s(m/a) + b phi_s(m/b))/2 with m = (a + b)/2;
 * J is V_0; JS and AG, the summands of W_0 and W_1, are
   (|a-b| log(hi/lo) - (a+b) log(m^2/ab))/4 and (a+b) log(m^2/ab)/4, both
@@ -56,8 +57,9 @@ _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
 _BLOCK = 32768
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
-# series then reach the last bit
-_SERIES_EDGE, _SERIES_TERMS = 0.003, 8
+# series then reach the last bit; a block of one order wholly within this
+# share of the edge takes the series alone (``_alone``)
+_SERIES_EDGE, _SERIES_TERMS, _ALONE = 0.003, 8, 0.5
 
 
 @dataclass(frozen=True)
@@ -134,17 +136,17 @@ def _e_constants(k: np.ndarray):
 
 
 @functools.lru_cache(maxsize=256)
-def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...]]:
-    """1/(k - 1); the least phi_k at the edge of its series, |L| =
-    edge/max(|k - 1|, 1/2), below which a direct value is replaced; and the
-    series coefficients h_n/(n+2)! of L^(n+2), h_n = 1 + k + ... + k^n."""
+def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...], float]:
+    """1/(k - 1); the least phi_k at the edge of its series, |L| = edge =
+    _SERIES_EDGE/max(|k - 1|, 1/2), below which a direct value is replaced;
+    the coefficients h_n/(n+2)! of L^(n+2), h_n = 1 + k + ... + k^n; edge."""
     h, scale, c = 1.0, 2.0, []
     for n in range(_SERIES_TERMS):
         c.append(h / scale)
         h, scale = 1.0 + k * h, scale * (n + 3)
     edge = _SERIES_EDGE / max(abs(k - 1.0), 0.5)
     least = min(L * L * sum(cn * L ** n for n, cn in enumerate(c)) for L in (edge, -edge))
-    return 1.0 / (k - 1.0), least, tuple(c)
+    return 1.0 / (k - 1.0), least, tuple(c), edge
 
 
 @_per_column
@@ -160,6 +162,8 @@ def _phi(k, L, u, log=None):
     the least value at the edge) its series in L. L spans the trailing axes
     of the result; ``log(near)``, when given, is L exact on those entries."""
     grid = isinstance(k, np.ndarray)
+    if not grid and log is None and (out := _alone(k, L)) is not None:
+        return out
     reciprocal, least = _phi_edges(k) if grid else _phi_edge(k)[:2]
     out = _e(k, L, u)
     out = out - u if out is L or out is u else np.subtract(out, u, out=out)
@@ -169,7 +173,7 @@ def _phi(k, L, u, log=None):
         return out
     if not grid:
         x = L[near] if log is None else log(near)
-        out[near] = _series(_phi_edge(k)[2][:_series_length(k, np.abs(x).max())], x)
+        out[near] = _phi_series(k, x, np.abs(x).max())
         return out
     # all rows at once, each with its order's coefficients, zero past the
     # length that row needs: a zero lead leaves Horner's sum the bits of
@@ -181,6 +185,23 @@ def _phi(k, L, u, log=None):
         c[:n, j] = _phi_edge(order)[2][:n]
     np.copyto(out, _series(c.reshape((-1,) + k.shape), L), where=near)
     return out
+
+
+def _alone(k: float, L: np.ndarray):
+    """phi_k's series on all of L (_phi's, or R's exact log) when every |L|
+    is within half of its edge, else None. There phi_k, which grows as L^2
+    on either side, is below the least value at the edge by a factor of
+    about 4, far more than the rounding of the direct value can close: the
+    mask would take the series on every entry, so the block takes it alone,
+    with the same bits. The first entry is looked at before any pass."""
+    limit = _ALONE * _phi_edge(k)[3]
+    if L.size and abs(L.flat[0]) <= limit and (top := np.abs(L).max()) <= limit:
+        return _phi_series(k, L, top)
+
+
+def _phi_series(k: float, x, top: float):
+    """phi_k's series at L = x, to the terms that reach the last bit at |L| <= top."""
+    return _series(_phi_edge(k)[2][:_series_length(k, top)], x)
 
 
 def _series_length(k: float, top: float) -> int:
@@ -371,10 +392,15 @@ def _v_summands(s, a, b):
 
 def _r_summands(s, a, b):
     """b phi_s(a/b) on L = log(a/b) and u = expm1(L), so that an error in L
-    moves a/b alone; near a = b, where phi_s takes its series, on
-    L = log1p((a - b)/b), exact there."""
-    L = np.log(a / b)
-    out = _phi(s, L, np.expm1(L), lambda near: np.log1p((a[near] - b[near]) / b[near]))
+    moves a/b alone; where phi_s takes its series, on L = log1p((a - b)/b),
+    exact near a = b, and over the whole block when its first entry is near."""
+    first = a.flat[0] / b.flat[0] - 1.0  # the first entry's offset u
+    exact = np.log1p((a - b) / b) if abs(first) <= _ALONE * _phi_edge(s)[3] else None
+    out = None if exact is None else _alone(s, exact)
+    if out is None:
+        L = np.log(a / b)
+        out = _phi(s, L, np.expm1(L), lambda near: (
+            np.log1p((a[near] - b[near]) / b[near]) if exact is None else exact[near]))
     out *= b
     return out
 

@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
+import symdiv
 from symdiv import (GeneratorFamilyKind, ag_js_divergence_type_s, bound_report,
                     family_generator, j_divergence_type_s, relative_information_type_s,
                     validate_distribution)
@@ -224,6 +228,32 @@ class TestBounds:
         assert payload["generator"] == report.generator == f"{family}(s=-1.5)"
         assert payload["value"] == float(format(report.value, ".12g"))
 
+    @pytest.mark.parametrize("kind", list(GeneratorFamilyKind), ids=lambda k: k.value)
+    def test_large_order_generators_build(self, kind):
+        # f'' > 0 overflows to +inf on the spot grid, and +inf is positive
+        assert family_generator(kind, 1000.0).name == f"{kind.value}(s=1000)"
+
+    def test_order_1000_reports_finite_fields(self, capsys, histograms):
+        p, q = histograms
+        code, out, _ = run(capsys, "bounds", "--input-p", p, "--input-q", q,
+                           "--measure", "PHI:1000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(np.isfinite(v) for v in payload.values() if isinstance(v, float))
+        want = oracle.v_s(1000.0, (0.6, 0.4), (0.4, 0.6))
+        assert abs((payload["value"] - want) / want) <= 1e-12
+
+    def test_psi_at_minus_800_is_finite_or_refused(self, capsys, histograms):
+        # a RuntimeWarning would fail this test: the suite turns them into errors
+        p, q = histograms
+        code, out, err = run(capsys, "bounds", "--input-p", p, "--input-q", q,
+                             "--measure", "PSI:-800", "--format", "json")
+        if code == 0:
+            payload = json.loads(out)
+            assert all(np.isfinite(v) for v in payload.values() if isinstance(v, float))
+        else:
+            assert re.fullmatch(r"error: \[[A-Z_]+\] .*\n", err), err
+
     def test_requires_family_generator(self, capsys, histograms):
         p, q = histograms
         code, _, err = run(capsys, "bounds", "--input-p", p, "--input-q", q,
@@ -357,9 +387,13 @@ class TestVerify:
 class TestConsoleEntry:
     def test_module_invocation(self, histograms):
         p, q = histograms
+        # the child imports the symdiv under test, installed or not
+        src = str(Path(symdiv.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "symdiv.cli", "compute", "--input-p", p,
              "--input-q", q, "--measure", "J", "--format", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_COMPUTE_J

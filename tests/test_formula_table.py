@@ -11,9 +11,10 @@ import pytest
 from mpmath import mp, mpf
 
 import oracle
-from symdiv import (GeneratorFamilyKind, MeasureKind, ag_js_divergence_type_s,
-                    classic_divergence, generator_eval, j_divergence_type_s,
-                    relative_information_type_s, validate_distribution)
+from symdiv import (DomainError, GeneratorFamilyKind, MeasureKind, ag_js_divergence_type_s,
+                    bound_report, classic_divergence, family_generator, generator_eval,
+                    j_divergence_type_s, relative_information_type_s, validate_distribution)
+from symdiv import families
 from symdiv.verify import DEFAULT_GRID
 
 EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
@@ -124,3 +125,110 @@ def test_error_at_the_window_edges(capsys):
     with capsys.disabled():
         print(f"\nworst relative error at s0 +- 1.00001e-5: {worst:.2e}")
     assert worst <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# a block wholly inside half of phi_k's series edge takes the series alone
+# ---------------------------------------------------------------------------
+
+# DEFAULT_GRID holds the kernels benchmark's s grid
+ALONE_ORDERS = DEFAULT_GRID + (-1.00001e-5, 1.00001e-5, 1.0 - 1.00001e-5, 1.0 + 1.00001e-5,
+                               -800.0, 1000.0)
+
+
+def mirrored_pair(t, rng):
+    """Entries at L = -t and +t (a/b = e^-t and e^t), each sum the same."""
+    c = rng.uniform(0.5, 1.5, t.size)
+    a, b = np.concatenate([c, c * np.exp(t)]), np.concatenate([c * np.exp(t), c])
+    return validate_distribution(a / a.sum()), validate_distribution(b / a.sum())
+
+
+def block_pair(n, rng, eps=1e-7):
+    """n entries whose first block is within eps of P = Q; the second block
+    mixes such entries with generic ones (a/b up to 4), in mirrored pairs."""
+    generic = max(n - families._BLOCK, 0) // 4
+    q = rng.uniform(0.5, 1.5, n - 2 * generic)
+    z = rng.uniform(-1.0, 1.0, q.size)
+    z -= (q * z).sum() / q.sum()  # sum(q z) = 0
+    near = q * (1.0 + eps * z / np.abs(z).max())
+    c, ratio = rng.uniform(0.5, 1.5, generic), np.exp(rng.uniform(-1.4, 1.4, generic))
+    cut = min(n, families._BLOCK)
+    a = np.concatenate([near[:cut], c, c * ratio, near[cut:]])
+    b = np.concatenate([q[:cut], c * ratio, c, q[cut:]])
+    return validate_distribution(a / b.sum()), validate_distribution(b / b.sum())
+
+
+def shortcut_cases():
+    """(pair, orders): near pairs at every order, at eps 1e-2 .. 1e-12 and
+    at n = 3, _BLOCK -+ 1 and 2 _BLOCK + 3; and per order, pairs whose |L|
+    reach 0.4 .. 1.1 of the edge of each phi_k the order takes: R's (k = s
+    or 1 - s), W's and PSI's at the midpoints (L about half of log(a/b)),
+    and E*'s at (a + b)/2b (a quarter)."""
+    rng = np.random.default_rng(1414)
+    cases = [(near_pair(eps), ALONE_ORDERS) for eps in EPS + (1e-11, 1e-12)]
+    cases += [(block_pair(n, rng), ALONE_ORDERS) for n in
+              (3, families._BLOCK - 1, families._BLOCK + 1, 2 * families._BLOCK + 3)]
+    for s in ALONE_ORDERS:
+        for k, scale in ((s if s <= 0.5 else 1.0 - s, 1.0), (s, 2.0), (s, 4.0)):
+            edge = families._SERIES_EDGE / max(abs(k - 1.0), 0.5)
+            for reach in (0.4, 0.5, 0.9, 0.999, 1.0, 1.1):
+                t = reach * scale * edge * np.linspace(0.25, 1.0, 4)
+                cases.append((mirrored_pair(t, rng), (s,)))
+    return cases
+
+
+def family_outputs(cases):
+    """V, W, R, PHI's and PSI's orders 0-3 at the pair's ratios and their bound
+    reports (or refusals), each float as its bytes."""
+    def report(kind, s, p, q):
+        try:
+            return {k: np.float64(v).tobytes() if isinstance(v, float) else v
+                    for k, v in vars(bound_report(family_generator(kind, s), p, q)).items()}
+        except DomainError as err:
+            return str(err)
+    out = []
+    for (p, q), orders in cases:
+        x = p.weights / q.weights
+        for s in orders:
+            out.append((s, p.dim, [np.float64(fn(s, p, q)).tobytes() for fn in
+                                   (j_divergence_type_s, ag_js_divergence_type_s,
+                                    relative_information_type_s)]))
+            for kind in GeneratorFamilyKind:
+                out.append((s, p.dim, kind, [generator_eval(kind, s, x, order).tobytes()
+                                             for order in range(4)], report(kind, s, p, q)))
+    return out
+
+
+def test_series_alone_keeps_the_masked_bits(monkeypatch):
+    cases = shortcut_cases()
+    taken = []
+    alone = families._alone
+    monkeypatch.setattr(families, "_alone", lambda k, L: taken.append(alone(k, L)) or taken[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # -800 and 1000 overflow far out
+        fast = family_outputs(cases)
+        assert sum(series is not None for series in taken) > 1000
+        monkeypatch.setattr(families, "_ALONE", -1.0)  # no block passes: each takes the mask
+        taken.clear()
+        masked = family_outputs(cases)
+    assert all(series is None for series in taken)
+    assert len(fast) == len(masked)
+    for one, other in zip(fast, masked):
+        assert one == other, one[:3]
+
+
+def test_near_diagonal_blocks_skip_the_direct_value(monkeypatch):
+    p, q = near_pair(1e-6)
+    want = [fn(0.5, p, q) for fn in (relative_information_type_s, ag_js_divergence_type_s)]
+    calls = []
+    e, expm1 = families._e, np.expm1
+    monkeypatch.setattr(families, "_e", lambda *args: calls.append("_e") or e(*args))
+    monkeypatch.setattr(np, "expm1", lambda *args, **kw: calls.append("expm1") or expm1(*args, **kw))
+    assert relative_information_type_s(0.5, p, q) == want[0]
+    assert ag_js_divergence_type_s(0.5, p, q) == want[1]
+    assert calls == []
+    monkeypatch.setattr(families, "_ALONE", -1.0)  # the spies see the masked path
+    relative_information_type_s(0.5, p, q)
+    assert calls[:2] == ["expm1", "_e"]
+    calls.clear()
+    ag_js_divergence_type_s(0.5, p, q)
+    assert calls.count("_e") == 2
