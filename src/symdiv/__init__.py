@@ -1,37 +1,37 @@
 """Symmetric divergence families, f-divergence bounds, and verification."""
 
-from .errors import DomainError, InputError, SymdivError
-from .simplex import (Distribution, NormalizationMode, NormalizationPolicy,
-                      RatioBounds, load_weights, mixture, ratio_bounds,
-                      sample_simplex, validate_distribution)
-from .means import MeanQuery, log_power_mean
-from .divergences import (MeasureKind, classic_divergence, vajda_abs_chi,
-                          vajda_upper_bounds, vajda_variation_coefficients)
-from .families import (FamilyParam, GeneratorFamilyKind,
-                       ag_js_divergence_type_s, generator_eval,
-                       j_divergence_type_s, relative_information_type_s)
-from .csiszar import (BoundReport, ComparisonBounds, Curvature, Generator,
-                      bound_report, compare_generators, csiszar_divergence,
-                      curvature_ratio, endpoint_bounds, family_generator,
-                      linearized_functionals, smoothness_bounds)
-from .verify import (REGISTRY, ChainReport, InequalityCase, Severity,
-                     SweepConfig, SweepSummary, check_bounds_suite,
-                     check_chain, check_parametric, run_sweep)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport", "ChainReport", "ComparisonBounds", "Curvature",
-    "Distribution", "DomainError", "FamilyParam", "Generator",
-    "GeneratorFamilyKind", "InequalityCase", "InputError", "MeanQuery",
-    "MeasureKind", "NormalizationMode", "NormalizationPolicy", "REGISTRY",
-    "RatioBounds", "Severity", "SweepConfig", "SweepSummary", "SymdivError",
-    "ag_js_divergence_type_s", "bound_report", "check_bounds_suite",
-    "check_chain", "check_parametric", "classic_divergence",
-    "compare_generators", "csiszar_divergence", "curvature_ratio",
-    "endpoint_bounds", "family_generator", "generator_eval",
-    "j_divergence_type_s", "linearized_functionals", "load_weights",
-    "log_power_mean", "mixture", "ratio_bounds", "relative_information_type_s",
-    "run_sweep", "sample_simplex", "smoothness_bounds", "validate_distribution",
-    "vajda_abs_chi", "vajda_upper_bounds", "vajda_variation_coefficients",
-]
+# public name -> the submodule that defines it; ``import symdiv`` loads no
+# submodule, each name is imported from its home on first use (PEP 562)
+_HOME = {name: module for module, names in {
+    "errors": "DomainError InputError SymdivError",
+    "simplex": "Distribution NormalizationMode NormalizationPolicy RatioBounds load_weights mixture "
+               "ratio_bounds sample_simplex validate_distribution",
+    "means": "MeanQuery log_power_mean",
+    "divergences": "MeasureKind classic_divergence vajda_abs_chi vajda_upper_bounds "
+                   "vajda_variation_coefficients",
+    "families": "FamilyParam GeneratorFamilyKind ag_js_divergence_type_s generator_eval "
+                "j_divergence_type_s relative_information_type_s",
+    "csiszar": "BoundReport ComparisonBounds Curvature Generator bound_report compare_generators "
+               "csiszar_divergence curvature_ratio endpoint_bounds family_generator "
+               "linearized_functionals smoothness_bounds",
+    "verify": "REGISTRY ChainReport InequalityCase Severity SweepConfig SweepSummary "
+              "check_bounds_suite check_chain check_parametric run_sweep",
+}.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # never stored here: a function rebound in its home later (a tracer's wrapper) is seen
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _HOME.values():  # a submodule, as the package bound them before
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

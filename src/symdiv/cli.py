@@ -21,20 +21,14 @@ import sys
 
 import numpy as np
 
-from . import families
-from .csiszar import bound_report, family_generator
-from .divergences import MeasureKind, classic_divergence
+# each subcommand imports the other modules it calls when it runs (``from .x
+# import f``, which -X importtime lists), so a traced run sees the calls
 from .errors import DomainError, InputError, SymdivError
-from .families import (GeneratorFamilyKind, ag_js_divergence_type_s,
-                       j_divergence_type_s, relative_information_type_s)
 from .simplex import (NormalizationMode, NormalizationPolicy, load_weights,
                       validate_distribution)
-from .verify import DEFAULT_GRID, DEFAULT_TOL, SweepConfig, run_sweep
 
-_COMPUTE_TAGS = {"PHI": "relative_information_type_s", "V": "j_divergence_type_s",
-                 "W": "ag_js_divergence_type_s", "PSI": "ag_js_divergence_type_s"}
-_BOUNDS_TAGS = {"PHI": GeneratorFamilyKind.PHI, "V": GeneratorFamilyKind.PHI,
-                "PSI": GeneratorFamilyKind.PSI, "W": GeneratorFamilyKind.PSI}
+# family tag -> the generator family of its bound report
+_FAMILY_TAGS = {"PHI": "PHI", "V": "PHI", "PSI": "PSI", "W": "PSI"}
 
 
 def _fmt(value: float) -> str:
@@ -96,7 +90,7 @@ def _parse_measure(text: str):
     """A classic kind name, or a family tag with its order: PHI:0.5, V:2, W:-1."""
     name, _, order = text.partition(":")
     name = name.strip().upper()
-    if name in _COMPUTE_TAGS:
+    if name in _FAMILY_TAGS:
         if not order:
             raise InputError("BAD_CONFIG",
                              f"family measure needs an order, e.g. {name}:0.5")
@@ -106,6 +100,7 @@ def _parse_measure(text: str):
             raise InputError("BAD_CONFIG", f"invalid order {order!r}") from exc
     if order:
         raise InputError("BAD_CONFIG", f"measure {name!r} does not take an order")
+    from .divergences import MeasureKind
     try:
         return MeasureKind[name], None
     except KeyError as exc:
@@ -131,9 +126,14 @@ def _emit_mapping(pairs, fmt: str, header: str = "field,value") -> None:
 def _cmd_compute(args) -> int:
     p, q = _load_pair(args)
     measure, order = _parse_measure(args.measure)
-    # a family function is looked up by name at call time, so a traced run sees the call
-    value = (classic_divergence(measure, p, q) if order is None
-             else getattr(families, _COMPUTE_TAGS[measure])(order, p, q))
+    if order is None:
+        from .divergences import classic_divergence
+        value = classic_divergence(measure, p, q)
+    else:
+        from .families import (ag_js_divergence_type_s, j_divergence_type_s,
+                               relative_information_type_s)
+        value = {"PHI": relative_information_type_s, "V": j_divergence_type_s,
+                 "W": ag_js_divergence_type_s, "PSI": ag_js_divergence_type_s}[measure](order, p, q)
     key = f"{measure}:{order:g}" if order is not None else measure.name
     _require_finite(float(value))
     _emit_mapping([(key, float(value))], args.format, header="measure,value")
@@ -145,7 +145,9 @@ def _cmd_bounds(args) -> int:
     measure, order = _parse_measure(args.measure)
     if order is None:
         raise InputError("BAD_CONFIG", "bounds needs a family generator: PHI:s or PSI:s")
-    report = bound_report(family_generator(_BOUNDS_TAGS[measure], order), p, q)
+    from .csiszar import bound_report, family_generator
+    from .families import GeneratorFamilyKind
+    report = bound_report(family_generator(GeneratorFamilyKind[_FAMILY_TAGS[measure]], order), p, q)
     payload = report.to_json_dict()
     _require_finite(payload)
     if args.format == "json":
@@ -158,12 +160,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SweepConfig, run_sweep
+    # a flag left out keeps SweepConfig's default, which lives only there
     config = SweepConfig(dims=_parse_dims(args.dims),
                          samples_per_dim=args.samples,
                          seed=args.seed,
-                         s_grid=_parse_grid(args.s_grid),
-                         t_grid=_parse_grid(args.t_grid),
-                         tol=args.tol)
+                         **{key: _parse_grid(text) for key, text in
+                            (("s_grid", args.s_grid), ("t_grid", args.t_grid)) if text is not None},
+                         **({} if args.tol is None else {"tol": args.tol}))
     summary = run_sweep(config)
     payload = summary.to_json_dict()
     _require_finite(payload)
@@ -183,6 +187,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep_s(args) -> int:
     p, q = _load_pair(args)
     grid = _parse_grid(args.s_grid)
+    from .families import (ag_js_divergence_type_s, j_divergence_type_s,
+                           relative_information_type_s)
     rows = [(s,
              relative_information_type_s(s, p, q),
              j_divergence_type_s(s, p, q),
@@ -233,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dims", default="2,3,5,10", help="comma-separated dimensions")
     sp.add_argument("--samples", type=int, default=250, help="pairs per dimension")
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--s-grid", default=",".join(str(v) for v in DEFAULT_GRID))
-    sp.add_argument("--t-grid", default=",".join(str(v) for v in DEFAULT_GRID))
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--s-grid")
+    sp.add_argument("--t-grid")
+    sp.add_argument("--tol", type=float)
     sp.add_argument("--format", choices=("json", "table"), default="json")
     sp.set_defaults(func=_cmd_verify)
 

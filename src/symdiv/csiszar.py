@@ -234,10 +234,12 @@ def linearized_functionals(gen: Generator, p: Distribution,
 def _checked(kernel, gen: Generator, *args):
     """``kernel(gen, *args)``; a non-finite result reruns it through the checked
     ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
-    out = kernel(gen, *args)
-    values = out if isinstance(out, tuple) else (out,)
-    if not all(v is None or np.isfinite(v).all() for v in values):
-        kernel(_checking(gen), *args)
+    with warnings.catch_warnings():  # an overflow is refused, not warned of; see __post_init__
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = kernel(gen, *args)
+        values = out if isinstance(out, tuple) else (out,)
+        if not all(v is None or np.isfinite(v).all() for v in values):
+            kernel(_checking(gen), *args)
     return out
 
 
@@ -417,16 +419,18 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
     on the pair as a block of one."""
     _require_same_dim(p, q)
     a, b = p.weights[None], q.weights[None]
-    *sums, chi2, abs_chi3, tv, r, big_r = _sums(gen, a, b, pair=True)
-    rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
-    report = lambda gen: [None if v is None else float(v[0]) for v in _report(
-        gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
-    fields = report(gen)
-    if not all(v is None or math.isfinite(v) for v in fields):
-        # _checked's rerun, f over every block first (the value precedes E)
-        _sums(_checking(gen, {0}), a, b)
-        _sums(_checking(gen), a, b)
-        report(_checking(gen))
+    with warnings.catch_warnings():  # as in _checked
+        warnings.simplefilter("ignore", RuntimeWarning)
+        *sums, chi2, abs_chi3, tv, r, big_r = _sums(gen, a, b, pair=True)
+        rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
+        report = lambda gen: [None if v is None else float(v[0]) for v in _report(
+            gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
+        fields = report(gen)
+        if not all(v is None or math.isfinite(v) for v in fields):
+            # _checked's rerun, f over every block first (the value precedes E)
+            _sums(_checking(gen, {0}), a, b)
+            _sums(_checking(gen), a, b)
+            report(_checking(gen))
     return BoundReport(gen.name, *fields, rb)
 
 

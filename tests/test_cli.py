@@ -11,7 +11,7 @@ import pytest
 
 import oracle
 import symdiv
-from symdiv import (GeneratorFamilyKind, ag_js_divergence_type_s, bound_report,
+from symdiv import (GeneratorFamilyKind, SweepConfig, ag_js_divergence_type_s, bound_report,
                     family_generator, j_divergence_type_s, relative_information_type_s,
                     validate_distribution)
 from symdiv.cli import run_cli
@@ -45,6 +45,27 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def scrub_elapsed(text):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+
+def child_env():
+    """The environment of a child interpreter that imports the symdiv under
+    test, installed or not."""
+    src = str(Path(symdiv.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def fresh_modules(code):
+    """The symdiv modules a fresh interpreter holds after running ``code``."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('symdiv')]))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 class TestCompute:
@@ -336,8 +357,21 @@ class TestVerify:
                 "--format", "json")
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
-        scrub = lambda text: re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
-        assert scrub(out1) == scrub(out2)
+        assert scrub_elapsed(out1) == scrub_elapsed(out2)
+
+    def test_defaults_are_sweep_configs(self, capsys):
+        # the parser leaves the grids and tol unset, so SweepConfig alone holds
+        # them; a bare run prints what its defaults spelled out print
+        config = SweepConfig()
+        spelled = ("--dims", ",".join(map(str, config.dims)),
+                   "--samples", str(config.samples_per_dim), "--seed", str(config.seed),
+                   "--s-grid=" + ",".join(map(repr, config.s_grid)),
+                   "--t-grid=" + ",".join(map(repr, config.t_grid)), "--tol", repr(config.tol))
+        code, bare, _ = run(capsys, "verify")
+        assert (code, scrub_elapsed(bare)) == (0, scrub_elapsed(run(capsys, "verify", *spelled)[1]))
+        payload = json.loads(bare)
+        assert payload["config"] == config.to_json_dict()
+        assert payload["samples"] == config.samples_per_dim * len(config.dims)
 
     def test_assert_failure_exits_two(self, capsys, monkeypatch):
         # force a violation by flipping the slack test's sign
@@ -387,13 +421,66 @@ class TestVerify:
 class TestConsoleEntry:
     def test_module_invocation(self, histograms):
         p, q = histograms
-        # the child imports the symdiv under test, installed or not
-        src = str(Path(symdiv.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "symdiv.cli", "compute", "--input-p", p,
              "--input-q", q, "--measure", "J", "--format", "json"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_COMPUTE_J
+
+
+class TestImports:
+    """What ``import symdiv`` and each subcommand load, in a fresh interpreter."""
+
+    def test_import_loads_no_submodule(self):
+        assert fresh_modules("import symdiv") == {"symdiv"}
+
+    NO_ENGINE = {"symdiv.csiszar", "symdiv.verify", "symdiv.means"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["compute", "--measure", "W:0.5"], NO_ENGINE),
+        (["compute", "--measure", "J"], NO_ENGINE),
+        (["sweep-s", "--s-grid=-1,0.5,2"], NO_ENGINE),
+        (["bounds", "--measure", "PSI:0.5"], {"symdiv.verify", "symdiv.means"}),
+    ])
+    def test_subcommand_loads_only_its_modules(self, histograms, argv, absent):
+        p, q = histograms
+        argv = [*argv, "--input-p", p, "--input-q", q]
+        loaded = fresh_modules(f"from symdiv.cli import run_cli\nassert run_cli({argv!r}) == 0")
+        assert "symdiv.families" in loaded
+        assert not loaded & absent
+
+    def test_public_names_are_their_home_modules_objects(self):
+        # each name is looked up in its home module, never stored on the package
+        fresh_modules("""
+import importlib, inspect
+import symdiv
+for name in symdiv.__all__:
+    home = importlib.import_module(f"symdiv.{symdiv._HOME[name]}")
+    value = getattr(symdiv, name)
+    assert value is vars(home)[name], name
+    assert not (inspect.isclass(value) or inspect.isfunction(value)) \\
+        or value.__module__ == home.__name__, name
+    assert name in dir(symdiv) and name not in vars(symdiv), name
+""")
+
+    def test_star_import_binds_every_name_and_unknown_names_raise(self):
+        fresh_modules("""
+import symdiv
+names = {}
+exec("from symdiv import *", names)
+assert all(names[name] is getattr(symdiv, name) for name in symdiv.__all__)
+try:
+    symdiv.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+""")
+
+    def test_a_name_rebound_in_its_home_module_is_seen(self, monkeypatch):
+        # a tracer wraps functions in their home module's namespace
+        import symdiv.csiszar
+        wrapper = lambda *args: None
+        monkeypatch.setattr(symdiv.csiszar, "bound_report", wrapper)
+        assert symdiv.bound_report is wrapper

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -530,6 +531,32 @@ class TestBoundaryChecks:
                 bound_report(gen, *pq)
             assert str(err.value) == \
                 "[GENERATOR_DOMAIN] generator 'holed' evaluation failed at order 0"
+
+    @pytest.mark.parametrize("kind, s", [(PHI, 200), (PHI, 1000), (PSI, 1000), (PSI, -800)])
+    def test_overflow_is_refused_without_a_warning(self, kind, s):
+        # the ratios 99 and 1/99 overflow these orders: each public entry
+        # returns or refuses as it does with warnings ignored, and lets out no
+        # numpy RuntimeWarning first (under "error" that would replace the code)
+        p, q = validate_distribution([0.99, 0.01]), validate_distribution([0.01, 0.99])
+        gen, rb = family_generator(kind, s), ratio_bounds(p, q)
+        calls = {"bound_report": lambda: bound_report(gen, p, q),
+                 "csiszar_divergence": lambda: csiszar_divergence(gen, p, q),
+                 "linearized_functionals": lambda: linearized_functionals(gen, p, q),
+                 "endpoint_bounds": lambda: endpoint_bounds(gen, rb),
+                 "smoothness_bounds": lambda: smoothness_bounds(gen, rb)}
+
+        def outcome(call, action):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                try:
+                    return repr(call())
+                except DomainError as err:
+                    return str(err)
+
+        for name, call in calls.items():
+            assert outcome(call, "error") == outcome(call, "ignore"), name
+        with pytest.raises(DomainError, match=r"^\[GENERATOR_DOMAIN\] "):
+            bound_report(gen, p, q)
 
     @pytest.mark.parametrize("kind", [MeasureKind.J, "PHI", None, 1])
     def test_family_generator_refuses_other_kinds(self, kind):
