@@ -25,18 +25,19 @@ Generators are immutable evaluation bundles; all operations are pure.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import _abs_chi_terms, _column
+from .divergences import _abs_chi_terms
 from .errors import DomainError, InputError
-from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks,
+from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks, _column,
                        _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
                        generator_eval)
 from .simplex import Distribution, RatioBounds, _ratio_range, _require_same_dim
@@ -68,10 +69,10 @@ class Generator:
     ``value_and_slope`` on ratios of validated weights, and the public
     functions check their finished values, rerunning a failure through
     ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
-    ratio-range ends, one value per pair, for one pair and a stack alike. A
-    generator over a grid of orders (``_family_generator``, for the sweep)
-    has a name and a flag per order, as tuples; its results lead with the
-    grid axis, and its construction checks name the first failing order.
+    ratio-range ends, one value per pair, for one pair and a stack alike.
+    The family generators evaluate a column of orders: over a grid of them
+    (for the sweep) the name and flag are tuples, the results lead with the
+    grid axis and the construction checks name the first failing order.
     """
 
     name: str | tuple[str, ...]
@@ -102,11 +103,17 @@ class Generator:
         if not (0 <= order <= self.max_order):
             raise InputError("UNSUPPORTED_ORDER",
                              f"generator {self.name!r} supports orders 0..{self.max_order}, got {order}")
-        out = np.asarray(self.evaluate(order, _argument(x)), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise DomainError("GENERATOR_DOMAIN",
-                              f"generator {self.name!r} evaluation failed at order {order}")
+        out = _finite(self, order, self.evaluate(order, _argument(x)))
         return out if np.ndim(x) else float(out.reshape(-1)[0])
+
+
+def _finite(gen: Generator, order: int, out) -> np.ndarray:
+    """Values of gen's derivative ``order`` as a float array, refused unless finite."""
+    out = np.asarray(out, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("GENERATOR_DOMAIN",
+                          f"generator {gen.name!r} evaluation failed at order {order}")
+    return out
 
 
 def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Generator:
@@ -123,11 +130,10 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
 def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     """``family_generator`` at one validated order s, or at a 1-D array s of
     them: one generator for a whole grid, whose results lead with the grid
-    axis, one row per order, with the checks and stationary points per row."""
-    core = _family_eval(kind)
-    grid = isinstance(s, np.ndarray)
-    one = lambda per_order: per_order if grid else per_order[0]
-    orders = s.tolist() if grid else [s]
+    axis, one row per order, with the checks and stationary points per row.
+    One order is a column of one: only its name and flag are squeezed."""
+    s = np.asarray(s, dtype=float)
+    core, orders = _family_eval(kind), s.reshape(-1).tolist()
     solve = _phi_stationary if kind is GeneratorFamilyKind.PHI else _psi_stationary
     both = _phi_value_and_slope if kind is GeneratorFamilyKind.PHI else _psi_value_and_slope
 
@@ -136,7 +142,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
         # the k-th point of every order, NaN where an order has fewer: a NaN
         # lies inside no (r, R)
         roots = [solve(v) for v in orders]
-        return [one(np.array([xs[k] if k < len(xs) else np.nan for xs in roots]))[..., None]
+        return [np.array([xs[k] if k < len(xs) else np.nan for xs in roots]).reshape(s.shape + (1,))
                 for k in range(max(map(len, roots)))]
 
     def evaluate(order: int, x: np.ndarray) -> np.ndarray:
@@ -150,11 +156,11 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
             sup = np.where((r < x) & (x < big_r), np.maximum(sup, at), sup)
         return sup
 
+    names = tuple(f"{kind.value}(s={v:g})" for v in orders)
+    flags = tuple(Curvature.DECREASING if -1.0 <= v <= 2.0 else Curvature.UNKNOWN for v in orders)
     return Generator(
-        name=one(tuple(f"{kind.value}(s={v:g})" for v in orders)), evaluate=evaluate,
-        max_order=3, curvature_monotonicity=one(tuple(
-            Curvature.DECREASING if -1.0 <= v <= 2.0 else Curvature.UNKNOWN for v in orders)),
-        third_sup_closed_form=third_sup,
+        name=names if s.ndim else names[0], evaluate=evaluate, max_order=3,
+        curvature_monotonicity=flags if s.ndim else flags[0], third_sup_closed_form=third_sup,
         value_and_slope=lambda x: both(_column(s, np.ndim(x)), x),
     )
 
@@ -244,9 +250,13 @@ def _checked(kernel, gen: Generator, *args):
 
 
 def _checking(gen: Generator, orders=range(4)) -> Generator:
-    """gen on the generic path, its ``orders`` taken through ``gen.eval``."""
-    return replace(gen, value_and_slope=None, evaluate=lambda order, x: (
-        gen.eval if order in orders else gen.evaluate)(order, x))
+    """gen on the generic path, its ``orders`` through ``gen.eval`` and its sup of
+    |f'''| checked as order 3; copied, as rerun construction checks can misname it."""
+    checked, sup = copy.copy(gen), gen.third_sup_closed_form
+    vars(checked).update(value_and_slope=None, evaluate=lambda order, x: (
+        gen.eval if order in orders else gen.evaluate)(order, x),
+        third_sup_closed_form=sup and (lambda r, big_r: _finite(gen, 3, sup(r, big_r))))
+    return checked
 
 
 # the sums over the last axis of weight arrays: one value per pair of rows
@@ -344,12 +354,11 @@ def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
 def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
     """(delta, f3_sup, variation); delta and f3_sup may be None. A grid
     generator has delta on every row; ``_report`` uses the rows whose f''
-    is known to be monotonic."""
+    is known to be monotonic. A checked rerun meets f3_sup last."""
     at = at or _at_ends(gen, r, big_r)
     delta = np.abs(at(2)[2]) if np.any(_curvature_known(gen)) else None
-    sup = gen.third_sup_closed_form
-    f3_sup = None if sup is None else sup(r, big_r)
-    return delta, f3_sup, at(1)[2]
+    variation, sup = at(1)[2], gen.third_sup_closed_form
+    return delta, None if sup is None else sup(r, big_r), variation
 
 
 def _report(gen: Generator, sums, ends, chi2, abs_chi3, tv):

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .families import _blocked, _r_values, _v_values, _w_values
+from .families import _blocked, _column, _r_values, _v_values, _w_values
 from .simplex import Distribution, RatioBounds, _real, _require_same_dim
 
 
@@ -77,7 +77,7 @@ def _classic(kind: MeasureKind, a: np.ndarray, b: np.ndarray):
         raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown measure kind {kind!r}")
     if kind in _MEMBERS:
         values, order = _MEMBERS[kind]
-        return values(order, a, b)
+        return values(_column(order, a.ndim), a, b)
     if kind is MeasureKind.D_NEW:  # as defined: 1 - sum affinity
         return 1.0 - _blocked(
             lambda a, b: ((np.sqrt(a) + np.sqrt(b)) / 2.0) * np.sqrt((a + b) / 2.0), a, b)
@@ -100,8 +100,8 @@ def _check_order(m: float) -> None:
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
 
 
-def _abs_chi(m, a: np.ndarray, b: np.ndarray):
-    """vajda_abs_chi summed over the last axis, for validated orders m."""
+def _abs_chi(m: float, a: np.ndarray, b: np.ndarray):
+    """vajda_abs_chi summed over the last axis, for one validated order m."""
     return _blocked(lambda a, b: _abs_chi_terms(m, np.abs(a - b), b), a, b)
 
 
@@ -147,10 +147,3 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
 def _vajda_coefficients(m, r: np.ndarray, R: np.ndarray):
     """vajda_variation_coefficients over 1-D arrays of ratio ranges with r < R."""
     return (1.0 - np.power(r, m)) / (1.0 - r), (np.power(R, m) - 1.0) / (R - 1.0)
-
-
-def _column(orders, ndim: int):
-    """One order as it is; a grid of them (1-D) as a column over ``ndim`` more axes."""
-    if not isinstance(orders, (tuple, list, np.ndarray)):
-        return orders
-    return np.array(orders, float).reshape(-1, *[1] * ndim)

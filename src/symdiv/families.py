@@ -19,8 +19,8 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 
 * V's generator is E(s) E(1-s) and its slope E(s-1) + E(-s);
 * relative information's is phi_s = (E(s) - u)/(s - 1), which takes its
-  Taylor series in L where that difference cancels (alone, on a block of
-  one order wholly inside half the series edge: the same branch and bits);
+  Taylor series in L where that difference cancels (alone, on a block
+  wholly inside half the series edge: the same branch and bits);
   R_s for s > 1/2 is R_{1-s} with P and Q swapped, and W's summand is
   (a phi_s(m/a) + b phi_s(m/b))/2 with m = (a + b)/2;
 * J is V_0; JS and AG, the summands of W_0 and W_1, are
@@ -31,15 +31,17 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 Powers are taken in log space, so a large |s| overflows only with the
 value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
 that order: the values inside a window are the limit values by contract.
-The evaluators take s as a float or as a column over a grid of orders
-whose axis leads the result, and every step is elementwise or per row, so
-a grid row has the bits of its order alone. Long sums run a block of
-entries at a time.
+Every evaluator takes a column of orders (``_column``): a grid leads the
+result with its axis, one order broadcasts into the arguments. Each step
+is elementwise or per row, with the exact rows (k = 0 or 1, s = 1/2, a
+block inside half the series edge) taken by group, so a grid row has the
+bits of its order alone. Long sums run a block of entries at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,8 +59,8 @@ _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
 _BLOCK = 32768
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
-# series then reach the last bit; a block of one order wholly within this
-# share of the edge takes the series alone (``_alone``)
+# series then reach the last bit; a block wholly within this share of
+# every order's edge takes the series alone (``_alone``)
 _SERIES_EDGE, _SERIES_TERMS, _ALONE = 0.003, 8, 0.5
 
 
@@ -87,52 +89,60 @@ def as_param(s: float | FamilyParam) -> FamilyParam:
 
 
 # ---------------------------------------------------------------------------
-# the formula table: summands at x = a/b = 1 + u = e^L, for one order or a
-# column of them
+# the formula table: summands at x = a/b = 1 + u = e^L, for a column of orders
 # ---------------------------------------------------------------------------
 
 def _per_column(fn):
     """fn(k) of a column of orders, memoized on its values (a sweep reuses a
-    few columns)."""
+    few columns, and one-order calls a few orders)."""
     cached = functools.lru_cache(maxsize=256)(
         lambda shape, data: fn(np.frombuffer(data).reshape(shape)))
     return lambda k: cached(k.shape, k.tobytes())
 
 
-def _clamp(s):
-    """s with the orders inside the window of 0 or 1 set to that order."""
-    if isinstance(s, np.ndarray):
-        return _clamp_column(s)
-    return 0.0 if abs(s) <= _WINDOW else 1.0 if abs(s - 1.0) <= _WINDOW else s
-
-
-_clamp_column = _per_column(lambda s: np.vectorize(_clamp, otypes=[float])(s))
-
-
-def _e(k, L, u):
-    """E(k) = expm1(k L)/k, L at k = 0 and u at k = 1, also in those rows of
-    a column of orders."""
-    if not isinstance(k, np.ndarray) and k in (0.0, 1.0):
-        return L if k == 0.0 else u
-    out = np.multiply(k, L)
-    np.expm1(out, out=out)
-    if not isinstance(k, np.ndarray):
-        out *= 1.0 / k
-        return out
-    reciprocal, *rows = _e_constants(k)
-    out *= reciprocal
-    for exact, at in zip((L, u), rows):
-        if at is not None:
-            np.copyto(out, exact, where=at)
-    return out
+def _column(orders, ndim: int):
+    """Orders as a column: a 1-D grid over ``ndim`` more axes, its axis leading
+    the result; one order as a numpy float, which broadcasts into them."""
+    orders = np.asarray(orders, dtype=float)
+    return orders.reshape(orders.shape + (1,) * ndim * orders.ndim)[()]
 
 
 @_per_column
-def _e_constants(k: np.ndarray):
-    """1/k (0 at k = 0: the bits of 1.0 / k for one order), and the k = 0 and
-    the k = 1 rows (None when there are none)."""
-    return (np.divide(1.0, k, out=np.zeros_like(k), where=k != 0.0),
-            *(k == v if (k == v).any() else None for v in (0.0, 1.0)))
+def _clamp(s):
+    """s with the orders inside the window of 0 or 1 set to that order."""
+    return np.where(np.abs(s) <= _WINDOW, 0.0, np.where(np.abs(s - 1.0) <= _WINDOW, 1.0, s))[()]
+
+
+@_per_column
+def _limit_rows(s) -> tuple:
+    """(order, rows) for the orders 0 and 1 that the column holds."""
+    flat = s.reshape(-1)
+    return tuple((v, flat == v) for v in (0.0, 1.0) if (flat == v).any())
+
+
+def _by_order(s, rows, general, *args):
+    """general(s, *args) over a column of orders, with its rows at the order
+    0 or 1 taken by rows[order](*args) where that is given, each argument
+    that has the grid axis cut to them; one order takes its row's value."""
+    groups = [(at, rows[int(order)]) for order, at in _limit_rows(s) if rows[int(order)]]
+    if not (groups and s.ndim):
+        return groups[0][1](*args) if groups else general(s, *args)
+    cut = lambda at: [v[at] if np.ndim(v) == s.ndim else v for v in args]
+    rest = ~np.logical_or.reduce([at for at, _ in groups])
+    out = np.empty(np.broadcast_shapes(s.shape, *map(np.shape, args)))
+    for at, row in groups + [(rest, lambda *args: general(s[rest], *args))] * bool(rest.any()):
+        out[at] = row(*cut(at))
+    return out
+
+
+def _e(k, L, u):
+    """E(k) = expm1(k L)/k, with L in the rows at k = 0 and u at k = 1."""
+    return _by_order(k, (lambda L, u: L, lambda L, u: u), _expm1_over, L, u)
+
+
+def _expm1_over(k, L, u):
+    out = np.multiply(k, L)
+    return np.multiply(np.expm1(out, out=out), 1.0 / k, out=out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -151,57 +161,57 @@ def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...], float]:
 
 @_per_column
 def _phi_edges(k: np.ndarray):
-    """1/(k - 1) and the least value of _phi_edge, as columns."""
-    rows = [_phi_edge(v)[:2] for v in k.reshape(-1).tolist()]
-    return tuple(np.array(column).reshape(k.shape) for column in zip(*rows))
+    """1/(k - 1) and the least value of _phi_edge as columns, and the nearest edge."""
+    rows = [_phi_edge(v) for v in k.reshape(-1).tolist()]
+    return (*(np.array([row[i] for row in rows]).reshape(k.shape) for i in (0, 1)),
+            min(row[3] for row in rows))
 
 
 def _phi(k, L, u, log=None):
     """phi_k = (x^k - 1 - k u)/(k (k - 1)) for k != 1, the generator of
     relative information: (E(k) - u)/(k - 1), or where that cancels (below
     the least value at the edge) its series in L. L spans the trailing axes
-    of the result; ``log(near)``, when given, is L exact on those entries."""
-    grid = isinstance(k, np.ndarray)
-    if not grid and log is None and (out := _alone(k, L)) is not None:
+    of the result; ``log(near)``, when given, is L exact where ``near``."""
+    if log is None and (out := _alone(k, L)) is not None:
         return out
-    reciprocal, least = _phi_edges(k) if grid else _phi_edge(k)[:2]
+    reciprocal, least, _ = _phi_edges(k)
     out = _e(k, L, u)
     out = out - u if out is L or out is u else np.subtract(out, u, out=out)
     out *= reciprocal
     near = out < least
     if not near.any():
         return out
-    if not grid:
-        x = L[near] if log is None else log(near)
-        out[near] = _phi_series(k, x, np.abs(x).max())
-        return out
-    # all rows at once, each with its order's coefficients, zero past the
-    # length that row needs: a zero lead leaves Horner's sum the bits of
-    # the shorter one
-    tops = np.where(near, np.abs(L), 0.0).max(axis=tuple(range(1, near.ndim)))
-    c = np.zeros((_SERIES_TERMS, tops.size))
-    for j, (order, top) in enumerate(zip(k.reshape(-1).tolist(), tops.tolist())):
-        n = _series_length(order, top)
-        c[:n, j] = _phi_edge(order)[2][:n]
-    np.copyto(out, _series(c.reshape((-1,) + k.shape), L), where=near)
+    # the near entries alone, each with its row's coefficients
+    x = np.broadcast_to(L, near.shape)[near] if log is None else log(near)
+    if k.size == 1:
+        rows, tops = 0, np.abs(x).max()
+    else:
+        rows, tops = np.nonzero(near)[0], np.zeros(k.size)
+        np.maximum.at(tops, rows, np.abs(x))
+    out[near] = _series(_coefficients(k, tops)[:, rows], x)
     return out
 
 
-def _alone(k: float, L: np.ndarray):
+def _alone(k, L: np.ndarray):
     """phi_k's series on all of L (_phi's, or R's exact log) when every |L|
-    is within half of its edge, else None. There phi_k, which grows as L^2
-    on either side, is below the least value at the edge by a factor of
-    about 4, far more than the rounding of the direct value can close: the
-    mask would take the series on every entry, so the block takes it alone,
-    with the same bits. The first entry is looked at before any pass."""
-    limit = _ALONE * _phi_edge(k)[3]
-    if L.size and abs(L.flat[0]) <= limit and (top := np.abs(L).max()) <= limit:
-        return _phi_series(k, L, top)
+    is within half of the edge of every order's series, else None. There
+    phi_k, which grows as L^2 on either side, is below the least value at
+    the edge by a factor of about 4, far more than the rounding of the
+    direct value can close: the mask would take the series on every entry,
+    so the block takes it alone, with the same bits (an L with a grid axis
+    of its own takes the mask). The first entry is looked at before any pass."""
+    limit = _ALONE * _phi_edges(k)[2]
+    if (L.size and abs(L.flat[0]) <= limit and (k.size == 1 or L.ndim < k.ndim)
+            and (top := np.abs(L).max()) <= limit):
+        return _series(_coefficients(k, top).reshape((-1,) + k.shape), L)
 
 
-def _phi_series(k: float, x, top: float):
-    """phi_k's series at L = x, to the terms that reach the last bit at |L| <= top."""
-    return _series(_phi_edge(k)[2][:_series_length(k, top)], x)
+def _coefficients(k, tops) -> np.ndarray:
+    """phi_k's series coefficients, a column per order of k, zero past the terms that
+    reach the last bit at |L| <= its top: a zero lead keeps Horner's bits."""
+    rows = [_phi_edge(v)[2][:_series_length(v, top)]
+            for v, top in zip(k.reshape(-1).tolist(), np.broadcast_to(tops, k.size).tolist())]
+    return np.array(list(itertools.zip_longest(*rows, fillvalue=0.0)))
 
 
 def _series_length(k: float, top: float) -> int:
@@ -224,35 +234,20 @@ def _series(c, x):
     return out
 
 
-def _by_order(s, rows, general, *args):
-    """general(s, *args), or rows[s](*args) at an order that is a key of
-    ``rows``; a column of orders is cut into those groups of rows (with
-    every argument that has the grid axis)."""
-    if not isinstance(s, np.ndarray):
-        return rows[s](*args) if s in rows else general(s, *args)
-    flat = s.reshape(-1)
-    groups = [(flat == order, lambda s, *args, row=row: row(*args)) for order, row in rows.items()]
-    groups = [group for group in groups if group[0].any()]
-    if not groups:
-        return general(s, *args)
-    rest = ~np.logical_or.reduce([at for at, _ in groups])
-    out = np.empty(np.broadcast_shapes(s.shape, *map(np.shape, args)))
-    for at, form in groups + [(rest, general)] * bool(rest.any()):
-        out[at] = form(s[at], *(v[at] if np.ndim(v) == s.ndim else v for v in args))
-    return out
-
-
 def _v_term(s, L, u):
-    """V's generator phi_s(x) = E(s) E(1-s), at a clamped order; L and u are
-    the caller's temporaries, which it may overwrite."""
+    """V's generator phi_s(x) = E(s) E(1-s) at clamped orders, squared at 1/2; L
+    and u are the caller's temporaries, which it may overwrite."""
     out = _e(s, L, u)
-    other = out if not isinstance(s, np.ndarray) and s == 0.5 else _e(1.0 - s, L, u)
+    other = out if _halves(s) else _e(1.0 - s, L, u)
     return np.multiply(out, other, out=out)
+
+
+_halves = _per_column(lambda s: bool((s == 0.5).all()))
 
 
 def _w_term(s, a, b, d):
     """W's summand b psi_s(a/b) with d = a - b, at a clamped order."""
-    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, d)
+    return _by_order(s, (_js_row, _ag_row), _w_general, a, b, d)
 
 
 def _w_general(s, a, b, d):
@@ -308,27 +303,27 @@ def _log_mid(a, b, d):
 
 def relative_information_type_s(s: float | FamilyParam, p: Distribution,
                                 q: Distribution) -> float:
-    sv = as_param(s).s
-    _require_same_dim(p, q)
-    return float(_r_values(sv, p.weights, q.weights))
+    return _at_order(_r_values, s, p, q)
 
 
 def j_divergence_type_s(s: float | FamilyParam, p: Distribution,
                         q: Distribution) -> float:
-    sv = as_param(s).s
-    _require_same_dim(p, q)
-    return float(_v_values(sv, p.weights, q.weights))
+    return _at_order(_v_values, s, p, q)
 
 
 def ag_js_divergence_type_s(s: float | FamilyParam, p: Distribution,
                             q: Distribution) -> float:
-    sv = as_param(s).s
+    return _at_order(_w_values, s, p, q)
+
+
+def _at_order(values, s, p: Distribution, q: Distribution) -> float:
+    column = _column(as_param(s).s, 1)
     _require_same_dim(p, q)
-    return float(_w_values(sv, p.weights, q.weights))
+    return float(values(column, p.weights, q.weights))
 
 
-# V_s, W_s and R_s summed over the last axis of weight arrays: one value per
-# pair of rows, and for a column of orders (V and W) one row of them per order
+# V_s, W_s and R_s over a column of orders, summed over the last axis of weight
+# arrays: one value per pair of rows, one row of them per order of a grid
 
 def _v_values(s, a: np.ndarray, b: np.ndarray):
     s = _clamp(s)
@@ -340,9 +335,9 @@ def _w_values(s, a: np.ndarray, b: np.ndarray):
     return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b)
 
 
-def _r_values(s: float, a: np.ndarray, b: np.ndarray):
-    """R_s(P||Q) = sum b phi_s(a/b), and R_{1-s}(Q||P) for s > 1/2. At its
-    limit orders it is KL(Q||P) and KL(P||Q), as defined."""
+def _r_values(s, a: np.ndarray, b: np.ndarray):
+    """R_s(P||Q) = sum b phi_s(a/b) at one order s, and R_{1-s}(Q||P) for
+    s > 1/2. At its limit orders it is KL(Q||P) and KL(P||Q), as defined."""
     s = _clamp(s)
     if s > 0.5:
         return _r_values(1.0 - s, b, a)
@@ -395,7 +390,7 @@ def _r_summands(s, a, b):
     moves a/b alone; where phi_s takes its series, on L = log1p((a - b)/b),
     exact near a = b, and over the whole block when its first entry is near."""
     first = a.flat[0] / b.flat[0] - 1.0  # the first entry's offset u
-    exact = np.log1p((a - b) / b) if abs(first) <= _ALONE * _phi_edge(s)[3] else None
+    exact = np.log1p((a - b) / b) if abs(first) <= _ALONE * _phi_edges(s)[2] else None
     out = None if exact is None else _alone(s, exact)
     if out is None:
         L = np.log(a / b)
@@ -421,13 +416,13 @@ def generator_eval(family: GeneratorFamilyKind, s: float | FamilyParam,
     if order not in (0, 1, 2, 3):
         raise InputError("UNSUPPORTED_ORDER", f"derivative order must be 0..3, got {order}")
     xv = _argument(x)  # the argument is checked before the family
-    out = _family_eval(family)(sv, xv, order)
+    out = _family_eval(family)(_column(sv, xv.ndim), xv, order)
     return out if np.ndim(x) else float(out[0])
 
 
 def _family_eval(family: GeneratorFamilyKind):
     """The evaluator (s, x, order) of a generator family; refuses anything else.
-    s is one order, or a column of them that broadcasts against x."""
+    s is a column of orders that broadcasts against x (``_column``)."""
     if not isinstance(family, GeneratorFamilyKind):
         raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown generator family {family!r}")
     return _phi_eval if family is GeneratorFamilyKind.PHI else _psi_eval
@@ -456,7 +451,7 @@ def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
         return _w_term(_clamp(s), x, 1.0, x - 1.0)
     if order == 1:
-        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_general, x, x - 1.0)
+        return _by_order(_clamp(s), (None, _ag_slope), _psi_general, x, x - 1.0)
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
         return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
@@ -480,7 +475,7 @@ def _psi_value_and_slope(s, x: np.ndarray):
     """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
     phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
     s = _clamp(s)
-    if np.any((s == 0.0) | (s == 1.0)):
+    if _limit_rows(s):
         return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
     return _psi_general(s, x, x - 1.0, value=True)
 

@@ -46,10 +46,9 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .csiszar import BoundReport, _family_generator, _report, _sums
-from .divergences import (MeasureKind, _abs_chi, _classic, _column, _vajda_bounds,
-                          _vajda_coefficients)
+from .divergences import MeasureKind, _abs_chi, _classic, _vajda_bounds, _vajda_coefficients
 from .errors import DomainError, InputError
-from .families import GeneratorFamilyKind, _v_values, _w_values, as_param
+from .families import GeneratorFamilyKind, _column, _v_values, _w_values, as_param
 from .simplex import (Distribution, _check_sampling, _check_simplex_rows, _floored,
                       _ratio_range, _real, _require_same_dim)
 
@@ -110,8 +109,8 @@ def _stated(id_, description, domain="none", param=None, when=lambda point: True
 
 def _vajda_links(x, m, lhs):
     """lhs <= bound1 <= bound2, the order-m absolute chi bounds; m is one
-    order or a tuple of them, one row each."""
-    bound1, bound2 = _vajda_bounds(_column(m, 1), x.r, x.big_r)
+    order or a column of them, one row each."""
+    bound1, bound2 = _vajda_bounds(m, x.r, x.big_r)
     return [(lhs, bound1), (bound1, bound2)]
 
 
@@ -196,7 +195,7 @@ BOUNDS_CASES = (
     InequalityCase("EQ32", "(R-1)(1-r) <= (R-r)^2/4", "none", spread=True, links=lambda x, _: [
         ((x.big_r - 1.0) * (1.0 - x.r), (x.big_r - x.r) ** 2 / 4.0)]),
     InequalityCase("EQ52", "abs_chi^m <= bound1 <= bound2", "m in {1,2,3}", param="m",
-                   spread=True, links=lambda x, m: _vajda_links(x, m, x.chi(m))),
+                   spread=True, links=lambda x, m: _vajda_links(x, _column(m, 1), x.chi(m))),
     InequalityCase("EQ53_UPPER", "abs_chi^m <= ((R^m-1)/(R-1)) V", "m in {1,2,3}", param="m",
                    spread=True, links=lambda x, m: [(x.chi(m), _coefficient(x, m, 1) * x.tv)]),
     InequalityCase("EQ53_LOWER",
@@ -454,8 +453,10 @@ class _Stack:
         return self._memoized((text, points), compute)
 
     def chi(self, m) -> np.ndarray:
-        """|chi|^m for one order m, or one row per order of a tuple m."""
-        return self._summed(("chi", m), lambda a, b: _abs_chi(_column(m, 2), a, b))
+        """|chi|^m for one order m, or for a tuple m its orders' rows stacked."""
+        if isinstance(m, tuple):
+            return np.stack([self.chi(v) for v in m])
+        return self._summed(("chi", m), lambda a, b: _abs_chi(m, a, b))
 
     @property
     def tv(self) -> np.ndarray:

@@ -17,7 +17,8 @@ from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, Inpu
                     smoothness_bounds, validate_distribution)
 import symdiv.csiszar as csiszar
 from symdiv.csiszar import _family_generator, _psi_stationary
-from symdiv.families import _BLOCK, _family_eval, _phi_value_and_slope, _psi_value_and_slope
+from symdiv.families import (_BLOCK, _column, _family_eval, _phi_value_and_slope,
+                             _psi_value_and_slope)
 from symdiv.means import raised_mean
 from symdiv.verify import DEFAULT_GRID, _grids, _stack, pair_for
 
@@ -339,8 +340,10 @@ class TestBoundReport:
             for s in orders:
                 for p, q in pairs:  # the closed form itself, also where f'' overflows
                     for x in (p.weights / q.weights, (p.weights + q.weights) / (2.0 * q.weights)):
-                        for got, order in zip(both(s, x), (0, 1)):
-                            assert np.array_equal(got, core(s, x, order), equal_nan=True), (s, order)
+                        column = _column(s, 1)  # one order: a column of one
+                        for got, order in zip(both(column, x), (0, 1)):
+                            assert np.array_equal(got, core(column, x, order), equal_nan=True), \
+                                (s, order)
                 gen = family_generator(kind, s)  # also where f'' overflows to +inf
                 assert gen.value_and_slope is not None and plain(gen).value_and_slope is None
                 reports = [outcome(lambda: bound_report(gen, p, q)) for p, q in pairs]
@@ -557,6 +560,32 @@ class TestBoundaryChecks:
             assert outcome(call, "error") == outcome(call, "ignore"), name
         with pytest.raises(DomainError, match=r"^\[GENERATOR_DOMAIN\] "):
             bound_report(gen, p, q)
+
+    @pytest.mark.parametrize("s", [200, 1000])
+    def test_a_large_order_names_the_value_that_failed(self, s):
+        # the divergence evaluates f alone, and f overflows at the ratio 99:
+        # the rerun names order 0 at s = 1000 as at s = 200, although there
+        # f'' also overflows on the construction spot grid
+        p, q = validate_distribution([0.99, 0.01]), validate_distribution([0.01, 0.99])
+        gen = family_generator(PHI, s)
+        with pytest.raises(DomainError) as err:
+            csiszar_divergence(gen, p, q)
+        assert str(err.value) == \
+            f"[GENERATOR_DOMAIN] generator 'PHI(s={s})' evaluation failed at order 0"
+        with pytest.raises(DomainError) as err:  # f' then fails first, at order 1
+            smoothness_bounds(gen, ratio_bounds(p, q))
+        assert str(err.value).endswith("evaluation failed at order 1")
+
+    def test_a_failing_third_derivative_sup_is_refused_as_order_3(self):
+        # f and f' stay finite at the ends of this range while f''' overflows:
+        # the sup of |f'''| is refused, not returned as NaN
+        p, q = validate_distribution([0.8, 0.2]), validate_distribution([0.2, 0.8])
+        gen, rb = family_generator(PSI, -800), ratio_bounds(p, q)
+        with pytest.raises(DomainError) as err:
+            smoothness_bounds(gen, rb)
+        assert str(err.value) == \
+            "[GENERATOR_DOMAIN] generator 'PSI(s=-800)' evaluation failed at order 3"
+        assert all(np.isfinite(endpoint_bounds(gen, rb)))
 
     @pytest.mark.parametrize("kind", [MeasureKind.J, "PHI", None, 1])
     def test_family_generator_refuses_other_kinds(self, kind):

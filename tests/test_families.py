@@ -7,7 +7,7 @@ from symdiv import (DomainError, FamilyParam, GeneratorFamilyKind, InputError,
                     MeasureKind, ag_js_divergence_type_s, classic_divergence,
                     family_generator, generator_eval, j_divergence_type_s, mixture,
                     relative_information_type_s, validate_distribution)
-from symdiv.divergences import _column
+from symdiv.families import _column
 from symdiv.families import LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI

@@ -7,13 +7,14 @@ import pytest
 import symdiv.verify as verify_mod
 from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, Severity,
                     SweepConfig, check_bounds_suite, check_chain, check_parametric,
-                    classic_divergence, ratio_bounds, run_sweep, validate_distribution)
+                    classic_divergence, ratio_bounds, run_sweep, vajda_abs_chi,
+                    validate_distribution)
 from symdiv.csiszar import (_smoothness, bound_report, endpoint_bounds, family_generator,
                             smoothness_bounds)
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
-from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, CaseResult, _check, _grids,
-                           _sample_stack, _stack, _Stack, pair_for, slack_violation)
+from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, VAJDA_ORDERS, CaseResult, _check,
+                           _grids, _sample_stack, _stack, _Stack, pair_for, slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
 # run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for each S of
@@ -340,6 +341,17 @@ class TestRunSweep:
                     p, q = pair_for(seed, dim, index)
                     assert np.array_equal(a[index], p.weights), (seed, dim, index)
                     assert np.array_equal(b[index], q.weights), (seed, dim, index)
+
+    def test_stack_chi_rows_equal_vajda_abs_chi_bit_for_bit(self):
+        # the chi^m rows of the sweep's cases (m = 1, 2, 3 at once) and the
+        # one-order function take one set of bits
+        dims, count = (2, 3, 5, 10), 300
+        stack = _Stack([_sample_stack(GOLDEN_SEEDS[1], dim, count) for dim in dims], _grids((), ()))
+        rows = stack.chi(VAJDA_ORDERS)
+        pairs = [pair_for(GOLDEN_SEEDS[1], dim, index) for dim in dims for index in range(count)]
+        for row, m in zip(rows, VAJDA_ORDERS):
+            assert np.array_equal(row, [vajda_abs_chi(m, p, q) for p, q in pairs]), m
+            assert np.array_equal(row, stack.chi(m)), m
 
     def test_a_block_is_a_prefix_of_any_larger_block(self):
         for seed in (0, 7, 9001):
