@@ -104,7 +104,7 @@ def _column(orders, ndim: int):
     """Orders as a column: a 1-D grid over ``ndim`` more axes, its axis leading
     the result; one order as a numpy float, which broadcasts into them."""
     orders = np.asarray(orders, dtype=float)
-    return orders.reshape(orders.shape + (1,) * ndim * orders.ndim)[()]
+    return orders.reshape(-1, *[1] * ndim) if orders.ndim else orders[()]
 
 
 @_per_column
@@ -210,7 +210,7 @@ def _coefficients(k, tops) -> np.ndarray:
     """phi_k's series coefficients, a column per order of k, zero past the terms that
     reach the last bit at |L| <= its top: a zero lead keeps Horner's bits."""
     rows = [_phi_edge(v)[2][:_series_length(v, top)]
-            for v, top in zip(k.reshape(-1).tolist(), np.broadcast_to(tops, k.size).tolist())]
+            for v, top in zip(k.reshape(-1).tolist(), np.full(k.size, tops).tolist())]
     return np.array(list(itertools.zip_longest(*rows, fillvalue=0.0)))
 
 
