@@ -94,10 +94,10 @@ def as_param(s: float | FamilyParam) -> FamilyParam:
 
 def _per_column(fn):
     """fn(k) of a column of orders, memoized on its values (a sweep reuses a
-    few columns, and one-order calls a few orders)."""
-    cached = functools.lru_cache(maxsize=256)(
-        lambda shape, data: fn(np.frombuffer(data).reshape(shape)))
-    return lambda k: cached(k.shape, k.tobytes())
+    few columns); one order, a numpy float, is its own key."""
+    cached = functools.lru_cache(maxsize=256)(lambda key, shape: fn(
+        np.frombuffer(key).reshape(shape) if shape else np.asarray(key)))
+    return lambda k: cached(k.tobytes() if k.shape else k, k.shape)
 
 
 def _column(orders, ndim: int):
