@@ -25,7 +25,6 @@ Generators are immutable evaluation bundles; all operations are pure.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -69,10 +68,10 @@ class Generator:
     ``value_and_slope`` on ratios of validated weights, and the public
     functions check their finished values, rerunning a failure through
     ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
-    ratio-range ends, one value per pair, for one pair and a stack alike.
-    The family generators evaluate a column of orders: over a grid of them
-    (for the sweep) the name and flag are tuples, the results lead with the
-    grid axis and the construction checks name the first failing order.
+    ratio-range ends, one value per pair, for one pair and a stack alike. The
+    family generators take a column of orders; over a grid (the sweep's) the
+    name and flag are tuples, the results lead with the grid axis, and the
+    construction checks name the first failing order.
     """
 
     name: str | tuple[str, ...]
@@ -250,10 +249,10 @@ def _checked(kernel, gen: Generator, *args):
 
 
 def _checking(gen: Generator, orders=range(4)) -> Generator:
-    """gen on the generic path, its ``orders`` through ``gen.eval`` and its sup of
-    |f'''| checked as order 3; copied, as rerun construction checks can misname it."""
-    checked, sup = copy.copy(gen), gen.third_sup_closed_form
-    vars(checked).update(value_and_slope=None, evaluate=lambda order, x: (
+    """gen on the generic path: ``orders`` through ``gen.eval``, the sup of |f'''|
+    checked as order 3; built without rerunning the checks, which misname an order."""
+    checked, sup = object.__new__(Generator), gen.third_sup_closed_form
+    vars(checked).update(vars(gen), value_and_slope=None, evaluate=lambda order, x: (
         gen.eval if order in orders else gen.evaluate)(order, x),
         third_sup_closed_form=sup and (lambda r, big_r: _finite(gen, 3, sup(r, big_r))))
     return checked

@@ -114,17 +114,19 @@ def _clamp(s):
 
 
 @_per_column
-def _limit_rows(s) -> tuple:
-    """(order, rows) for the orders 0 and 1 that the column holds."""
+def _exact(s) -> tuple:
+    """The column's exact rows: (order, rows) for the orders 0 and 1 it holds,
+    1/s with 0 at s = 0 (rows that E takes as L), and whether all are 1/2."""
     flat = s.reshape(-1)
-    return tuple((v, flat == v) for v in (0.0, 1.0) if (flat == v).any())
+    return (tuple((v, flat == v) for v in (0.0, 1.0) if (flat == v).any()),
+            np.divide(1.0, s, out=np.zeros_like(s), where=s != 0.0)[()], bool((flat == 0.5).all()))
 
 
 def _by_order(s, rows, general, *args):
     """general(s, *args) over a column of orders, with its rows at the order
     0 or 1 taken by rows[order](*args) where that is given, each argument
     that has the grid axis cut to them; one order takes its row's value."""
-    groups = [(at, rows[int(order)]) for order, at in _limit_rows(s) if rows[int(order)]]
+    groups = [(at, rows[int(order)]) for order, at in _exact(s)[0] if rows[int(order)]]
     if not (groups and s.ndim):
         return groups[0][1](*args) if groups else general(s, *args)
     cut = lambda at: [v[at] if np.ndim(v) == s.ndim else v for v in args]
@@ -136,13 +138,16 @@ def _by_order(s, rows, general, *args):
 
 
 def _e(k, L, u):
-    """E(k) = expm1(k L)/k, with L in the rows at k = 0 and u at k = 1."""
-    return _by_order(k, (lambda L, u: L, lambda L, u: u), _expm1_over, L, u)
-
-
-def _expm1_over(k, L, u):
+    """E(k) = expm1(k L)/k, with L in the rows at k = 0 and u at k = 1: one
+    such order takes L or u itself, a grid overwrites those rows."""
+    limits, reciprocal, _ = _exact(k)
+    if limits and not k.ndim:
+        return L if k == 0.0 else u
     out = np.multiply(k, L)
-    return np.multiply(np.expm1(out, out=out), 1.0 / k, out=out)
+    np.multiply(np.expm1(out, out=out), reciprocal, out=out)
+    for order, at in limits:
+        np.copyto(out, u if order else L, where=at.reshape(k.shape))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -193,13 +198,13 @@ def _phi(k, L, u, log=None):
 
 
 def _alone(k, L: np.ndarray):
-    """phi_k's series on all of L (_phi's, or R's exact log) when every |L|
-    is within half of the edge of every order's series, else None. There
-    phi_k, which grows as L^2 on either side, is below the least value at
-    the edge by a factor of about 4, far more than the rounding of the
-    direct value can close: the mask would take the series on every entry,
-    so the block takes it alone, with the same bits (an L with a grid axis
-    of its own takes the mask). The first entry is looked at before any pass."""
+    """phi_k's series on all of L (_phi's, or R's exact log) when every |L| is
+    within half of every order's series edge, else None. There phi_k, which
+    grows as L^2 on either side, is below the least value at the edge by a
+    factor of about 4, far more than the rounding of the direct value can
+    close: the mask would take the series on every entry, so the block takes
+    it alone, with the same bits. The first entry is looked at before any
+    pass; an L with a grid axis of its own takes the mask."""
     limit = _ALONE * _phi_edges(k)[2]
     if (L.size and abs(L.flat[0]) <= limit and (k.size == 1 or L.ndim < k.ndim)
             and (top := np.abs(L).max()) <= limit):
@@ -238,11 +243,8 @@ def _v_term(s, L, u):
     """V's generator phi_s(x) = E(s) E(1-s) at clamped orders, squared at 1/2; L
     and u are the caller's temporaries, which it may overwrite."""
     out = _e(s, L, u)
-    other = out if _halves(s) else _e(1.0 - s, L, u)
+    other = out if _exact(s)[2] else _e(1.0 - s, L, u)
     return np.multiply(out, other, out=out)
-
-
-_halves = _per_column(lambda s: bool((s == 0.5).all()))
 
 
 def _w_term(s, a, b, d):
@@ -475,7 +477,7 @@ def _psi_value_and_slope(s, x: np.ndarray):
     """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
     phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
     s = _clamp(s)
-    if _limit_rows(s):
+    if _exact(s)[0]:
         return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
     return _psi_general(s, x, x - 1.0, value=True)
 
