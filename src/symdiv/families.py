@@ -33,9 +33,9 @@ value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
 that order: the values inside a window are the limit values by contract.
 Every evaluator takes a column of orders (``_column``): a grid leads the
 result with its axis, one order broadcasts into the arguments. Each step
-is elementwise or per row, with the exact rows (k = 0 or 1, s = 1/2, a
-block inside half the series edge) taken by group, so a grid row has the
-bits of its order alone. Long sums run a block of entries at a time.
+is elementwise or per row, and the exact rows (k = 0 or 1, s = 1/2, a
+block inside half the series edge) take their own formula, so a grid row
+has the bits of its order alone. Long sums run a block of entries at a time.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def _exact(s) -> tuple:
 
 
 def _by_order(s, rows, general, *args):
-    """general(s, *args) over a column of orders, with its rows at the order
-    0 or 1 taken by rows[order](*args) where that is given, each argument
-    that has the grid axis cut to them; one order takes its row's value."""
-    groups = [(at, rows[int(order)]) for order, at in _exact(s)[0] if rows[int(order)]]
+    """general(s, *args) over a column of orders, with its rows at an order
+    that is a key of ``rows`` (0 or 1) taken by rows[order](*args), each
+    argument that has the grid axis cut to them; one order takes its row's value."""
+    groups = [(at, rows[order]) for order, at in _exact(s)[0] if order in rows]
     if not (groups and s.ndim):
         return groups[0][1](*args) if groups else general(s, *args)
     cut = lambda at: [v[at] if np.ndim(v) == s.ndim else v for v in args]
@@ -249,7 +249,7 @@ def _v_term(s, L, u):
 
 def _w_term(s, a, b, d):
     """W's summand b psi_s(a/b) with d = a - b, at a clamped order."""
-    return _by_order(s, (_js_row, _ag_row), _w_general, a, b, d)
+    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, d)
 
 
 def _w_general(s, a, b, d):
@@ -453,7 +453,7 @@ def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
         return _w_term(_clamp(s), x, 1.0, x - 1.0)
     if order == 1:
-        return _by_order(_clamp(s), (None, _ag_slope), _psi_general, x, x - 1.0)
+        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_general, x, x - 1.0)
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
         return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
