@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+import warnings
 
 # each subcommand imports the other modules it calls when it runs (``from .x
 # import f``, which -X importtime lists), so a traced run sees the calls
@@ -263,7 +262,8 @@ def run_cli(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         # an overflow is refused as NON_FINITE_RESULT, without numpy's warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # not np.errstate, which slows later ufuncs
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except (SymdivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

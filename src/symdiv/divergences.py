@@ -125,7 +125,7 @@ def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:
 
 
 def _vajda_bounds(m, r: np.ndarray, R: np.ndarray):
-    """vajda_upper_bounds over 1-D arrays of ratio ranges with r < R."""
+    """vajda_upper_bounds at one order m over 1-D arrays of ratio ranges with r < R."""
     bound1 = ((1.0 - r) * (R - 1.0) / (R - r)) * (
         np.power(1.0 - r, m - 1.0) + np.power(R - 1.0, m - 1.0))
     bound2 = np.power((R - r) / 2.0, m)
@@ -145,5 +145,5 @@ def vajda_variation_coefficients(m: float, rb: RatioBounds) -> tuple[float, floa
 
 
 def _vajda_coefficients(m, r: np.ndarray, R: np.ndarray):
-    """vajda_variation_coefficients over 1-D arrays of ratio ranges with r < R."""
+    """vajda_variation_coefficients at one order m over 1-D arrays of ranges with r < R."""
     return (1.0 - np.power(r, m)) / (1.0 - r), (np.power(R, m) - 1.0) / (R - 1.0)

@@ -344,18 +344,14 @@ def _r_values(s, a: np.ndarray, b: np.ndarray):
     if s > 0.5:
         return _r_values(1.0 - s, b, a)
     if s == 0.0:
-        return _kl(b, a)
+        return _blocked(_kl_summands, b, a)
     return _blocked(lambda a, b: _r_summands(s, a, b), a, b)
 
 
-def _kl(a: np.ndarray, b: np.ndarray):
-    """KL(P||Q) = sum a log(a/b), which carries the weights' sum defect; each
-    log is log1p((a - b)/b), exact near a = b (where a << b, a/b is off by
-    its rounding alone, and a small term keeps it small)."""
-    return _blocked(_kl_summands, a, b)
-
-
 def _kl_summands(a, b):
+    """KL(P||Q)'s summands a log(a/b); their sum carries the weights' sum
+    defect. Each log is log1p((a - b)/b), exact near a = b (where a << b,
+    a/b is off by its rounding alone, and a small term keeps it small)."""
     out = a - b
     out /= b
     np.log1p(out, out=out)

@@ -107,15 +107,15 @@ def _stated(id_, description, domain="none", param=None, when=lambda point: True
                                                    for lo, hi in zip(terms, terms[1:])])
 
 
-def _vajda_links(x, m, lhs):
-    """lhs <= bound1 <= bound2, the order-m absolute chi bounds; m is one
-    order or a column of them, one row each."""
-    bound1, bound2 = _vajda_bounds(m, x.r, x.big_r)
-    return [(lhs, bound1), (bound1, bound2)]
+def _vajda_links(x, m):
+    """|chi|^m <= bound1 <= bound2 at one order m, or a tuple of them, one row each."""
+    bound1, bound2 = x.vajda(_vajda_bounds, m)
+    return [(x.chi(m), bound1), (bound1, bound2)]
 
 
-def _coefficient(x, m, upper):
-    return _vajda_coefficients(_column(m, 1), x.r, x.big_r)[upper]
+def _variation(x, m):
+    """(c_lo V, c_hi V), the order-m variation bounds on |chi|^m, as two rows."""
+    return x.vajda(_vajda_coefficients, m) * x.chi(1.0)
 
 
 def _monotone_links(x, steps):
@@ -195,19 +195,19 @@ BOUNDS_CASES = (
     InequalityCase("EQ32", "(R-1)(1-r) <= (R-r)^2/4", "none", spread=True, links=lambda x, _: [
         ((x.big_r - 1.0) * (1.0 - x.r), (x.big_r - x.r) ** 2 / 4.0)]),
     InequalityCase("EQ52", "abs_chi^m <= bound1 <= bound2", "m in {1,2,3}", param="m",
-                   spread=True, links=lambda x, m: _vajda_links(x, _column(m, 1), x.chi(m))),
+                   spread=True, links=_vajda_links),
     InequalityCase("EQ53_UPPER", "abs_chi^m <= ((R^m-1)/(R-1)) V", "m in {1,2,3}", param="m",
-                   spread=True, links=lambda x, m: [(x.chi(m), _coefficient(x, m, 1) * x.tv)]),
+                   spread=True, links=lambda x, m: [(x.chi(m), _variation(x, m)[1])]),
     InequalityCase("EQ53_LOWER",
                    "((1-r^m)/(1-r)) V <= abs_chi^m (printed form fails a desk check)",
                    "m in {1,2,3}", Severity.DIAGNOSTIC, param="m", spread=True,
-                   links=lambda x, m: [(_coefficient(x, m, 0) * x.tv, x.chi(m))]),
+                   links=lambda x, m: [(_variation(x, m)[0], x.chi(m))]),
     InequalityCase("EQ54", "chi2 <= (R-1)(1-r) <= (R-r)^2/4", "none", spread=True,
-                   links=lambda x, _: _vajda_links(x, 2.0, x.chi(2.0))),
+                   links=lambda x, _: _vajda_links(x, 2.0)),
     InequalityCase("EQ55", "abs_chi3 <= order-3 ratio bound <= (R-r)^3/8", "none",
-                   spread=True, links=lambda x, _: _vajda_links(x, 3.0, x.chi(3.0))),
+                   spread=True, links=lambda x, _: _vajda_links(x, 3.0)),
     InequalityCase("EQ56", "V <= 2(R-1)(1-r)/(R-r) <= (R-r)/2", "none", spread=True,
-                   links=lambda x, _: _vajda_links(x, 1.0, x.tv)),
+                   links=lambda x, _: _vajda_links(x, 1.0)),
 ) + _engine_cases(GeneratorFamilyKind.PHI, ("EQ78", "EQ79", "EQ80", "EQ81")) \
   + _engine_cases(GeneratorFamilyKind.PSI, ("EQ105", "EQ106", "EQ107", "EQ108"))
 
@@ -453,16 +453,18 @@ class _Stack:
         return self._memoized((text, points), compute)
 
     def chi(self, m) -> np.ndarray:
-        """|chi|^m for one order m, or for a tuple m its orders' rows stacked."""
+        """|chi|^m (V at m = 1, chi^2 at 2) for one order m, or a tuple m's rows stacked."""
         if isinstance(m, tuple):
             return np.stack([self.chi(v) for v in m])
         return self._summed(("chi", m), lambda a, b: _abs_chi(m, a, b))
 
-    @property
-    def tv(self) -> np.ndarray:
-        return self.classic(MeasureKind.TOTAL_VARIATION)
-
     # ratio-range quantities, defined on the spread stack -------------------
+
+    def vajda(self, kernel, m) -> np.ndarray:
+        """A Vajda ``kernel(m, r, R)`` as two rows; for a tuple m, each its orders' rows."""
+        if isinstance(m, tuple):
+            return np.stack([self.vajda(kernel, v) for v in m], axis=1)
+        return self._memoized((kernel, m), lambda: np.array(kernel(m, *self.ends)))
 
     @property
     def ends(self) -> np.ndarray:
@@ -491,7 +493,7 @@ class _Stack:
         gen = self.grids[kind]
         fields = self._memoized(kind, lambda: _report(
             gen, self._summed(("sums", kind), lambda a, b: np.array(_sums(gen, a, b))),
-            self.ends, self.classic(MeasureKind.CHI2), self.chi(3.0), self.tv))
+            self.ends, *self.chi((2.0, 3.0, 1.0))))
         rows = [self.grids["s"].index(point) for point in points]
         return self._memoized((kind, points), lambda: BoundReport(
             None, *(v[rows] if np.ndim(v) == 2 else v for v in fields), ratio_bounds=None))

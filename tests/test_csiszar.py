@@ -653,3 +653,12 @@ class TestPsiStationary:
         assert counts[0] > 0 and counts[1] == 0
         assert roots[0] == roots[1] == [_psi_stationary.__wrapped__(s) for s in grid]
         assert all(type(xs) is tuple for xs in roots[0])
+
+
+@pytest.mark.parametrize("kind, s, order", [
+    (GeneratorFamilyKind.PHI, 1.0, 4), (GeneratorFamilyKind.PSI, 1.0, 4),
+    (GeneratorFamilyKind.PHI, 0.5, -1)])
+def test_generator_refuses_an_order_it_lacks(kind, s, order):
+    with pytest.raises(InputError) as err:
+        family_generator(kind, s).eval(order, 1.0)
+    assert err.value.code == "UNSUPPORTED_ORDER"

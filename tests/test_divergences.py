@@ -187,3 +187,10 @@ class TestVajda:
         with pytest.raises(Exception) as err:
             vajda_upper_bounds(2, ratio_bounds(p, p))
         assert err.value.code == "DEGENERATE_BOUNDS"
+
+
+@pytest.mark.parametrize("kind", ["KL", None, 1])
+def test_classic_divergence_refuses_what_is_not_a_measure_kind(pair, kind):
+    with pytest.raises(InputError) as err:
+        classic_divergence(kind, *pair)
+    assert str(err.value) == f"[PARAMETER_OUT_OF_RANGE] unknown measure kind {kind!r}"

@@ -73,3 +73,10 @@ class TestProperties:
                 at_branch = log_power_mean(MeanQuery(p0, a, b))
                 for p in (p0 - 1e-6, p0 + 1e-6):
                     assert abs(log_power_mean(MeanQuery(p, a, b)) - at_branch) <= 1e-8
+
+
+@pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan")])
+def test_rejects_an_order_that_is_not_finite(p):
+    with pytest.raises(DomainError) as err:
+        MeanQuery(p, 1.0, 2.0)
+    assert str(err.value) == f"[PARAMETER_OUT_OF_RANGE] mean order must be finite, got {p}"

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdiv import (InputError, NormalizationMode, NormalizationPolicy,
+from symdiv import (DomainError, InputError, NormalizationMode, NormalizationPolicy,
                     load_weights, mixture, ratio_bounds, sample_simplex,
                     validate_distribution)
-from symdiv.simplex import SIMPLEX_FLOOR, parse_weights
+from symdiv.simplex import SIMPLEX_FLOOR, Distribution, RatioBounds, parse_weights
 
 RENORM = NormalizationPolicy(NormalizationMode.RENORMALIZE)
 
@@ -188,6 +188,7 @@ class TestInputFormats:
         path = tmp_path / "p.csv"
         path.write_text("0.6\n0.4\n")
         assert load_weights(path) == [0.6, 0.4]
+        assert parse_weights("0.5\n\n0.5\n") == [0.5, 0.5]  # a blank row is skipped
 
     def test_rejects_missing_key(self):
         with pytest.raises(InputError) as err:
@@ -203,3 +204,19 @@ class TestInputFormats:
         with pytest.raises(InputError) as err:
             load_weights(tmp_path / "nope.json")
         assert err.value.code == "BAD_INPUT_FILE"
+
+
+@pytest.mark.parametrize("call, error, code, message", [
+    (lambda: RatioBounds(1.5, 2.0), DomainError, "PARAMETER_OUT_OF_RANGE", "0 < r <= 1 <= R"),
+    (lambda: validate_distribution([-0.5, 1.5], RENORM), InputError, "NONPOSITIVE_WEIGHT",
+     "after smoothing"),
+    (lambda: parse_weights("{not json"), InputError, "BAD_INPUT_FILE", "invalid JSON"),
+    (lambda: parse_weights("\n\n"), InputError, "BAD_INPUT_FILE", "no numbers"),
+    (lambda: Distribution(np.array([1.0])), InputError, "DIMENSION_TOO_SMALL", "at least 2"),
+    (lambda: Distribution(np.array([np.nan, 0.5])), InputError, "NON_FINITE", "finite"),
+], ids=["ratio-bounds", "renormalized", "bad-json", "no-numbers", "one-weight", "nan-weight"])
+def test_refusals_name_their_code(call, error, code, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.value.code == code
+    assert message in str(err.value)

@@ -352,6 +352,24 @@ class TestRunSweep:
         for row, m in zip(rows, VAJDA_ORDERS):
             assert np.array_equal(row, [vajda_abs_chi(m, p, q) for p, q in pairs]), m
             assert np.array_equal(row, stack.chi(m)), m
+        # so do the rows that EQ52 and EQ53 compare and the public Vajda
+        # bounds and coefficients, taken one pair and one order at a time
+        assert stack.spread is stack
+        cases = {case.id: case for case in REGISTRY}
+        links = {id_: cases[id_].links(stack, VAJDA_ORDERS)
+                 for id_ in ("EQ52", "EQ53_UPPER", "EQ53_LOWER")}
+        rbs = [ratio_bounds(p, q) for p, q in pairs]
+        tv = rows[0]
+        for k, m in enumerate(VAJDA_ORDERS):
+            bound1, bound2 = np.array([vajda_upper_bounds(m, rb) for rb in rbs]).T
+            c_lo, c_hi = np.array([vajda_variation_coefficients(m, rb) for rb in rbs]).T
+            public = {"EQ52": [(rows[k], bound1), (bound1, bound2)],
+                      "EQ53_UPPER": [(rows[k], c_hi * tv)], "EQ53_LOWER": [(c_lo * tv, rows[k])]}
+            for id_, want in public.items():
+                for link, (lo, hi) in enumerate(want):
+                    lhs, rhs = links[id_][link]
+                    assert np.array_equal(lhs[k], lo), (id_, m, link)
+                    assert np.array_equal(rhs[k], hi), (id_, m, link)
 
     def test_a_block_is_a_prefix_of_any_larger_block(self):
         for seed in (0, 7, 9001):
