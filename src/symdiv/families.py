@@ -176,22 +176,22 @@ def _phi(k, L, u, log=None):
     """phi_k = (x^k - 1 - k u)/(k (k - 1)) for k != 1, the generator of
     relative information: (E(k) - u)/(k - 1), or where that cancels (below
     the least value at the edge) its series in L. L spans the trailing axes
-    of the result; ``log(near)``, when given, is L exact where ``near``."""
+    of the result; ``log(near)``, when given, is L exact at the indices ``near``."""
     if log is None and (out := _alone(k, L)) is not None:
         return out
     reciprocal, least, _ = _phi_edges(k)
     out = _e(k, L, u)
     out = out - u if out is L or out is u else np.subtract(out, u, out=out)
     out *= reciprocal
-    near = out < least
-    if not near.any():
+    near = np.nonzero(out < least)  # index arrays: faster than a mask on mixed blocks
+    if not near[0].size:
         return out
     # the near entries alone, each with its row's coefficients
-    x = np.broadcast_to(L, near.shape)[near] if log is None else log(near)
+    x = np.broadcast_to(L, out.shape)[near] if log is None else log(near)
     if k.size == 1:
         rows, tops = 0, np.abs(x).max()
     else:
-        rows, tops = np.nonzero(near)[0], np.zeros(k.size)
+        rows, tops = near[0], np.zeros(k.size)
         np.maximum.at(tops, rows, np.abs(x))
     out[near] = _series(_coefficients(k, tops)[:, rows], x)
     return out
