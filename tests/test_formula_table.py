@@ -143,31 +143,37 @@ def mirrored_pair(t, rng):
     return validate_distribution(a / a.sum()), validate_distribution(b / a.sum())
 
 
-def block_pair(n, rng, eps=1e-7):
-    """n entries whose first block is within eps of P = Q; the second block
-    mixes such entries with generic ones (a/b up to 4), in mirrored pairs."""
-    generic = max(n - families._BLOCK, 0) // 4
+# block pair sizes about one and two blocks of 16384 and of 32768 entries, and
+# the first entries, within eps of P = Q: fixed, so the pairs do not follow _BLOCK
+BLOCK_PAIR_SIZES, BLOCK_PAIR_NEAR = (3, 16383, 16385, 32767, 32769, 65539), 16384
+
+
+def block_pair(n, eps=1e-7):
+    """n entries whose first BLOCK_PAIR_NEAR are within eps of P = Q; the rest
+    mix such entries with generic ones (a/b up to 4), in mirrored pairs. Each
+    n draws from its own generator."""
+    rng = np.random.default_rng([1414, n])
+    generic = max(n - BLOCK_PAIR_NEAR, 0) // 4
     q = rng.uniform(0.5, 1.5, n - 2 * generic)
     z = rng.uniform(-1.0, 1.0, q.size)
     z -= (q * z).sum() / q.sum()  # sum(q z) = 0
     near = q * (1.0 + eps * z / np.abs(z).max())
     c, ratio = rng.uniform(0.5, 1.5, generic), np.exp(rng.uniform(-1.4, 1.4, generic))
-    cut = min(n, families._BLOCK)
+    cut = min(n, BLOCK_PAIR_NEAR)
     a = np.concatenate([near[:cut], c, c * ratio, near[cut:]])
     b = np.concatenate([q[:cut], c * ratio, c, q[cut:]])
     return validate_distribution(a / b.sum()), validate_distribution(b / b.sum())
 
 
 def shortcut_cases():
-    """(pair, orders): near pairs at every order, at eps 1e-2 .. 1e-12 and
-    at n = 3, _BLOCK -+ 1 and 2 _BLOCK + 3; and per order, pairs whose |L|
+    """(pair, orders): near pairs at every order, at eps 1e-2 .. 1e-12,
+    and the block pairs; and per order, pairs whose |L|
     reach 0.4 .. 1.1 of the edge of each phi_k the order takes: R's (k = s
     or 1 - s), W's and PSI's at the midpoints (L about half of log(a/b)),
     and E*'s at (a + b)/2b (a quarter)."""
     rng = np.random.default_rng(1414)
     cases = [(near_pair(eps), ALONE_ORDERS) for eps in EPS + (1e-11, 1e-12)]
-    cases += [(block_pair(n, rng), ALONE_ORDERS) for n in
-              (3, families._BLOCK - 1, families._BLOCK + 1, 2 * families._BLOCK + 3)]
+    cases += [(block_pair(n), ALONE_ORDERS) for n in BLOCK_PAIR_SIZES]
     for s in ALONE_ORDERS:
         for k, scale in ((s if s <= 0.5 else 1.0 - s, 1.0), (s, 2.0), (s, 4.0)):
             edge = families._SERIES_EDGE / max(abs(k - 1.0), 0.5)
