@@ -55,8 +55,10 @@ LIMIT_TOLERANCE = 1e-5
 # are not dyadic, so |s - 1| can exceed the literal tolerance by representation
 # error alone
 _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
-# entries per block of a long sum, so that its temporaries stay small
-_BLOCK = 32768
+# entries per block of a long sum: 128 KiB float64 temporaries, which stay within
+# glibc's default mmap/trim thresholds (mallopt(3)); at 256 KiB the blocks' pages
+# were unmapped or trimmed and faulted in again, block after block
+_BLOCK = 16384
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
 # series then reach the last bit; a block wholly within this share of
