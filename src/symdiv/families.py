@@ -353,10 +353,14 @@ def _r_values(s, a: np.ndarray, b: np.ndarray):
 def _kl_summands(a, b):
     """KL(P||Q)'s summands a log(a/b); their sum carries the weights' sum
     defect. Each log is log1p((a - b)/b), exact near a = b (where a << b,
-    a/b is off by its rounding alone, and a small term keeps it small)."""
+    a/b is off by its rounding alone, and a small term keeps it small), and
+    log(a) - log(b) where that quotient rounds to -1."""
     out = a - b
     out /= b
+    far = np.nonzero(out == -1.0)  # a/b below the float spacing at 1: log1p is -inf
+    out[far] = 0.0
     np.log1p(out, out=out)
+    out[far] = np.log(a[far]) - np.log(b[far])
     out *= a
     return out
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .simplex import _real
 
 # generic-branch formulas lose a digit ~1e-9 from the poles; dispatch there
 BRANCH_TOL = 1e-9
@@ -36,6 +37,9 @@ class MeanQuery:
     raised: bool = False
 
     def __post_init__(self):
+        if not all(map(_real, (self.p, self.a, self.b))):
+            raise DomainError("PARAMETER_OUT_OF_RANGE", f"mean order and arguments must be real "
+                              f"numbers, got {(self.p, self.a, self.b)!r}")
         if not (self.a > 0 and self.b > 0 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError("NONPOSITIVE_ARGUMENT",
                               f"mean arguments must be finite and > 0, got ({self.a}, {self.b})")

@@ -187,6 +187,17 @@ class TestCompute:
         assert err.splitlines() == [
             "error: [NON_FINITE_RESULT] the result is not finite in double precision"]
 
+    def test_kl_of_a_vanishing_weight_is_finite(self, capsys, tmp_path):
+        # (a - b)/b rounds to -1 on the first entry: log(a) - log(b) is taken there
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text(json.dumps({"weights": [1e-300, 1.0]}))
+        q.write_text(json.dumps({"weights": [0.99, 0.01]}))
+        code, out, err = run(capsys, "compute", "--input-p", str(p), "--input-q", str(q),
+                             "--measure", "KL", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"KL": 4.60517018599}
+
     def test_large_order_is_finite(self, capsys, histograms):
         # V_1000 of this pair is about 9.88e169: finite, and the powers are
         # taken in log space, so no factor overflows on its own

@@ -4,7 +4,7 @@ import pytest
 import oracle
 from conftest import assert_close, sampled_pairs
 from symdiv import (InputError, MeasureKind, classic_divergence, mixture,
-                    ratio_bounds, vajda_abs_chi, vajda_upper_bounds,
+                    ratio_bounds, relative_information_type_s, vajda_abs_chi, vajda_upper_bounds,
                     vajda_variation_coefficients, validate_distribution)
 from symdiv.divergences import DIRECTIONAL_KINDS, AFFINITY_KINDS
 
@@ -38,6 +38,14 @@ class TestAgainstOracle:
         p, q = pair3
         expected = float(ORACLE_FN[kind](p.as_tuple(), q.as_tuple()))
         assert classic_divergence(kind, p, q) == pytest.approx(expected, rel=1e-13)
+
+
+    def test_kl_where_the_ratio_is_below_the_spacing_at_zero(self):
+        # a/b = 1e-300/0.99: (a - b)/b rounds to -1, where log1p is -inf
+        p, q = validate_distribution([1e-300, 1.0]), validate_distribution([0.99, 0.01])
+        want = float(oracle.kl(p.as_tuple(), q.as_tuple()))
+        assert [classic_divergence(MeasureKind.KL, p, q), relative_information_type_s(1.0, p, q),
+                relative_information_type_s(0.0, q, p)] == pytest.approx([want] * 3, rel=1e-15)
 
 
 class TestStructure:

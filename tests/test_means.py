@@ -80,3 +80,11 @@ def test_rejects_an_order_that_is_not_finite(p):
     with pytest.raises(DomainError) as err:
         MeanQuery(p, 1.0, 2.0)
     assert str(err.value) == f"[PARAMETER_OUT_OF_RANGE] mean order must be finite, got {p}"
+
+
+@pytest.mark.parametrize("p, a, b", [("1", 1.0, 2.0), (None, 1.0, 2.0), (1.0, "1", 2.0),
+                                     (1.0, 1.0, None), (True, 1.0, 2.0), (1.0, 1 + 0j, 2.0)])
+def test_rejects_what_is_not_a_real_number(p, a, b):
+    with pytest.raises(DomainError) as err:
+        MeanQuery(p, a, b)
+    assert err.value.code == "PARAMETER_OUT_OF_RANGE"
