@@ -55,9 +55,8 @@ LIMIT_TOLERANCE = 1e-5
 # are not dyadic, so |s - 1| can exceed the literal tolerance by representation
 # error alone
 _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
-# entries per block of a long sum: 128 KiB float64 temporaries, which stay within
-# glibc's default mmap/trim thresholds (mallopt(3)); at 256 KiB the blocks' pages
-# were unmapped or trimmed and faulted in again, block after block
+# entries per block of a long sum: 128 KiB float64 temporaries, within glibc's default
+# mmap/trim thresholds (mallopt(3)), whose pages are reused, not faulted in again
 _BLOCK = 16384
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
@@ -351,10 +350,9 @@ def _r_values(s, a: np.ndarray, b: np.ndarray):
 
 
 def _kl_summands(a, b):
-    """KL(P||Q)'s summands a log(a/b); their sum carries the weights' sum
-    defect. Each log is log1p((a - b)/b), exact near a = b (where a << b,
-    a/b is off by its rounding alone, and a small term keeps it small), and
-    log(a) - log(b) where that quotient rounds to -1."""
+    """KL(P||Q)'s summands a log(a/b); their sum carries the weights' sum defect. Each
+    log is log1p((a - b)/b), exact near a = b (where a << b, a/b is off by its rounding
+    alone, and a small term keeps it small), or log(a) - log(b) where that quotient is -1."""
     out = a - b
     out /= b
     far = np.nonzero(out == -1.0)  # a/b below the float spacing at 1: log1p is -inf

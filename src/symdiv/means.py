@@ -38,8 +38,8 @@ class MeanQuery:
 
     def __post_init__(self):
         if not all(map(_real, (self.p, self.a, self.b))):
-            raise DomainError("PARAMETER_OUT_OF_RANGE", f"mean order and arguments must be real "
-                              f"numbers, got {(self.p, self.a, self.b)!r}")
+            raise DomainError("PARAMETER_OUT_OF_RANGE", f"mean fields must be real numbers, "
+                              f"got {(self.p, self.a, self.b)!r}")
         if not (self.a > 0 and self.b > 0 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError("NONPOSITIVE_ARGUMENT",
                               f"mean arguments must be finite and > 0, got ({self.a}, {self.b})")
