@@ -177,24 +177,24 @@ def _phi(k, L, u, log=None):
     """phi_k = (x^k - 1 - k u)/(k (k - 1)) for k != 1, the generator of
     relative information: (E(k) - u)/(k - 1), or where that cancels (below
     the least value at the edge) its series in L. L spans the trailing axes
-    of the result; ``log(near)``, when given, is L exact at the indices ``near``."""
+    of the result; ``log(near)``, when given, is L exact at the flat indices ``near``."""
     if log is None and (out := _alone(k, L)) is not None:
         return out
     reciprocal, least, _ = _phi_edges(k)
     out = _e(k, L, u)
     out = out - u if out is L or out is u else np.subtract(out, u, out=out)
     out *= reciprocal
-    near = np.nonzero(out < least)  # index arrays: faster than a mask on mixed blocks
-    if not near[0].size:
+    near = np.flatnonzero(out < least)  # a mask is slow on mixed blocks, nonzero on 2-D ones
+    if not near.size:
         return out
     # the near entries alone, each with its row's coefficients
-    x = np.broadcast_to(L, out.shape)[near] if log is None else log(near)
+    x = np.take(np.broadcast_to(L, out.shape), near) if log is None else log(near)
     if k.size == 1:
         rows, tops = 0, np.abs(x).max()
     else:
-        rows, tops = near[0], np.zeros(k.size)
+        rows, tops = near // (out.size // k.size), np.zeros(k.size)
         np.maximum.at(tops, rows, np.abs(x))
-    out[near] = _series(_coefficients(k, tops)[:, rows], x)
+    np.put(out, near, _series(_coefficients(k, tops)[:, rows], x))
     return out
 
 
@@ -355,10 +355,10 @@ def _kl_summands(a, b):
     alone, and a small term keeps it small), or log(a) - log(b) where that quotient is -1."""
     out = a - b
     out /= b
-    far = np.nonzero(out == -1.0)  # a/b below the float spacing at 1: log1p is -inf
-    out[far] = 0.0
+    if out.min() == -1.0:  # a/b below the float spacing at 1, where log1p is -inf
+        far = out == -1.0
+        return np.where(far, a * (np.log(a) - np.log(b)), a * np.log1p(np.where(far, 0.0, out)))
     np.log1p(out, out=out)
-    out[far] = np.log(a[far]) - np.log(b[far])
     out *= a
     return out
 
@@ -396,8 +396,8 @@ def _r_summands(s, a, b):
     out = None if exact is None else _alone(s, exact)
     if out is None:
         L = np.log(a / b)
-        out = _phi(s, L, np.expm1(L), lambda near: (
-            np.log1p((a[near] - b[near]) / b[near]) if exact is None else exact[near]))
+        out = _phi(s, L, np.expm1(L), lambda near: np.take(exact, near) if exact is not None
+                   else np.log1p((np.take(a, near) - np.take(b, near)) / np.take(b, near)))
     out *= b
     return out
 
