@@ -39,8 +39,7 @@ class TestAgainstOracle:
         expected = float(ORACLE_FN[kind](p.as_tuple(), q.as_tuple()))
         assert classic_divergence(kind, p, q) == pytest.approx(expected, rel=1e-13)
 
-
-    def test_kl_where_the_ratio_is_below_the_spacing_at_zero(self):
+    def test_kl_where_the_ratio_is_below_the_float_spacing(self):
         # a/b = 1e-300/0.99: (a - b)/b rounds to -1, where log1p is -inf
         p, q = validate_distribution([1e-300, 1.0]), validate_distribution([0.99, 0.01])
         want = float(oracle.kl(p.as_tuple(), q.as_tuple()))

@@ -143,8 +143,9 @@ def mirrored_pair(t, rng):
     return validate_distribution(a / a.sum()), validate_distribution(b / a.sum())
 
 
-# block pair sizes about one and two blocks of 16384 and of 32768 entries, and
-# the first entries, within eps of P = Q: fixed, so the pairs do not follow _BLOCK
+# block pairs: sizes about one and two blocks of 16384 and of 32768 entries, and
+# how many leading entries lie within eps of P = Q; fixed, so that the pairs do
+# not follow _BLOCK
 BLOCK_PAIR_SIZES, BLOCK_PAIR_NEAR = (3, 16383, 16385, 32767, 32769, 65539), 16384
 
 
