@@ -52,18 +52,20 @@ def parts(pairs) -> dict:
     }
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main() -> None:
     calls = parts([generic_pair(i) for i in range(2)])
     seen = {name: [] for name in calls}
     for round_ in range(ROUNDS + 1):
         for name, part in calls.items():
-            faults, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
+            faults, cpu = minor_faults(), time.process_time()
             for call in part:
                 call()
-            cpu, faults = time.process_time() - cpu, \
-                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             if round_:  # the first round warms up
-                seen[name].append((cpu * 1e3, faults))
+                seen[name].append(((time.process_time() - cpu) * 1e3, minor_faults() - faults))
     print(f"_BLOCK = {_BLOCK}, n = {ROWS * REPEAT}, medians of {ROUNDS} rounds after one warm-up")
     print(f"{'part':<8} {'calls':>5} {'cpu_ms':>8} {'minflt':>8}")
     for name, rows in seen.items():
