@@ -58,6 +58,7 @@ _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
 # entries per block of a long sum: 128 KiB float64 temporaries, within glibc's default
 # mmap/trim thresholds (mallopt(3)), whose pages are reused, not faulted in again
 _BLOCK = 16384
+_pair_sums = functools.partial(np.add.reduce, axis=-1)  # a long sum's default: x.sum(axis=-1)
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
 # series then reach the last bit; a block wholly within this share of
@@ -325,28 +326,28 @@ def _at_order(values, s, p: Distribution, q: Distribution) -> float:
     return float(values(column, p.weights, q.weights))
 
 
-# V_s, W_s and R_s over a column of orders, summed over the last axis of weight
-# arrays: one value per pair of rows, one row of them per order of a grid
+# V_s, W_s and R_s over a column of orders, summed over the last axis of weight arrays
+# by ``total`` (``_blocked``): one value per pair of rows, one row per order of a grid
 
-def _v_values(s, a: np.ndarray, b: np.ndarray):
+def _v_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
     s = _clamp(s)
-    return _blocked(lambda a, b: _v_summands(s, a, b), a, b)
+    return _blocked(lambda a, b: _v_summands(s, a, b), a, b, total)
 
 
-def _w_values(s, a: np.ndarray, b: np.ndarray):
+def _w_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
     s = _clamp(s)
-    return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b)
+    return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b, total)
 
 
-def _r_values(s, a: np.ndarray, b: np.ndarray):
+def _r_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
     """R_s(P||Q) = sum b phi_s(a/b) at one order s, and R_{1-s}(Q||P) for
     s > 1/2. At its limit orders it is KL(Q||P) and KL(P||Q), as defined."""
     s = _clamp(s)
     if s > 0.5:
-        return _r_values(1.0 - s, b, a)
+        return _r_values(1.0 - s, b, a, total)
     if s == 0.0:
-        return _blocked(_kl_summands, b, a)
-    return _blocked(lambda a, b: _r_summands(s, a, b), a, b)
+        return _blocked(_kl_summands, b, a, total)
+    return _blocked(lambda a, b: _r_summands(s, a, b), a, b, total)
 
 
 def _kl_summands(a, b):
@@ -363,11 +364,11 @@ def _kl_summands(a, b):
     return out
 
 
-def _blocked(summands, a: np.ndarray, b: np.ndarray):
-    """summands(a, b) summed over the last axis, a block of entries at a time."""
+def _blocked(summands, a: np.ndarray, b: np.ndarray, total=_pair_sums):
+    """summands(a, b) summed over the last axis by ``total``, a block of entries at a time."""
     if a.shape[-1] <= _BLOCK:
-        return summands(a, b).sum(axis=-1)
-    return sum(summands(a, b).sum(axis=-1) for a, b in _blocks(a, b))
+        return total(summands(a, b))
+    return sum(total(summands(a, b)) for a, b in _blocks(a, b))
 
 
 def _blocks(a: np.ndarray, b: np.ndarray) -> list:
@@ -474,12 +475,21 @@ def _phi_value_and_slope(s, x: np.ndarray):
 
 
 def _psi_value_and_slope(s, x: np.ndarray):
-    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
-    phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
+    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and phi_s(m/x);
+    JS's and AG's rows (value at 0 and 1, slope at 1) one by one, or over a grid's."""
     s = _clamp(s)
-    if _exact(s)[0]:
-        return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
-    return _psi_general(s, x, x - 1.0, value=True)
+    if not ((exact := _exact(s)[0]) and s.ndim):
+        return (_psi_eval(s, x, 0), _psi_eval(s, x, 1)) if exact else _psi_general(
+            s, x, x - 1.0, value=True)
+    d = x - 1.0
+    value, slope = np.empty((2,) + np.broadcast_shapes(s.shape, x.shape))
+    if (off := s.reshape(-1) != 1.0).any():
+        value[off], slope[off] = _psi_general(s[off], x, d, value=True)
+    for order, at in exact:
+        value[at] = (_ag_row if order else _js_row)(x, 1.0, d)
+    if exact[-1][0]:  # 1 is the last exact order
+        slope[exact[-1][1]] = _ag_slope(x, d)
+    return value, slope
 
 
 def _psi_general(s, x, d, value=False):

@@ -14,18 +14,16 @@ An inequality ``L <= R`` passes when ``L <= R + tol * max(1, |R|)``: the
 relative part guards the large symmetric chi-square cases, the absolute
 floor guards comparisons between near-zero values.
 
-One batched engine checks the table in one pass over all the sweep's
-pairs, held as one (N, n) block of weight arrays per dim, sampled straight
-into it and validated once. Sums over a pair's entries run per block and
-are joined along the pair axis; the rest is elementwise over all the
-pairs. So each family's generator is built once over the s grid, the
-ratio-range half of its bound report runs once, and each case compares
-one (pairs x points*comparisons) block, counting violations and skips
-with array reductions. Inputs are checked at the boundary (``SweepConfig``,
-the sampled blocks). Inside, a non-finite comparison is refused and a
-witness is built for each case's largest violation, each the first in
-the order of checking the pairs one at a time (dim, case, pair, grid
-value, comparison), so results equal that; a single pair is a block of one.
+One batched engine checks the table in one pass over all the sweep's pairs,
+sampled straight into one (N, n) block of weights per dim and validated once.
+Their entries lie on one flat axis: each elementwise pass runs once over it,
+each sum over a pair's entries per dim segment. Each family's generator is
+built once per s grid, and all comparisons form one (comparisons x pairs)
+block per pair stack, counted with array reductions. Inputs are checked at
+the boundary (``SweepConfig``, the sampled blocks). Inside, a non-finite
+comparison is refused and a witness is built for each case's largest
+violation, each the first in the order of checking the pairs one at a time
+(dim, case, pair, grid value, comparison), so results equal that.
 
 Sweeps are deterministic: pair i of (seed, dim) is the 2*dim uniforms from
 word 2*dim*i on of one counter-based Philox stream keyed on (seed, dim), as
@@ -36,6 +34,7 @@ summary is byte-stable apart from ``elapsed_ms``.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import re
 import time
@@ -48,7 +47,8 @@ import numpy as np
 from .csiszar import BoundReport, _family_generator, _report, _sums
 from .divergences import MeasureKind, _abs_chi, _classic, _vajda_bounds, _vajda_coefficients
 from .errors import DomainError, InputError
-from .families import GeneratorFamilyKind, _column, _v_values, _w_values, as_param
+from .families import (_BLOCK, GeneratorFamilyKind, _column, _pair_sums, _v_values, _w_values,
+                       as_param)
 from .simplex import (Distribution, _check_sampling, _check_simplex_rows, _floored,
                       _ratio_range, _real, _require_same_dim)
 
@@ -399,20 +399,28 @@ def _grids(s_grid: Sequence, t_grid: Sequence, kinds=()) -> dict:
     """A check's points for each ``param`` (None, "s", "t", "m"), and for each
     of ``kinds`` its family generator over the whole s grid."""
     grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
-    return grids | {kind: _family_generator(kind, np.array(grids["s"], float)) for kind in kinds}
+    orders = np.array(grids["s"], float).tobytes()
+    return grids | {kind: _grid_generator(kind, orders) for kind in kinds}
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_generator(kind: GeneratorFamilyKind, orders: bytes):
+    """The generator over an s grid given as float64 bytes: frozen, so shared."""
+    return _family_generator(kind, np.frombuffer(orders))
 
 
 class _Stack:
     """Pairs as blocks (a, b), one (N_k, n_k) weight array each for P and Q per
     dim, with the check's ``grids``. Each quantity is computed once, on first
-    use, with one value per pair, block after block, and one row per grid
-    point where it depends on one: sums over a pair's entries per block, then
-    joined, the rest over all pairs at once. A single pair is a block of one."""
+    use, with one value per pair and one row per grid point where it depends
+    on one: elementwise over each run of the pairs' entries (``_runs``), then
+    per pair and joined. A single pair is a block of one."""
 
     def __init__(self, blocks: list, grids: dict):
         self.blocks, self.grids = blocks, grids
         self.starts = np.cumsum([0] + [len(a) for a, _ in blocks])  # each block's, then the end
         self.size = int(self.starts[-1])
+        self.runs = _runs(blocks)
         self._memo: dict = {}
 
     def _memoized(self, key, compute):
@@ -420,23 +428,23 @@ class _Stack:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def _summed(self, key, total: Callable) -> np.ndarray:
-        """``total(a, b)`` on each block, joined along the last (pair) axis."""
+    def _summed(self, key, compute: Callable) -> np.ndarray:
+        """``compute(a, b, total)`` on each run (``_runs``), joined along the last (pair) axis."""
         return self._memoized(key, lambda: np.concatenate(
-            [total(a, b) for a, b in self.blocks], axis=-1))
+            [compute(*run) for run in self.runs], axis=-1))
 
     def block_of(self, lane: int) -> int:
         return int(np.searchsorted(self.starts, lane, side="right")) - 1
 
     def classic(self, kind: MeasureKind) -> np.ndarray:
-        return self._summed(kind, lambda a, b: _classic(kind, a, b))
+        return self._summed(kind, lambda a, b, total: _classic(kind, a, b, total))
 
     def family(self, name: str, points) -> np.ndarray:
         """V ("V") or W ("W") at each point, one row per point, taken from
         their values over the distinct s grid values (V also t)."""
         grid = tuple(dict.fromkeys(self.grids["s"] + (self.grids["t"] if name == "V" else ())))
-        values = self._summed(name, lambda a, b: (_v_values if name == "V" else _w_values)(
-            _column(grid, 2), a, b))
+        values = self._summed(name, lambda a, b, total: (_v_values if name == "V" else _w_values)(
+            _column(grid, a.ndim), a, b, total))
         return values[[grid.index(point) for point in points]]
 
     def term(self, text: str, points) -> np.ndarray:
@@ -456,7 +464,7 @@ class _Stack:
         """|chi|^m (V at m = 1, chi^2 at 2) for one order m, or a tuple m's rows stacked."""
         if isinstance(m, tuple):
             return np.stack([self.chi(v) for v in m])
-        return self._summed(("chi", m), lambda a, b: _abs_chi(m, a, b))
+        return self._summed(("chi", m), lambda a, b, total: _abs_chi(m, a, b, total))
 
     # ratio-range quantities, defined on the spread stack -------------------
 
@@ -469,7 +477,7 @@ class _Stack:
     @property
     def ends(self) -> np.ndarray:
         """(r, R), the ratio range of each pair, as two rows."""
-        return self._summed("ends", lambda a, b: np.array(_ratio_range(a / b)))
+        return self._summed("ends", lambda a, b, total: total(a / b, _ratio_range))
 
     r = property(lambda self: self.ends[0])
     big_r = property(lambda self: self.ends[1])
@@ -492,18 +500,45 @@ class _Stack:
         one row per point, taken from one report over the whole s grid."""
         gen = self.grids[kind]
         fields = self._memoized(kind, lambda: _report(
-            gen, self._summed(("sums", kind), lambda a, b: np.array(_sums(gen, a, b))),
+            gen, self._summed(("sums", kind), lambda a, b, total: np.array(
+                _sums(gen, a, b, total=total))),
             self.ends, *self.chi((2.0, 3.0, 1.0))))
         rows = [self.grids["s"].index(point) for point in points]
         return self._memoized((kind, points), lambda: BoundReport(
             None, *(v[rows] if np.ndim(v) == 2 else v for v in fields), ratio_bounds=None))
 
 
+def _runs(blocks: list) -> list:
+    """The blocks' entries on one flat axis, dim after dim and pair after pair, cut
+    at pairs into runs (a, b, total) of at most ``_BLOCK`` entries, or of one longer
+    pair, which ``_blocked`` cuts. ``total`` takes each pair's sum on the run's segment
+    (start, stop, pairs) of each dim, over the values a block of that dim would sum."""
+    flat = [np.concatenate([w.reshape(-1) for w in side]) for side in zip(*blocks)]
+    runs, room, offset = [], 0, 0  # room: the entries left in the last run
+    for a, _ in blocks:
+        count, n = a.shape
+        while count:
+            if room < n:
+                runs.append((offset, []))
+                room = max(_BLOCK, n)
+            take, at = min(count, room // n), offset - runs[-1][0]
+            runs[-1][1].append((at, at + take * n, take))
+            room, offset, count = room - take * n, offset + take * n, count - take
+    return [(*(w[start:start + run[-1][1]] for w in flat),
+             functools.partial(_per_pair, segments=run)) for start, run in runs]
+
+
+def _per_pair(x: np.ndarray, fn=_pair_sums, *, segments) -> np.ndarray:
+    """fn, by default the sum, of x's entries as (..., pairs, entries) on each segment."""
+    return np.concatenate([fn(x[..., i:j].reshape(x.shape[:-1] + (pairs, -1)))
+                           for i, j, pairs in segments], axis=-1)
+
+
 def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[CaseResult]:
-    """Evaluate each case over every pair of the stack and every kept point
-    at once: one block of violations per case. The first non-finite
-    comparison in (block, case, pair, point, comparison) order is refused."""
-    results, refusals = [], []
+    """Evaluate every case over every pair and kept point at once: one block of
+    comparisons per pair stack (the stack, its spread sub-stack). The first
+    non-finite comparison in (block, case, pair, point, comparison) order is refused."""
+    results, planned = [], {}  # pair stack -> its cases' comparisons
     for position, case in enumerate(cases):
         pairs = stack.spread if case.spread else stack
         grid = stack.grids[case.param]
@@ -515,25 +550,30 @@ def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[C
         result = CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
                             + pairs.size * (len(points) - len(kept)))
         results.append(result)
-        if not (kept and pairs.size):
-            continue
-        links = case.links(pairs, tuple(point for point, _ in kept))
-        labels = [label for _, label in kept for _ in links]
-        # one row per pair, one column per (point, comparison) in sequential order
-        lhs, rhs = np.empty((2, len(kept), len(links), pairs.size))
-        for k, (lo, hi) in enumerate(links):
-            lhs[:, k], rhs[:, k] = lo, hi
-        violations = slack_violation(lhs.reshape(len(labels), -1).T,
-                                     rhs.reshape(len(labels), -1).T, tol)
+        if kept and pairs.size:
+            links = case.links(pairs, tuple(point for point, _ in kept))
+            labels = [label for _, label in kept for _ in links]
+            planned.setdefault(pairs, []).append((position, case, links, labels))
+    refusals = []
+    for pairs, comparisons in planned.items():
+        firsts = np.cumsum([0] + [len(labels) for *_, labels in comparisons])
+        lhs, rhs = np.empty((2, firsts[-1], pairs.size))
+        for (*_, links, labels), first in zip(comparisons, firsts):
+            for k, (lo, hi) in enumerate(links):  # the rows (point, k) of the case
+                rows = slice(first + k, first + len(labels), len(links))
+                lhs[rows], rhs[rows] = lo, hi
+        violations = slack_violation(lhs, rhs, tol).T  # a column per (case, point, comparison)
         finite = np.isfinite(violations)
-        if not finite.all():  # a NaN would count as a pass
-            lane, col = divmod(int(np.argmin(finite)), len(labels))
-            where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
-            refusals.append((pairs.block_of(lane), position,
-                             f"case {case.id} compared a non-finite value{where}"))
-            continue
-        result.record(violations, lambda lane, col, pairs=pairs, case=case, labels=labels:
-                      _witness(pairs, lane, case.param, labels[col]))
+        whole = finite.all()  # a NaN would count as a pass
+        for (position, case, _, labels), first in zip(comparisons, firsts):
+            columns = slice(first, first + len(labels))
+            if not (whole or finite[:, columns].all()):
+                lane, col = divmod(int(np.argmin(finite[:, columns])), len(labels))
+                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
+                refusals.append((pairs.block_of(lane), position,
+                                 f"case {case.id} compared a non-finite value{where}"))
+            results[position].record(violations[:, columns], lambda lane, col: _witness(
+                pairs, lane, case.param, labels[col]))  # moot if a refusal is raised
     if refusals:
         raise DomainError("NON_FINITE_RESULT", min(refusals)[2])
     return results

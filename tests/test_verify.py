@@ -6,13 +6,14 @@ import pytest
 
 import symdiv.verify as verify_mod
 from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, Severity,
-                    SweepConfig, check_bounds_suite, check_chain, check_parametric,
-                    classic_divergence, ratio_bounds, run_sweep, vajda_abs_chi,
-                    validate_distribution)
+                    SweepConfig, ag_js_divergence_type_s, check_bounds_suite, check_chain,
+                    check_parametric, classic_divergence, j_divergence_type_s, ratio_bounds,
+                    run_sweep, vajda_abs_chi, validate_distribution)
 from symdiv.csiszar import (_smoothness, bound_report, endpoint_bounds, family_generator,
                             smoothness_bounds)
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
+from symdiv.families import _BLOCK
 from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, VAJDA_ORDERS, CaseResult, _check,
                            _grids, _sample_stack, _stack, _Stack, pair_for, slack_violation)
 
@@ -319,6 +320,35 @@ class TestRunSweep:
         assert_equals_sequential_merge(SweepConfig(dims=(10, 2, 3, 2), samples_per_dim=4,
                                                    seed=77, tol=1e-16))
 
+    def test_unsorted_and_wide_dims_equal_sequential_merge(self):
+        # dims out of order and wider than 10 share one flat axis
+        assert_equals_sequential_merge(SweepConfig(dims=(10, 3, 2, 7, 37), samples_per_dim=6,
+                                                   seed=GOLDEN_SEEDS[1], tol=1e-16))
+
+    def test_a_flat_axis_longer_than_a_block_equals_sequential_merge(self):
+        # 500 pairs of 37 entries are 18500 entries: two runs, cut between pairs
+        config = SweepConfig(dims=(37,), samples_per_dim=500, seed=3, tol=1e-16)
+        blocks = [_sample_stack(config.seed, 37, 500)]
+        assert len(_Stack(blocks, _grids((), ())).runs) == 2 and 37 * 500 > _BLOCK
+        assert_equals_sequential_merge(config)
+
+    def test_equal_grids_share_their_generators(self):
+        # ints and floats of equal value key one generator; -0.0 keys its own
+        for kind in GeneratorFamilyKind:
+            ints = _grids((-2, 0, 1, 3), (), (kind,))
+            floats = _grids((-2.0, 0.0, 1.0, 3.0), (), (kind,))
+            assert ints[kind] is floats[kind]
+            assert ints["s"] == (-2, 0, 1, 3) and floats["s"] == (-2.0, 0.0, 1.0, 3.0)
+            assert _grids((-0.0, 1.0), (), (kind,))[kind] is not _grids((0.0, 1.0), (), (kind,))[kind]
+
+    def test_two_sweeps_in_one_process_print_the_same_json(self):
+        # the second run takes the first run's generators from the cache
+        config = SweepConfig(samples_per_dim=20, seed=GOLDEN_SEEDS[1], tol=1e-16,
+                             s_grid=(6.0, -1.2, 0.5, -0.0, 2.9, 0.0, 1.0, -2.0))
+        first, second = (run_sweep(config).to_json_dict() for _ in range(2))
+        first.pop("elapsed_ms"), second.pop("elapsed_ms")
+        assert json.dumps(first) == json.dumps(second)
+
     def test_pair_stream_is_shard_deterministic(self):
         a1, b1 = pair_for(7, 5, 3)
         a2, b2 = pair_for(7, 5, 3)
@@ -501,15 +531,18 @@ class TestNonFinite:
         assert str(err.value) == message
 
     def test_refusal_names_the_first_failure_in_sweep_order(self, monkeypatch):
-        # TRIANGULAR fails on the dim-2 pairs, HELLINGER on the dim-10 ones:
-        # EQ77 (hel) comes first in the registry, but the first non-finite
-        # comparison in (dim, case, pair, point, comparison) order is EQ104's
-        # tri/4 on the dim-2 pairs
+        # TRIANGULAR fails on the dim-2 pairs (lanes 0-2), HELLINGER on the
+        # dim-10 ones (lanes 3-5): EQ77 (hel) comes first in the registry, but
+        # the first non-finite comparison in (dim, case, pair, point,
+        # comparison) order is EQ104's tri/4 on the dim-2 pairs
         real = verify_mod._classic
-        broken = {MeasureKind.TRIANGULAR: 2, MeasureKind.HELLINGER: 10}
-        monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b: (
-            np.full(a.shape[0], np.nan) if broken.get(kind) == a.shape[-1]
-            else real(kind, a, b)))
+        broken = {MeasureKind.TRIANGULAR: slice(0, 3), MeasureKind.HELLINGER: slice(3, 6)}
+
+        def planted(kind, a, b, total):
+            out = real(kind, a, b, total)
+            out[broken.get(kind, slice(0))] = np.nan
+            return out
+        monkeypatch.setattr(verify_mod, "_classic", planted)
         with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
             run_sweep(SweepConfig(dims=(2, 10), samples_per_dim=3, seed=5))
         assert str(err.value) == "[NON_FINITE_RESULT] case EQ104 compared a non-finite value"
@@ -519,8 +552,9 @@ class TestNonFinite:
     def test_planted_value_on_either_side_is_refused(self, pair, monkeypatch, planted, side):
         # EQ77 is hel <= j/8 <= sym_chi2/16: hel is a left side, sym_chi2 a right one
         real = verify_mod._classic
-        monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b: (
-            np.full(a.shape[0], planted) if kind is side else real(kind, a, b)))
+        monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b, total: (
+            np.full_like(real(kind, a, b, total), planted) if kind is side
+            else real(kind, a, b, total)))
         with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
             check_chain(*pair)
         assert err.value.code == "NON_FINITE_RESULT"
@@ -577,6 +611,53 @@ def test_single_pair_equals_stack_of_one_bit_for_bit():
             mismatches += [(dim, index, key, one, stacked)
                            for key, (one, stacked) in fields.items() if one != stacked]
     assert compared > 9000
+    assert mismatches == []
+
+
+def test_flat_stack_equals_the_single_pair_functions_bit_for_bit():
+    # one stack of several dims: a block of P = Q pairs (empty in the spread
+    # sub-stack that the reports take), and a pair of 16385 entries, half of
+    # them near P = Q, which is a run of its own and cut into blocks
+    rng = np.random.default_rng(2005)
+    q = rng.uniform(0.5, 1.5, _BLOCK + 1)
+    p = q * np.exp(rng.uniform(-1.0, 1.0, q.size) * np.where(np.arange(q.size) % 2, 1e-7, 1.0))
+    same = pair_for(4, 3, 0)[0]
+    blocks = [[pair_for(4, 2, i) for i in range(3)], [(same, same)] * 2,
+              [(validate_distribution(p / p.sum()), validate_distribution(q / q.sum()))],
+              [pair_for(4, 10, i) for i in range(3)],
+              [pair_for(4, 5, 0), (pair_for(4, 5, 1)[0],) * 2, pair_for(4, 5, 2)]]
+    pairs = [pair for block in blocks for pair in block]
+    grid = (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0)
+    x = _Stack([tuple(np.stack([d.weights for d in side]) for side in zip(*block))
+                for block in blocks], _grids(grid, grid, GeneratorFamilyKind))
+    assert len(x.runs) == 3
+    mismatches = []
+
+    def compare(name, stacked, public):
+        mismatches.extend((name, lane, one, float(many)) for lane, (one, many)
+                          in enumerate(zip(public, stacked)) if one != float(many))
+    for kind in MeasureKind:
+        compare(kind.value, x.classic(kind), [classic_divergence(kind, p, q) for p, q in pairs])
+    for m in (1.0, 1.5, 2.0, 3.0):
+        compare(f"chi m={m}", x.chi(m), [vajda_abs_chi(m, p, q) for p, q in pairs])
+    rbs = [ratio_bounds(p, q) for p, q in pairs]
+    compare("r", x.r, [rb.r for rb in rbs])
+    compare("R", x.big_r, [rb.R for rb in rbs])
+    for name, public in (("V", j_divergence_type_s), ("W", ag_js_divergence_type_s)):
+        for row, s in zip(x.family(name, grid), grid):
+            compare(f"{name} s={s}", row, [public(s, p, q) for p, q in pairs])
+    spread = [(p, q) for p, q, rb in zip(*zip(*pairs), rbs) if not rb.degenerate]
+    assert x.spread.blocks[1][0].shape == (0, 3) and x.spread.size == len(spread) == 9
+    for kind in GeneratorFamilyKind:
+        engine = x.spread.report(kind, grid)
+        for row, s in enumerate(grid):
+            reports = [bound_report(family_generator(kind, s), p, q) for p, q in spread]
+            for name in ("value", "linearized", "linearized_mid", "endpoint_A", "endpoint_B",
+                         "f3_sup", "variation", "chi2", "abs_chi3", "total_variation",
+                         "half_E_bound", "E_star_bound"):
+                stacked = getattr(engine, name)
+                compare(f"{kind.value} s={s} {name}", stacked[row] if stacked.ndim == 2
+                        else stacked, [getattr(report, name) for report in reports])
     assert mismatches == []
 
 
