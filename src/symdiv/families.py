@@ -156,14 +156,15 @@ def _e(k, L, u):
 def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...], float]:
     """1/(k - 1); the least phi_k at the edge of its series, |L| = edge =
     _SERIES_EDGE/max(|k - 1|, 1/2), below which a direct value is replaced;
-    the coefficients h_n/(n+2)! of L^(n+2), h_n = 1 + k + ... + k^n; edge."""
+    the coefficients h_n/(n+2)! of L^(n+2), h_n = 1 + k + ... + k^n, that
+    reach the last bit at the edge, whatever else shares a pass; edge."""
     h, scale, c = 1.0, 2.0, []
     for n in range(_SERIES_TERMS):
         c.append(h / scale)
         h, scale = 1.0 + k * h, scale * (n + 3)
     edge = _SERIES_EDGE / max(abs(k - 1.0), 0.5)
     least = min(L * L * sum(cn * L ** n for n, cn in enumerate(c)) for L in (edge, -edge))
-    return 1.0 / (k - 1.0), least, tuple(c), edge
+    return 1.0 / (k - 1.0), least, tuple(c[:_series_length(k, edge)]), edge
 
 
 @_per_column
@@ -190,12 +191,8 @@ def _phi(k, L, u, log=None):
         return out
     # the near entries alone, each with its row's coefficients
     x = np.take(np.broadcast_to(L, out.shape), near) if log is None else log(near)
-    if k.size == 1:
-        rows, tops = 0, np.abs(x).max()
-    else:
-        rows, tops = near // (out.size // k.size), np.zeros(k.size)
-        np.maximum.at(tops, rows, np.abs(x))
-    np.put(out, near, _series(_coefficients(k, tops)[:, rows], x))
+    rows = 0 if k.size == 1 else near // (out.size // k.size)
+    np.put(out, near, _series(_coefficients(k)[:, rows], x))
     return out
 
 
@@ -209,15 +206,15 @@ def _alone(k, L: np.ndarray):
     pass; an L with a grid axis of its own takes the mask."""
     limit = _ALONE * _phi_edges(k)[2]
     if (L.size and abs(L.flat[0]) <= limit and (k.size == 1 or L.ndim < k.ndim)
-            and (top := np.abs(L).max()) <= limit):
-        return _series(_coefficients(k, top).reshape((-1,) + k.shape), L)
+            and np.abs(L).max() <= limit):
+        return _series(_coefficients(k).reshape((-1,) + k.shape), L)
 
 
-def _coefficients(k, tops) -> np.ndarray:
-    """phi_k's series coefficients, a column per order of k, zero past the terms that
-    reach the last bit at |L| <= its top: a zero lead keeps Horner's bits."""
-    rows = [_phi_edge(v)[2][:_series_length(v, top)]
-            for v, top in zip(k.reshape(-1).tolist(), np.full(k.size, tops).tolist())]
+@_per_column
+def _coefficients(k) -> np.ndarray:
+    """phi_k's series coefficients, a column per order of k, zero past its
+    order's terms (_phi_edge): a zero lead keeps Horner's bits."""
+    rows = [_phi_edge(v)[2] for v in k.reshape(-1).tolist()]
     return np.array(list(itertools.zip_longest(*rows, fillvalue=0.0)))
 
 

@@ -285,6 +285,17 @@ class TestGridRows:
                     expected = generator_eval(family, s, x, order)
                     assert np.array_equal(row, expected, equal_nan=True), (family, order, s)
 
+    @pytest.mark.parametrize("s", [0.5, GRID_ROWS_S])
+    def test_a_near_entry_keeps_its_bits_whatever_shares_its_pass(self, s):
+        # psi_s takes phi_s's series at both near entries; the second one is
+        # nearer the series edge, and before the series length was fixed per
+        # order it lengthened the first one's series and moved its last bit
+        near, nearer = 1.0003300096095609, 0.9989152613076431
+        column = _column(s, 1)
+        alone = _family_eval(PSI)(column, np.array([near]), 0)
+        shared = _family_eval(PSI)(column, np.array([near, nearer]), 0)
+        assert np.array_equal(alone[..., 0], shared[..., 0])
+
     def test_family_sum_rows_equal_the_public_functions(self):
         pairs = PAIRS[::3]
         for shape in ("stack", "full"):

@@ -332,6 +332,11 @@ class TestRunSweep:
         assert len(_Stack(blocks, _grids((), ())).runs) == 2 and 37 * 500 > _BLOCK
         assert_equals_sequential_merge(config)
 
+    def test_a_benchmark_shaped_seed_equals_sequential_merge(self):
+        # W at s = 0.5 of pair_for(19021, 2, 10) takes phi_s's series at a near
+        # entry; its bits must not follow the other pairs that share its pass
+        assert_equals_sequential_merge(SweepConfig(samples_per_dim=15, seed=19021, tol=1e-16))
+
     def test_equal_grids_share_their_generators(self):
         # ints and floats of equal value key one generator; -0.0 keys its own
         for kind in GeneratorFamilyKind:
