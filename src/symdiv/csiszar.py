@@ -37,8 +37,8 @@ import numpy as np
 from .divergences import _abs_chi_terms
 from .errors import DomainError, InputError
 from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks, _column,
-                       _family_eval, _pair_sums, _phi_value_and_slope, _psi_value_and_slope,
-                       as_param, generator_eval)
+                       _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
+                       generator_eval)
 from .simplex import Distribution, RatioBounds, _ratio_range, _require_same_dim
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -270,12 +270,13 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
     return e, e_star
 
 
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, pair: bool = False, total=_pair_sums):
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, pair: bool = False, total=None):
     """[value, E, E*] (with ``pair``, then chi^2, |chi|^3, TV, r and R) in one
     pass over blocks that form d = a - b, x = a/b and x* = (a + b)/(2b) once;
-    each sum (by ``total``, as ``_blocked``) adds its blocks in order: a pass's bits."""
+    each sum (or ``total``, as ``_blocked``) adds its blocks in order: a pass's bits."""
     both = gen.value_and_slope or (lambda x: (gen.evaluate(0, x), gen.evaluate(1, x)))
     sums, ends = [], []
+    total = total or (lambda t: t.sum(axis=-1))
     for a, b in _blocks(a, b):  # each term is summed as it is formed: few temporaries live
         d, x = a - b, a / b
         spread = [total(d ** 2 / b), total(_abs_chi_terms(3.0, np.abs(d), b)),

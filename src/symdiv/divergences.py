@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .families import _blocked, _column, _pair_sums, _r_values, _v_values, _w_values
+from .families import _blocked, _column, _r_values, _v_values, _w_values
 from .simplex import Distribution, RatioBounds, _real, _require_same_dim
 
 
@@ -71,8 +71,8 @@ def classic_divergence(kind: MeasureKind, p: Distribution, q: Distribution) -> f
     return float(_classic(kind, p.weights, q.weights))
 
 
-def _classic(kind: MeasureKind, a: np.ndarray, b: np.ndarray, total=_pair_sums):
-    """classic_divergence summed over the last axis by ``total`` (``families._blocked``)."""
+def _classic(kind: MeasureKind, a: np.ndarray, b: np.ndarray, total=None):
+    """classic_divergence summed over the last axis (or by ``total``, see ``_blocked``)."""
     if not isinstance(kind, MeasureKind):
         raise InputError("PARAMETER_OUT_OF_RANGE", f"unknown measure kind {kind!r}")
     if kind in _MEMBERS:
@@ -100,8 +100,8 @@ def _check_order(m: float) -> None:
         raise InputError("PARAMETER_OUT_OF_RANGE", f"order must satisfy m >= 1, got {m}")
 
 
-def _abs_chi(m: float, a: np.ndarray, b: np.ndarray, total=_pair_sums):
-    """vajda_abs_chi summed over the last axis by ``total``, for one validated order m."""
+def _abs_chi(m: float, a: np.ndarray, b: np.ndarray, total=None):
+    """vajda_abs_chi summed over the last axis (or by ``total``), for one validated order m."""
     return _blocked(lambda a, b: _abs_chi_terms(m, np.abs(a - b), b), a, b, total)
 
 

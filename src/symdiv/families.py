@@ -58,7 +58,6 @@ _WINDOW = LIMIT_TOLERANCE * (1.0 + 1e-6)
 # entries per block of a long sum: 128 KiB float64 temporaries, within glibc's default
 # mmap/trim thresholds (mallopt(3)), whose pages are reused, not faulted in again
 _BLOCK = 16384
-_pair_sums = functools.partial(np.add.reduce, axis=-1)  # a long sum's default: x.sum(axis=-1)
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
 # series then reach the last bit; a block wholly within this share of
@@ -324,19 +323,19 @@ def _at_order(values, s, p: Distribution, q: Distribution) -> float:
 
 
 # V_s, W_s and R_s over a column of orders, summed over the last axis of weight arrays
-# by ``total`` (``_blocked``): one value per pair of rows, one row per order of a grid
+# (or by ``total``, see ``_blocked``): one value per pair of rows, one row per order
 
-def _v_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
+def _v_values(s, a: np.ndarray, b: np.ndarray, total=None):
     s = _clamp(s)
     return _blocked(lambda a, b: _v_summands(s, a, b), a, b, total)
 
 
-def _w_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
+def _w_values(s, a: np.ndarray, b: np.ndarray, total=None):
     s = _clamp(s)
     return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b, total)
 
 
-def _r_values(s, a: np.ndarray, b: np.ndarray, total=_pair_sums):
+def _r_values(s, a: np.ndarray, b: np.ndarray, total=None):
     """R_s(P||Q) = sum b phi_s(a/b) at one order s, and R_{1-s}(Q||P) for
     s > 1/2. At its limit orders it is KL(Q||P) and KL(P||Q), as defined."""
     s = _clamp(s)
@@ -361,11 +360,13 @@ def _kl_summands(a, b):
     return out
 
 
-def _blocked(summands, a: np.ndarray, b: np.ndarray, total=_pair_sums):
-    """summands(a, b) summed over the last axis by ``total``, a block of entries at a time."""
+def _blocked(summands, a: np.ndarray, b: np.ndarray, total=None):
+    """summands(a, b) summed over the last axis, a block of entries at a time; a
+    sweep run gives ``total``, which takes each of its pairs' sums instead."""
     if a.shape[-1] <= _BLOCK:
-        return total(summands(a, b))
-    return sum(total(summands(a, b)) for a, b in _blocks(a, b))
+        return summands(a, b).sum(axis=-1) if total is None else total(summands(a, b))
+    return sum(summands(a, b).sum(axis=-1) if total is None else total(summands(a, b))
+               for a, b in _blocks(a, b))
 
 
 def _blocks(a: np.ndarray, b: np.ndarray) -> list:
@@ -472,21 +473,12 @@ def _phi_value_and_slope(s, x: np.ndarray):
 
 
 def _psi_value_and_slope(s, x: np.ndarray):
-    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and phi_s(m/x);
-    JS's and AG's rows (value at 0 and 1, slope at 1) one by one, or over a grid's."""
+    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
+    phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
     s = _clamp(s)
-    if not ((exact := _exact(s)[0]) and s.ndim):
-        return (_psi_eval(s, x, 0), _psi_eval(s, x, 1)) if exact else _psi_general(
-            s, x, x - 1.0, value=True)
-    d = x - 1.0
-    value, slope = np.empty((2,) + np.broadcast_shapes(s.shape, x.shape))
-    if (off := s.reshape(-1) != 1.0).any():
-        value[off], slope[off] = _psi_general(s[off], x, d, value=True)
-    for order, at in exact:
-        value[at] = (_ag_row if order else _js_row)(x, 1.0, d)
-    if exact[-1][0]:  # 1 is the last exact order
-        slope[exact[-1][1]] = _ag_slope(x, d)
-    return value, slope
+    if _exact(s)[0]:
+        return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
+    return _psi_general(s, x, x - 1.0, value=True)
 
 
 def _psi_general(s, x, d, value=False):

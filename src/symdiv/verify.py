@@ -47,8 +47,7 @@ import numpy as np
 from .csiszar import BoundReport, _family_generator, _report, _sums
 from .divergences import MeasureKind, _abs_chi, _classic, _vajda_bounds, _vajda_coefficients
 from .errors import DomainError, InputError
-from .families import (_BLOCK, GeneratorFamilyKind, _column, _pair_sums, _v_values, _w_values,
-                       as_param)
+from .families import _BLOCK, GeneratorFamilyKind, _column, _v_values, _w_values, as_param
 from .simplex import (Distribution, _check_sampling, _check_simplex_rows, _floored,
                       _ratio_range, _real, _require_same_dim)
 
@@ -528,17 +527,41 @@ def _runs(blocks: list) -> list:
              functools.partial(_per_pair, segments=run)) for start, run in runs]
 
 
-def _per_pair(x: np.ndarray, fn=_pair_sums, *, segments) -> np.ndarray:
+def _per_pair(x: np.ndarray, fn=functools.partial(np.add.reduce, axis=-1), *,
+              segments) -> np.ndarray:
     """fn, by default the sum, of x's entries as (..., pairs, entries) on each segment."""
     return np.concatenate([fn(x[..., i:j].reshape(x.shape[:-1] + (pairs, -1)))
                            for i, j, pairs in segments], axis=-1)
 
 
 def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[CaseResult]:
-    """Evaluate every case over every pair and kept point at once: one block of
-    comparisons per pair stack (the stack, its spread sub-stack). The first
-    non-finite comparison in (block, case, pair, point, comparison) order is refused."""
-    results, planned = [], {}  # pair stack -> its cases' comparisons
+    """Evaluate every case over every pair and kept point at once, consecutive
+    cases on a pair stack (the stack, its spread sub-stack) in one block of at
+    most ``_BLOCK`` (comparison, pair) cells, a larger case alone: few
+    temporaries live, whatever the sweep's size. The first non-finite
+    comparison in (block, case, pair, point, comparison) order is refused."""
+    results, refusals, chunks = [], [], {}  # pair stack -> its cases' comparisons to make
+
+    def compare(pairs: _Stack, chunk: list) -> None:
+        lhs, rhs = np.empty((2, chunk[-1][0], pairs.size))
+        for end, _, _, links, labels in chunk:
+            for k, (lo, hi) in enumerate(links):  # the rows (point, k) of the case
+                rows = slice(end - len(labels) + k, end, len(links))
+                lhs[rows], rhs[rows] = lo, hi
+        violations = slack_violation(lhs, rhs, tol).T  # a column per (case, point, comparison)
+        finite = np.isfinite(violations)
+        whole = finite.all()  # a NaN would count as a pass
+        for end, position, case, _, labels in chunk:
+            columns = slice(end - len(labels), end)
+            if not (whole or finite[:, columns].all()):
+                lane, col = divmod(int(np.argmin(finite[:, columns])), len(labels))
+                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
+                refusals.append((pairs.block_of(lane), position,
+                                 f"case {case.id} compared a non-finite value{where}"))
+            results[position].record(violations[:, columns], lambda lane, col: _witness(
+                pairs, lane, case.param, labels[col]))  # moot if a refusal is raised
+        chunk.clear()
+
     for position, case in enumerate(cases):
         pairs = stack.spread if case.spread else stack
         grid = stack.grids[case.param]
@@ -547,33 +570,19 @@ def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[C
             ordered = sorted(grid)
             points = [((lo, hi), hi) for lo, hi in zip(ordered, ordered[1:])]
         kept = [(point, label) for point, label in points if case.domain(point)]
-        result = CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
-                            + pairs.size * (len(points) - len(kept)))
-        results.append(result)
+        results.append(CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
+                                  + pairs.size * (len(points) - len(kept))))
         if kept and pairs.size:
             links = case.links(pairs, tuple(point for point, _ in kept))
             labels = [label for _, label in kept for _ in links]
-            planned.setdefault(pairs, []).append((position, case, links, labels))
-    refusals = []
-    for pairs, comparisons in planned.items():
-        firsts = np.cumsum([0] + [len(labels) for *_, labels in comparisons])
-        lhs, rhs = np.empty((2, firsts[-1], pairs.size))
-        for (*_, links, labels), first in zip(comparisons, firsts):
-            for k, (lo, hi) in enumerate(links):  # the rows (point, k) of the case
-                rows = slice(first + k, first + len(labels), len(links))
-                lhs[rows], rhs[rows] = lo, hi
-        violations = slack_violation(lhs, rhs, tol).T  # a column per (case, point, comparison)
-        finite = np.isfinite(violations)
-        whole = finite.all()  # a NaN would count as a pass
-        for (position, case, _, labels), first in zip(comparisons, firsts):
-            columns = slice(first, first + len(labels))
-            if not (whole or finite[:, columns].all()):
-                lane, col = divmod(int(np.argmin(finite[:, columns])), len(labels))
-                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
-                refusals.append((pairs.block_of(lane), position,
-                                 f"case {case.id} compared a non-finite value{where}"))
-            results[position].record(violations[:, columns], lambda lane, col: _witness(
-                pairs, lane, case.param, labels[col]))  # moot if a refusal is raised
+            chunk = chunks.setdefault(pairs, [])  # (its rows' end, case) in the block
+            if chunk and (chunk[-1][0] + len(labels)) * pairs.size > _BLOCK:
+                compare(pairs, chunk)
+            chunk.append(((chunk[-1][0] if chunk else 0) + len(labels), position, case, links,
+                          labels))
+    for pairs, chunk in chunks.items():
+        if chunk:
+            compare(pairs, chunk)
     if refusals:
         raise DomainError("NON_FINITE_RESULT", min(refusals)[2])
     return results
