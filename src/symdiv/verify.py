@@ -18,8 +18,8 @@ One batched engine checks the table in one pass over all the sweep's pairs,
 sampled straight into one (N, n) block of weights per dim and validated once.
 Their entries lie on one flat axis: each elementwise pass runs once over it,
 each sum over a pair's entries per dim segment. Each family's generator is
-built once per s grid, and all comparisons form one (comparisons x pairs)
-block per pair stack, counted with array reductions. Inputs are checked at
+built once over the s grid, and consecutive cases' comparisons form blocks of
+(comparisons x pairs), counted with array reductions. Inputs are checked at
 the boundary (``SweepConfig``, the sampled blocks). Inside, a non-finite
 comparison is refused and a witness is built for each case's largest
 violation, each the first in the order of checking the pairs one at a time
@@ -398,14 +398,7 @@ def _grids(s_grid: Sequence, t_grid: Sequence, kinds=()) -> dict:
     """A check's points for each ``param`` (None, "s", "t", "m"), and for each
     of ``kinds`` its family generator over the whole s grid."""
     grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
-    orders = np.array(grids["s"], float).tobytes()
-    return grids | {kind: _grid_generator(kind, orders) for kind in kinds}
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_generator(kind: GeneratorFamilyKind, orders: bytes):
-    """The generator over an s grid given as float64 bytes: frozen, so shared."""
-    return _family_generator(kind, np.frombuffer(orders))
+    return grids | {kind: _family_generator(kind, np.array(grids["s"], float)) for kind in kinds}
 
 
 class _Stack:

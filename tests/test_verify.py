@@ -337,17 +337,9 @@ class TestRunSweep:
         # entry; its bits must not follow the other pairs that share its pass
         assert_equals_sequential_merge(SweepConfig(samples_per_dim=15, seed=19021, tol=1e-16))
 
-    def test_equal_grids_share_their_generators(self):
-        # ints and floats of equal value key one generator; -0.0 keys its own
-        for kind in GeneratorFamilyKind:
-            ints = _grids((-2, 0, 1, 3), (), (kind,))
-            floats = _grids((-2.0, 0.0, 1.0, 3.0), (), (kind,))
-            assert ints[kind] is floats[kind]
-            assert ints["s"] == (-2, 0, 1, 3) and floats["s"] == (-2.0, 0.0, 1.0, 3.0)
-            assert _grids((-0.0, 1.0), (), (kind,))[kind] is not _grids((0.0, 1.0), (), (kind,))[kind]
-
     def test_two_sweeps_in_one_process_print_the_same_json(self):
-        # the second run takes the first run's generators from the cache
+        # the second run finds the process-wide memos (stationary points,
+        # per-column values and series coefficients) filled by the first
         config = SweepConfig(samples_per_dim=20, seed=GOLDEN_SEEDS[1], tol=1e-16,
                              s_grid=(6.0, -1.2, 0.5, -0.0, 2.9, 0.0, 1.0, -2.0))
         first, second = (run_sweep(config).to_json_dict() for _ in range(2))
