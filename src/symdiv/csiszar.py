@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import _abs_chi_terms
+from .divergences import _abs_chi
 from .errors import DomainError, InputError
 from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks, _column,
                        _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
@@ -270,28 +270,18 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
     return e, e_star
 
 
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, pair: bool = False, total=None):
-    """[value, E, E*] (with ``pair``, then chi^2, |chi|^3, TV, r and R) in one
-    pass over blocks that form d = a - b, x = a/b and x* = (a + b)/(2b) once;
-    each sum (or ``total``, as ``_blocked``) adds its blocks in order: a pass's bits."""
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None):
+    """[value, E, E*] in one pass over blocks that form d = a - b, a/b and (a + b)/(2b)
+    once; each sum (or ``total``, as ``_blocked``) adds its blocks in order: a pass's bits."""
     both = gen.value_and_slope or (lambda x: (gen.evaluate(0, x), gen.evaluate(1, x)))
-    sums, ends = [], []
-    total = total or (lambda t: t.sum(axis=-1))
+    sums, total = [], total or (lambda t: t.sum(axis=-1))
     for a, b in _blocks(a, b):  # each term is summed as it is formed: few temporaries live
-        d, x = a - b, a / b
-        spread = [total(d ** 2 / b), total(_abs_chi_terms(3.0, np.abs(d), b)),
-                  total(np.abs(d))] if pair else []
-        f, slope = both(x)
+        d = a - b
+        f, slope = both(a / b)
         sums.append([total(b * f), total(d * slope),
-                     total(d * gen.evaluate(1, (a + b) / (2.0 * b))), *spread])
-        if pair:
-            ends.append(_ratio_range(x))
+                     total(d * gen.evaluate(1, (a + b) / (2.0 * b)))])
     # as _blocked adds them: one block's sum as it is, several from 0
-    out = [column[0] if len(column) == 1 else sum(column) for column in zip(*sums)]
-    if ends:
-        low, high = zip(*ends)
-        out += [functools.reduce(np.minimum, low), functools.reduce(np.maximum, high)]
-    return out
+    return [column[0] if len(column) == 1 else sum(column) for column in zip(*sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +413,16 @@ class BoundReport:
 
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
-    """Assemble the divergence value and every applicable bound for a pair:
-    one pass over its entries (``_sums``), then the sweep's report kernel
-    on the pair as a block of one."""
+    """Assemble the divergence value and every applicable bound for a pair: its
+    spread (``_spread``), one pass over its entries (``_sums``), then the sweep's
+    report kernel on the pair as a block of one."""
     _require_same_dim(p, q)
     a, b = p.weights[None], q.weights[None]
-    with warnings.catch_warnings():  # as in _checked
+    with warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
         warnings.simplefilter("ignore", RuntimeWarning)
-        *sums, chi2, abs_chi3, tv, r, big_r = _sums(gen, a, b, pair=True)
+        chi2, abs_chi3, tv, r, big_r = _spread(p, q)
         rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
+        sums = _sums(gen, a, b)
         report = lambda gen: [None if v is None else float(v[0]) for v in _report(
             gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
         fields = report(gen)
@@ -441,6 +432,15 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
             _sums(_checking(gen), a, b)
             report(_checking(gen))
     return BoundReport(gen.name, *fields, rb)
+
+
+@functools.lru_cache(maxsize=1)
+def _spread(p: Distribution, q: Distribution) -> tuple:
+    """(chi^2, |chi|^3, TV, r, R) as one-element arrays from the sweep's kernels, shared
+    by every report on the pair (none writes to them). The last pair's are kept, and
+    with them its two ``Distribution``s, which hash by identity."""
+    a, b = p.weights[None], q.weights[None]
+    return (*(_abs_chi(m, a, b) for m in (2.0, 3.0, 1.0)), *_ratio_range(a / b))
 
 
 # ---------------------------------------------------------------------------

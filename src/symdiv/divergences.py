@@ -106,8 +106,8 @@ def _abs_chi(m: float, a: np.ndarray, b: np.ndarray, total=None):
 
 
 def _abs_chi_terms(m, size, b):
-    """|chi|^m's summands from size = |a - b|."""
-    return np.power(size, m) / np.power(b, m - 1.0)
+    """|chi|^m's summands from size = |a - b|; at m = 1, size itself."""
+    return size if m == 1.0 else np.power(size, m) / np.power(b, m - 1.0)
 
 
 def vajda_upper_bounds(m: float, rb: RatioBounds) -> tuple[float, float]:

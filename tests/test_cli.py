@@ -260,6 +260,21 @@ class TestBounds:
         assert payload["generator"] == report.generator == f"{family}(s=-1.5)"
         assert payload["value"] == float(format(report.value, ".12g"))
 
+    def test_an_overflowing_cubic_chi_exits_one(self, capsys, tmp_path):
+        # |chi|^3 of this pair is inf (q^2 underflows to 0); every other field
+        # is finite, and the refusal comes without a numpy warning first
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text(json.dumps({"weights": [0.5, 0.5]}))
+        q.write_text(json.dumps({"weights": [1e-300, 1.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bounds", "--input-p", str(p), "--input-q", str(q),
+                                 "--measure", "PHI:0.5")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: [NON_FINITE_RESULT] the result is not finite in double precision"]
+
     @pytest.mark.parametrize("kind", list(GeneratorFamilyKind), ids=lambda k: k.value)
     def test_large_order_generators_build(self, kind):
         # f'' > 0 overflows to +inf on the spot grid, and +inf is positive

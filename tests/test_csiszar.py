@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, Inpu
                     compare_generators, csiszar_divergence, curvature_ratio,
                     endpoint_bounds, family_generator, generator_eval,
                     linearized_functionals, mixture, ratio_bounds, run_sweep,
-                    smoothness_bounds, validate_distribution)
+                    smoothness_bounds, vajda_abs_chi, validate_distribution)
 import symdiv.csiszar as csiszar
 from symdiv.csiszar import _family_generator, _psi_stationary
 from symdiv.families import (_BLOCK, _column, _family_eval, _phi_value_and_slope,
@@ -372,6 +374,103 @@ class TestBoundReport:
             "endpoint_B", "delta", "f3_sup", "variation", "chi2", "abs_chi3",
             "total_variation", "half_E_bound", "E_star_bound", "ratio_bounds"}
         assert json.dumps(payload)  # serializable as-is
+
+
+def report_bits(report):
+    """A report's fields, each float as its bits (hex), ratio_bounds as (r, R)."""
+    return {name: (value.hex() if isinstance(value, float) else
+                   (value.r.hex(), value.R.hex()) if isinstance(value, RatioBounds) else value)
+            for name, value in vars(report).items()}
+
+
+def random_pair(rng, n):
+    return tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, n)))
+
+
+class TestSpread:
+    # a pair's chi^2, |chi|^3, TV and ratio range are computed once and
+    # shared by its reports through a one-pair memo (``csiszar._spread``)
+
+    def test_memo_is_keyed_on_the_ordered_pair(self):
+        rng = np.random.default_rng(41)
+        a, b = random_pair(rng, 5), random_pair(rng, _BLOCK + 1)
+        twin = (validate_distribution(a[0].weights), a[1])  # A's weights, another object
+        steps = [a, b, a, a, (a[1], a[0]), twin]
+        gens = [family_generator(kind, s) for kind in (PHI, PSI) for s in (-1.5, 0.5, 3.0)]
+        csiszar._spread.cache_clear()
+        for p, q in steps:
+            for gen in gens:
+                shared = report_bits(bound_report(gen, p, q))
+                assert csiszar._spread.cache_info().currsize <= 1
+                csiszar._spread.cache_clear()
+                assert shared == report_bits(bound_report(gen, p, q)), (p.dim, gen.name)
+        hits = csiszar._spread.cache_info().hits
+        bound_report(gens[0], *a)
+        bound_report(gens[1], *a)  # the second report on A takes the first one's spread
+        assert csiszar._spread.cache_info().hits == hits + 1
+
+    def test_threads_alternating_pairs_equal_serial_reports(self):
+        rng = np.random.default_rng(43)
+        pairs = [random_pair(rng, 7), random_pair(rng, 3000)]
+        gens = [family_generator(kind, 0.5) for kind in (PHI, PSI)]
+        serial = {(i, j): report_bits(bound_report(gen, *pair))
+                  for i, pair in enumerate(pairs) for j, gen in enumerate(gens)}
+        firsts = (0, 1, 0, 1)  # more threads than cores, in opposite turns by twos
+        start, failures, done = threading.Barrier(len(firsts)), [], []
+
+        def work(first):
+            start.wait(timeout=30)
+            for step in range(100):
+                i, j = (first + step) % 2, step // 2 % 2
+                if report_bits(bound_report(gens[j], *pairs[i])) != serial[i, j]:
+                    failures.append((first, step))
+            done.append(first)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, also inside a report
+        try:
+            threads = [threading.Thread(target=work, args=(first,)) for first in firsts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == sorted(firsts)
+        assert failures == []
+        assert csiszar._spread.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize("n", [2, 5, _BLOCK, _BLOCK + 1, 4 * _BLOCK])
+    def test_report_spread_equals_the_public_functions(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            p, q = random_pair(rng, n)
+            rep, rb = bound_report(family_generator(PSI, 0.5), p, q), ratio_bounds(p, q)
+            got = [rep.chi2, rep.abs_chi3, rep.total_variation,
+                   rep.ratio_bounds.r, rep.ratio_bounds.R]
+            want = [*(vajda_abs_chi(m, p, q) for m in (2, 3, 1)), rb.r, rb.R]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_an_overflowing_cubic_chi_is_reported_without_a_warning(self):
+        # |d|^3 / q^2 divides by q^2 = 1e-600, which underflows to 0: the
+        # spread is computed under the report's warning filter, like its sums
+        p, q = validate_distribution([0.5, 0.5]), validate_distribution([1e-300, 1.0])
+        csiszar._spread.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = bound_report(family_generator(PHI, 0.5), p, q)
+        assert rep.abs_chi3 == np.inf
+        assert all(np.isfinite(v) for name, v in vars(rep).items()
+                   if name not in ("generator", "abs_chi3", "ratio_bounds"))
+
+    def test_equal_pair_report_stays_degenerate(self, pair):
+        p = validate_distribution([0.2, 0.3, 0.5])
+        want = csiszar.BoundReport("PHI(s=1)", 0.0, 0.0, 0.0, None, None, None, None, None,
+                                   0.0, 0.0, 0.0, None, None, RatioBounds(1.0, 1.0))
+        gen = family_generator(PHI, 1)
+        bound_report(gen, *pair)  # another pair's spread in the memo first
+        for q in (p, p, validate_distribution(p.weights)):  # a miss, a hit, another object
+            assert report_bits(bound_report(gen, p, q)) == report_bits(want)
 
 
 class TestCompareGenerators:
