@@ -22,7 +22,7 @@ import warnings
 
 # each subcommand imports the other modules it calls when it runs (``from .x
 # import f``, which -X importtime lists), so a traced run sees the calls
-from .errors import DomainError, InputError, SymdivError
+from .errors import _FILTERS, DomainError, InputError, SymdivError
 from .simplex import (NormalizationMode, NormalizationPolicy, load_weights,
                       validate_distribution)
 
@@ -262,7 +262,7 @@ def run_cli(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         # an overflow is refused as NON_FINITE_RESULT, without numpy's warning
-        with warnings.catch_warnings():  # not np.errstate, which slows later ufuncs
+        with _FILTERS, warnings.catch_warnings():  # not np.errstate, which slows later ufuncs
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except (SymdivError, OSError) as exc:

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divergences import _abs_chi
-from .errors import DomainError, InputError
+from .errors import _FILTERS, DomainError, InputError
 from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks, _column,
                        _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
                        generator_eval)
@@ -87,7 +87,7 @@ class Generator:
                               "a generator must provide at least orders 0..2")
         names = (self.name,) if isinstance(self.name, str) else self.name
         at_one = np.asarray(self.evaluate(0, np.array([1.0]))).reshape(len(names))
-        with warnings.catch_warnings():  # f'' may overflow to +inf; np.errstate slows later ufuncs
+        with _FILTERS, warnings.catch_warnings():  # f'' may overflow; np.errstate slows ufuncs
             warnings.simplefilter("ignore", RuntimeWarning)
             curvature = np.asarray(self.evaluate(2, _SPOT_GRID)).reshape(len(names), -1)
         unnormalized = np.abs(at_one) > 1e-12
@@ -239,7 +239,7 @@ def linearized_functionals(gen: Generator, p: Distribution,
 def _checked(kernel, gen: Generator, *args):
     """``kernel(gen, *args)``; a non-finite result reruns it through the checked
     ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
-    with warnings.catch_warnings():  # an overflow is refused, not warned of; see __post_init__
+    with _FILTERS, warnings.catch_warnings():  # an overflow is refused, not warned of
         warnings.simplefilter("ignore", RuntimeWarning)
         out = kernel(gen, *args)
         values = out if isinstance(out, tuple) else (out,)
@@ -418,7 +418,7 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
     report kernel on the pair as a block of one."""
     _require_same_dim(p, q)
     a, b = p.weights[None], q.weights[None]
-    with warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
+    with _FILTERS, warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
         warnings.simplefilter("ignore", RuntimeWarning)
         chi2, abs_chi3, tv, r, big_r = _spread(p, q)
         rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value

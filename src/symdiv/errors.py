@@ -12,6 +12,12 @@ Every error raised by this package carries a ``code`` string that callers
 
 from __future__ import annotations
 
+import threading
+
+# held around symdiv's warnings.catch_warnings blocks, which swap the process-wide filter
+# list, so that none interleave across threads; reentrant: the CLI's block holds the rest
+_FILTERS = threading.RLock()
+
 
 class SymdivError(Exception):
     """Base error for this package."""

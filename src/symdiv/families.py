@@ -28,6 +28,16 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
   without cancellation; KL, R_s at its limit orders, keeps its definition
   sum a log(a/b) and so carries the weights' sum defect.
 
+A family sum runs in two stages on each block of entries: stage one forms
+the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
+offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
+each only where the block needs it; stage two takes the order's summand on
+them. The family functions keep stage one in a one-slot memo (``_memo``):
+one contiguous, read-only (4, n) float64 table (2 MiB at n = 65536), keyed
+on the family and the ordered pair, and freed before the next is built, so
+later orders on a pair skip stage one. Arrays kept per block instead would
+fill the allocator's free space, and other code would fault its pages anew.
+
 Powers are taken in log space, so a large |s| overflows only with the
 value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
 that order: the values inside a window are the limit values by contract.
@@ -237,38 +247,36 @@ def _series(c, x):
     return out
 
 
-def _v_term(s, L, u):
-    """V's generator phi_s(x) = E(s) E(1-s) at clamped orders, squared at 1/2; L
-    and u are the caller's temporaries, which it may overwrite."""
+def _v_term(s, L, u, lo=None):
+    """V's generator phi_s(x) = E(s) E(1-s) at clamped orders, squared at 1/2, times
+    ``lo`` if given (V's summand); L and u are the caller's temporaries, which it may
+    overwrite unless they are read-only (the memo's)."""
     out = _e(s, L, u)
     other = out if _exact(s)[2] else _e(1.0 - s, L, u)
-    return np.multiply(out, other, out=out)
+    out = np.multiply(out, other, out=out if out.flags.writeable else None)
+    return out if lo is None else np.multiply(out, lo, out=out)
 
 
-def _w_term(s, a, b, d):
-    """W's summand b psi_s(a/b) with d = a - b, at a clamped order."""
-    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, d)
+def _w_term(s, a, b, offsets):
+    """W's summand b psi_s(a/b) at a clamped order, on the offsets of ``_w_offsets``."""
+    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, offsets)
 
 
-def _w_general(s, a, b, d):
-    out = _to_midpoint(s, a, d, -0.5)
-    out += _to_midpoint(s, b, d, 0.5)
+def _w_general(s, a, b, offsets):
+    """(a phi_s(m/a) + b phi_s(m/b))/2 on the offsets of m/a and m/b."""
+    la, ua, lb, ub = offsets(_w_offsets, a, b)
+    out = _phi(s, la, ua)
+    out *= a
+    at_b = _phi(s, lb, ub)
+    at_b *= b
+    out += at_b
     out *= 0.5
     return out
 
 
-def _to_midpoint(s, w, d, half):
-    """w phi_s(m/w), m/w = 1 + half d/w > 1/2 (half = +-1/2): its offset and
-    log are accurate for every ratio."""
-    u = d / w
-    u *= half
-    out = _phi(s, np.log1p(u), u)
-    out *= w
-    return out
-
-
-def _js_row(a, b, d):
+def _js_row(a, b, _offsets):
     """JS's summand: both terms are >= 0 and keep a third of their size."""
+    d = a - b
     size = np.abs(d)
     out = np.minimum(a, b)
     np.divide(size, out, out=out)
@@ -281,8 +289,8 @@ def _js_row(a, b, d):
     return out
 
 
-def _ag_row(a, b, d):
-    out = _log_mid(a, b, d)
+def _ag_row(a, b, _offsets):
+    out = _log_mid(a, b, a - b)
     out *= a + b
     out *= 0.25
     return out
@@ -319,31 +327,29 @@ def ag_js_divergence_type_s(s: float | FamilyParam, p: Distribution,
 def _at_order(values, s, p: Distribution, q: Distribution) -> float:
     column = _column(as_param(s).s, 1)
     _require_same_dim(p, q)
-    return float(values(column, p.weights, q.weights))
+    return float(values(column, p.weights, q.weights, pair=(p, q)))
 
 
 # V_s, W_s and R_s over a column of orders, summed over the last axis of weight arrays
 # (or by ``total``, see ``_blocked``): one value per pair of rows, one row per order
 
-def _v_values(s, a: np.ndarray, b: np.ndarray, total=None):
-    s = _clamp(s)
-    return _blocked(lambda a, b: _v_summands(s, a, b), a, b, total)
+def _v_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
+    return _staged(_v_summands, _clamp(s), a, b, total, pair and _memo("V", *pair))
 
 
-def _w_values(s, a: np.ndarray, b: np.ndarray, total=None):
-    s = _clamp(s)
-    return _blocked(lambda a, b: _w_term(s, a, b, a - b), a, b, total)
+def _w_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
+    return _staged(_w_term, _clamp(s), a, b, total, pair and _memo("W", *pair))
 
 
-def _r_values(s, a: np.ndarray, b: np.ndarray, total=None):
+def _r_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
     """R_s(P||Q) = sum b phi_s(a/b) at one order s, and R_{1-s}(Q||P) for
     s > 1/2. At its limit orders it is KL(Q||P) and KL(P||Q), as defined."""
     s = _clamp(s)
     if s > 0.5:
-        return _r_values(1.0 - s, b, a, total)
+        return _r_values(1.0 - s, b, a, total, pair and pair[::-1])
     if s == 0.0:
         return _blocked(_kl_summands, b, a, total)
-    return _blocked(lambda a, b: _r_summands(s, a, b), a, b, total)
+    return _staged(_r_summands, s, a, b, total, pair and _memo("R", *pair))
 
 
 def _kl_summands(a, b):
@@ -374,31 +380,98 @@ def _blocks(a: np.ndarray, b: np.ndarray) -> list:
     return [(a[..., i:i + _BLOCK], b[..., i:i + _BLOCK]) for i in range(0, a.shape[-1], _BLOCK)]
 
 
-def _v_summands(s, a, b):
-    # phi is self-conjugate (b phi(a/b) = a phi(b/a)), so the summand is
-    # taken at the ratio >= 1 of each entry
-    u = np.subtract(a, b)
-    np.abs(u, out=u)
-    lo = np.minimum(a, b)
-    u /= lo
-    out = _v_term(s, np.log1p(u), u)
-    out *= lo
-    return out
+def _staged(summands, s, a: np.ndarray, b: np.ndarray, total, table):
+    """summands(s, a, b, offsets) summed over blocks as by ``_blocked``; offsets(stage, a, b)
+    is stage one on a block: the memo's ``table``'s rows, or formed and dropped."""
+    starts, rows = iter(range(0, a.shape[-1], _BLOCK)), _formed if table is None else table.rows
+    # _blocked takes each block once, in order
+    return _blocked(lambda a, b: summands(s, a, b, functools.partial(rows, start=next(starts))),
+                    a, b, total)
 
 
-def _r_summands(s, a, b):
+def _formed(stage, a, b, start=None) -> tuple:
+    return stage(a, b)
+
+
+def _v_summands(s, a, b, offsets):
+    return _v_term(s, *offsets(_v_offsets, a, b))
+
+
+def _r_summands(s, a, b, offsets):
     """b phi_s(a/b) on L = log(a/b) and u = expm1(L), so that an error in L
     moves a/b alone; where phi_s takes its series, on L = log1p((a - b)/b),
     exact near a = b, and over the whole block when its first entry is near."""
     first = a.flat[0] / b.flat[0] - 1.0  # the first entry's offset u
-    exact = np.log1p((a - b) / b) if abs(first) <= _ALONE * _phi_edges(s)[2] else None
+    exact = offsets(_r_exact, a, b)[0] if abs(first) <= _ALONE * _phi_edges(s)[2] else None
     out = None if exact is None else _alone(s, exact)
     if out is None:
-        L = np.log(a / b)
-        out = _phi(s, L, np.expm1(L), lambda near: np.take(exact, near) if exact is not None
-                   else np.log1p((np.take(a, near) - np.take(b, near)) / np.take(b, near)))
+        near_log = (lambda near: np.take(exact, near)) if exact is not None else (
+            lambda near: np.log1p((np.take(a, near) - np.take(b, near)) / np.take(b, near)))
+        out = _phi(s, *offsets(_r_logs, a, b), near_log)
     out *= b
     return out
+
+
+def _v_offsets(a, b):
+    """log1p(u), u = |a - b|/lo and lo = min(a, b): phi is self-conjugate
+    (b phi(a/b) = a phi(b/a)), so V's summand is taken at the ratio >= 1."""
+    u = np.subtract(a, b)
+    np.abs(u, out=u)
+    lo = np.minimum(a, b)
+    u /= lo
+    return np.log1p(u), u, lo
+
+
+def _w_offsets(a, b):
+    """log1p and offset of m/a = 1 - d/(2a) and m/b = 1 + d/(2b), d = a - b: both
+    ratios exceed 1/2, so the offsets and logs are accurate for every ratio."""
+    d = a - b
+    ua, ub = d / a, d / b
+    ua *= -0.5
+    ub *= 0.5
+    return np.log1p(ua), ua, np.log1p(ub), ub
+
+
+def _r_logs(a, b):
+    L = np.log(a / b)
+    return L, np.expm1(L)
+
+
+def _r_exact(a, b):
+    return (np.log1p((a - b) / b),)
+
+
+class _Table:
+    """The memo's table and its per-block views; a stage's rows are formed on a block when a
+    call first needs them there (R's exact log in the last row, other stages from the first),
+    and threads that both form them write equal bits."""
+
+    def __init__(self, key: tuple, n: int):
+        self.key, self.views, self._fill = key, {}, np.empty((4, n))
+        self.table = self._fill.view()
+        self.table.flags.writeable = False
+
+    def rows(self, stage, a, b, start: int) -> tuple:
+        if (stage, start) not in self.views:
+            rows = stage(a, b)
+            at = slice(3 if stage is _r_exact else 0, None), slice(start, start + a.shape[-1])
+            for row, value in zip(self._fill[at], rows):
+                row[...] = value
+            self.views[stage, start] = tuple(self.table[at][:len(rows)])
+        return self.views[stage, start]
+
+
+_last = None  # the memo: the last family call's table
+
+
+def _memo(family: str, p: Distribution, q: Distribution) -> _Table:
+    """The last table if it is family's on (p, q) (hashed by identity), else a new one."""
+    global _last
+    table = _last
+    if table is None or table.key != (family, p, q):
+        _last = table = None  # the old table is freed before the new one is built
+        _last = table = _Table((family, p, q), p.dim)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +523,7 @@ def _phi_eval(s, x: np.ndarray, order: int):
 
 def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
-        return _w_term(_clamp(s), x, 1.0, x - 1.0)
+        return _w_term(_clamp(s), x, 1.0, _formed)
     if order == 1:
         return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_general, x, x - 1.0)
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)

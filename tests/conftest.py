@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,26 @@ def sampled_pairs(dims=(2, 3, 5, 10), per_dim=25, seed=20240) -> list[tuple[Dist
             s1, s2 = (int(v) for v in ss.generate_state(2))
             out.append((sample_simplex(dim, s1), sample_simplex(dim, s2)))
     return out
+
+
+def run_in_threads(work, args) -> None:
+    """work(arg) on one thread per arg, started together and switching every microsecond
+    (so also inside a call); joins time out, and every thread must finish its work."""
+    start, done = threading.Barrier(len(args)), []
+
+    def run(arg):
+        start.wait(timeout=30)
+        work(arg)
+        done.append(arg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(arg,)) for arg in args]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == sorted(args)

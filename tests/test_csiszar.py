@@ -1,6 +1,4 @@
 import json
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 import oracle
-from conftest import assert_close, sampled_pairs
+from conftest import assert_close, run_in_threads, sampled_pairs
 from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, InputError,
                     MeasureKind, RatioBounds, SweepConfig, bound_report, classic_divergence,
                     compare_generators, csiszar_divergence, curvature_ratio,
@@ -387,6 +385,38 @@ def random_pair(rng, n):
     return tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, n)))
 
 
+def alternating_report_failures(steps: int) -> list:
+    """Four threads (more than cores) make ``steps`` reports each on two pairs and both
+    generators, in opposite turns by twos: the (thread, step)s unequal to serial reports."""
+    rng = np.random.default_rng(43)
+    pairs = [random_pair(rng, 7), random_pair(rng, 3000)]
+    gens = [family_generator(kind, 0.5) for kind in (PHI, PSI)]
+    serial = {(i, j): report_bits(bound_report(gen, *pair))
+              for i, pair in enumerate(pairs) for j, gen in enumerate(gens)}
+    failures = []
+
+    def work(first):
+        for step in range(steps):
+            i, j = (first + step) % 2, step // 2 % 2
+            if report_bits(bound_report(gens[j], *pairs[i])) != serial[i, j]:
+                failures.append((first, step))
+    run_in_threads(work, (0, 1, 0, 1))
+    return failures
+
+
+class TestWarningFilters:
+    def test_threads_leave_the_warning_filters_as_they_were(self):
+        # catch_warnings swaps the process-wide filter list: symdiv's swaps, interleaved
+        # across threads, used to leave an "ignore RuntimeWarning" filter behind
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            before = list(warnings.filters)
+            failures = alternating_report_failures(steps=200)
+            after = list(warnings.filters)
+        assert after == before
+        assert failures == []
+
+
 class TestSpread:
     # a pair's chi^2, |chi|^3, TV and ratio range are computed once and
     # shared by its reports through a one-pair memo (``csiszar._spread``)
@@ -410,34 +440,7 @@ class TestSpread:
         assert csiszar._spread.cache_info().hits == hits + 1
 
     def test_threads_alternating_pairs_equal_serial_reports(self):
-        rng = np.random.default_rng(43)
-        pairs = [random_pair(rng, 7), random_pair(rng, 3000)]
-        gens = [family_generator(kind, 0.5) for kind in (PHI, PSI)]
-        serial = {(i, j): report_bits(bound_report(gen, *pair))
-                  for i, pair in enumerate(pairs) for j, gen in enumerate(gens)}
-        firsts = (0, 1, 0, 1)  # more threads than cores, in opposite turns by twos
-        start, failures, done = threading.Barrier(len(firsts)), [], []
-
-        def work(first):
-            start.wait(timeout=30)
-            for step in range(100):
-                i, j = (first + step) % 2, step // 2 % 2
-                if report_bits(bound_report(gens[j], *pairs[i])) != serial[i, j]:
-                    failures.append((first, step))
-            done.append(first)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, also inside a report
-        try:
-            threads = [threading.Thread(target=work, args=(first,)) for first in firsts]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(done) == sorted(firsts)
-        assert failures == []
+        assert alternating_report_failures(steps=100) == []
         assert csiszar._spread.cache_info().currsize <= 1
 
     @pytest.mark.parametrize("n", [2, 5, _BLOCK, _BLOCK + 1, 4 * _BLOCK])

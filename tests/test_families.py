@@ -1,14 +1,19 @@
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
 import oracle
-from conftest import assert_close, sampled_pairs
+import symdiv.families as families
+from conftest import assert_close, run_in_threads, sampled_pairs
 from symdiv import (DomainError, FamilyParam, GeneratorFamilyKind, InputError,
                     MeasureKind, ag_js_divergence_type_s, classic_divergence,
                     family_generator, generator_eval, j_divergence_type_s, mixture,
                     relative_information_type_s, validate_distribution)
 from symdiv.families import _column
-from symdiv.families import LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
+from symdiv.families import _BLOCK, LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=15)
@@ -340,3 +345,91 @@ class TestOrderBoundary:
     def test_numpy_and_integer_orders_are_accepted(self, pair):
         for order in (np.float32(0.5), np.int64(2), 2):
             assert j_divergence_type_s(order, *pair) == j_divergence_type_s(float(order), *pair)
+
+
+class TestOffsetMemo:
+    # the family functions share a pair's offsets (stage one) through a one-slot memo
+    # (``families._memo``); the kernels workload's orders, and large |s|
+    ORDERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -800.0, 1000.0)
+    FUNCTIONS = (j_divergence_type_s, ag_js_divergence_type_s, relative_information_type_s)
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The live tables, each built after the one before it was dropped."""
+        live = weakref.WeakSet()
+
+        class Counted(families._Table):
+            def __init__(self, *args):
+                assert len(live) == 0
+                super().__init__(*args)
+                live.add(self)
+        monkeypatch.setattr(families, "_Table", Counted)
+        monkeypatch.setattr(families, "_last", None)
+        return live
+
+    @staticmethod
+    def memo_pairs():
+        from test_formula_table import block_pair
+        from test_frozen_bits import grid_cases, shortcut_cases  # it imports this module
+        rng = np.random.default_rng(2121)
+        sizes = (_BLOCK, _BLOCK + 1, 4 * _BLOCK)
+        return ([pair for pair, _ in grid_cases() + shortcut_cases()] + [block_pair(n) for n in sizes]
+                + [tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, n)))
+                   for n in sizes])
+
+    @staticmethod
+    def bits(fn, s, p, q) -> bytes:
+        with np.errstate(over="ignore", invalid="ignore"):  # large orders overflow
+            return np.float64(fn(s, p, q)).tobytes()
+
+    def test_values_equal_those_with_the_memo_cleared(self, tables):
+        pairs = self.memo_pairs()
+        pairs += [(q, p) for p, q in pairs]  # both directions
+        cleared = {}
+        for fn in self.FUNCTIONS:
+            for s in self.ORDERS:
+                for p, q in pairs:
+                    families._last = None
+                    cleared[fn, s, p, q] = self.bits(fn, s, p, q)
+        half = len(pairs) // 2
+        forwards = [(fn, s, p, q) for p, q in pairs[:half] for fn in self.FUNCTIONS
+                    for s in self.ORDERS]
+        backwards = [(fn, s, p, q) for p, q in pairs[:half] for fn in self.FUNCTIONS
+                     for s in self.ORDERS[::-1]]
+        # two pairs and both directions in turn, at each order
+        alternating = [(fn, s, *pair) for one, other in zip(pairs[:half:2], pairs[1:half:2])
+                       for fn in self.FUNCTIONS for s in self.ORDERS
+                       for pair in (one, other, one[::-1], other[::-1])]
+        families_in_turn = [(fn, s, p, q) for p, q in pairs[:half] for s in self.ORDERS
+                            for fn in self.FUNCTIONS]
+        for steps in (forwards, backwards, alternating, families_in_turn):
+            for fn, s, p, q in steps:
+                assert self.bits(fn, s, p, q) == cleared[fn, s, p, q], (fn.__name__, s, p.dim)
+                assert len(tables) <= 1
+        self.bits(ag_js_divergence_type_s, 0.5, *pairs[half - 1])  # W's rows, at n = 65536
+        table = families._last
+        assert table.table.shape == (4, 4 * _BLOCK) and table.table.flags.c_contiguous
+        for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+
+    def test_threads_alternating_pairs_and_families_equal_serial_values(self):
+        from test_formula_table import block_pair
+        rng = np.random.default_rng(2122)
+        pairs = [block_pair(2 * _BLOCK + 3),
+                 tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, 3001)))]
+        steps = [(fn, s, i) for i in (0, 1) for fn in self.FUNCTIONS for s in self.ORDERS[:9]]
+        serial = {step: self.bits(step[0], step[1], *pairs[step[2]]) for step in steps}
+        failures, together = [], threading.Barrier(4)
+
+        def work(thread):
+            for step in range(120):  # pair, family and order all change in turn
+                fn, s, i = self.FUNCTIONS[step // 2 % 3], self.ORDERS[step % 9], (thread + step) % 2
+                together.wait(timeout=30)
+                # two threads call on one pair, the second a little later, so that it
+                # meets the first one's table half formed
+                time.sleep(thread // 2 * 1e-4 * (step % 4))
+                if self.bits(fn, s, *pairs[i]) != serial[fn, s, i]:
+                    failures.append((thread, step))
+        run_in_threads(work, (0, 1, 2, 3))  # more threads than cores, in opposite turns by twos
+        assert failures == []

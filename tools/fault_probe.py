@@ -5,7 +5,10 @@ generic pairs of n = 65536 entries (64 distinct rows, each repeated 1024
 times): the three family sums at nine orders, the twelve classic measures,
 and bound reports of both generators at the nine orders. After one warm-up
 round, the probe prints for each part the median CPU ms and minor page faults
-(``ru_minflt``) per round over five rounds.
+(``ru_minflt``) per round over five rounds. After each part it times a fixed
+numpy computation over 65536 entries that does not use symdiv (``reference``),
+and prints its CPU ms and faults too: memory that the program holds back
+between calls and that makes other code fault its pages in shows there.
 
 Long sums run a block of ``symdiv.families._BLOCK`` entries at a time, and
 their temporaries are mapped, trimmed and faulted in again, or reused, as
@@ -28,6 +31,8 @@ from symdiv.families import _BLOCK
 
 ORDERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 ROWS, REPEAT, FLOOR, ROUNDS = 64, 1024, 1e-4, 5
+_RNG = np.random.default_rng(2005)
+_A, _B = _RNG.random(ROWS * REPEAT) + 0.1, _RNG.random(ROWS * REPEAT) + 0.1
 
 
 def generic_pair(index: int):
@@ -52,8 +57,22 @@ def parts(pairs) -> dict:
     }
 
 
+def reference() -> float:
+    """Powers, logs and sums over 65536 entries, with 512 KiB temporaries."""
+    ratio = _A / _B
+    return float(np.sum(_B * (ratio ** 1.5 - 1.5 * ratio + 0.5))) + float(
+        np.sum((_A - _B) * np.log(ratio)))
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measured(work) -> tuple[float, int]:
+    """CPU ms and minor faults of work()."""
+    faults, cpu = minor_faults(), time.process_time()
+    work()
+    return (time.process_time() - cpu) * 1e3, minor_faults() - faults
 
 
 def main() -> None:
@@ -61,16 +80,16 @@ def main() -> None:
     seen = {name: [] for name in calls}
     for round_ in range(ROUNDS + 1):
         for name, part in calls.items():
-            faults, cpu = minor_faults(), time.process_time()
-            for call in part:
-                call()
+            row = measured(lambda: [call() for call in part]) + measured(reference)
             if round_:  # the first round warms up
-                seen[name].append(((time.process_time() - cpu) * 1e3, minor_faults() - faults))
-    print(f"_BLOCK = {_BLOCK}, n = {ROWS * REPEAT}, medians of {ROUNDS} rounds after one warm-up")
-    print(f"{'part':<8} {'calls':>5} {'cpu_ms':>8} {'minflt':>8}")
+                seen[name].append(row)
+    print(f"_BLOCK = {_BLOCK}, n = {ROWS * REPEAT}, medians of {ROUNDS} rounds after one warm-up;"
+          " ref_* is the numpy reference run after the part")
+    print(f"{'part':<8} {'calls':>5} {'cpu_ms':>8} {'minflt':>8} {'ref_ms':>8} {'ref_minflt':>10}")
     for name, rows in seen.items():
-        cpu, faults = (statistics.median(column) for column in zip(*rows))
-        print(f"{name:<8} {len(calls[name]):>5} {cpu:>8.1f} {faults:>8.0f}")
+        cpu, faults, ref_cpu, ref_faults = (statistics.median(column) for column in zip(*rows))
+        print(f"{name:<8} {len(calls[name]):>5} {cpu:>8.1f} {faults:>8.0f} {ref_cpu:>8.2f}"
+              f" {ref_faults:>10.0f}")
 
 
 if __name__ == "__main__":
