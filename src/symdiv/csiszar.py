@@ -36,9 +36,9 @@ import numpy as np
 
 from .divergences import _abs_chi
 from .errors import _FILTERS, DomainError, InputError
-from .families import (FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks, _column,
-                       _family_eval, _phi_value_and_slope, _psi_value_and_slope, as_param,
-                       generator_eval)
+from .families import (_BLOCK, FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks,
+                       _column, _family_eval, _formed, _memo, _phi_terms, _psi_terms, _ratios,
+                       as_param, generator_eval)
 from .simplex import Distribution, RatioBounds, _ratio_range, _require_same_dim
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -62,10 +62,13 @@ class Generator:
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
     without it the third-derivative bound is unavailable.
-    ``value_and_slope(x)`` may return (f, f') at one array x together, with
-    the bits of ``evaluate`` at orders 0 and 1. ``eval`` is the checked
-    public entry; the engine's kernels call ``evaluate`` and
-    ``value_and_slope`` on ratios of validated weights, and the public
+    ``terms(a, b, offsets)`` may return (f(x), f'(x), f'(x*)) on a block of
+    weights, x = a/b and x* = (a + b)/(2b), with the bits of ``evaluate``,
+    taking the rows that do not depend on the generator's order from
+    ``offsets(stage, a, b)`` (a report keeps them in the family sums' memo);
+    without it a report evaluates f and f' one order at a time. ``eval`` is
+    the checked public entry; the engine's kernels call ``evaluate`` and
+    ``terms`` on validated weights, and the public
     functions check their finished values, rerunning a failure through
     ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
     ratio-range ends, one value per pair, for one pair and a stack alike. The
@@ -79,7 +82,7 @@ class Generator:
     max_order: int = 3
     curvature_monotonicity: Curvature | tuple[Curvature, ...] = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    value_and_slope: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    terms: Optional[Callable[[np.ndarray, np.ndarray, Callable], tuple]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -122,8 +125,16 @@ def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Gener
     families). ``third_sup_closed_form`` is exact at every s: the largest
     |f'''| at r, at R and at the stationary points of f''' inside (r, R).
     Those points depend on s alone: each order's are solved once per process.
+    A generator is kept per kind and order, keyed on the order's bits (so -0.0
+    is not 0.0), in a bounded cache.
     """
-    return _family_generator(kind, as_param(s).s)
+    s = as_param(s).s
+    _family_eval(kind)  # refused before the cache hashes it
+    return _cached_generator(kind, s.hex())
+
+
+_cached_generator = functools.lru_cache(maxsize=256)(
+    lambda kind, order: _family_generator(kind, float.fromhex(order)))
 
 
 def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
@@ -134,7 +145,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     s = np.asarray(s, dtype=float)
     core, orders = _family_eval(kind), s.reshape(-1).tolist()
     solve = _phi_stationary if kind is GeneratorFamilyKind.PHI else _psi_stationary
-    both = _phi_value_and_slope if kind is GeneratorFamilyKind.PHI else _psi_value_and_slope
+    terms = _phi_terms if kind is GeneratorFamilyKind.PHI else _psi_terms
 
     @functools.cache
     def stationary() -> list:
@@ -160,7 +171,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     return Generator(
         name=names if s.ndim else names[0], evaluate=evaluate, max_order=3,
         curvature_monotonicity=flags if s.ndim else flags[0], third_sup_closed_form=third_sup,
-        value_and_slope=lambda x: both(_column(s, np.ndim(x)), x),
+        terms=lambda a, b, offsets: terms(_column(s, np.ndim(a)), a, b, offsets),
     )
 
 
@@ -252,7 +263,7 @@ def _checking(gen: Generator, orders=range(4)) -> Generator:
     """gen on the generic path: ``orders`` through ``gen.eval``, the sup of |f'''|
     checked as order 3; built without rerunning the checks, which misname an order."""
     checked, sup = object.__new__(Generator), gen.third_sup_closed_form
-    vars(checked).update(vars(gen), value_and_slope=None, evaluate=lambda order, x: (
+    vars(checked).update(vars(gen), terms=None, evaluate=lambda order, x: (
         gen.eval if order in orders else gen.evaluate)(order, x),
         third_sup_closed_form=sup and (lambda r, big_r: _finite(gen, 3, sup(r, big_r))))
     return checked
@@ -270,18 +281,26 @@ def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
     return e, e_star
 
 
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None):
-    """[value, E, E*] in one pass over blocks that form d = a - b, a/b and (a + b)/(2b)
-    once; each sum (or ``total``, as ``_blocked``) adds its blocks in order: a pass's bits."""
-    both = gen.value_and_slope or (lambda x: (gen.evaluate(0, x), gen.evaluate(1, x)))
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None):
+    """[value, E, E*] in one pass over blocks, each taking d = a - b and f(x), f'(x) and
+    f'(x*) from ``gen.terms`` (stage one from the memo on ``pair``, or formed and dropped)
+    or one order at a time; each sum (or ``total``, as ``_blocked``) adds its blocks in
+    order: a pass's bits."""
+    terms = gen.terms or (lambda a, b, _: _evaluated(gen, *_ratios(a, b)))
+    rows = _formed if pair is None else (  # the memo's table, keyed on the stage asked for
+        lambda stage, a, b, start: _memo(stage, *pair).rows(stage, a, b, start))
     sums, total = [], total or (lambda t: t.sum(axis=-1))
-    for a, b in _blocks(a, b):  # each term is summed as it is formed: few temporaries live
+    # each term is summed as it is formed: few temporaries live
+    for start, (a, b) in zip(range(0, a.shape[-1], _BLOCK), _blocks(a, b)):
         d = a - b
-        f, slope = both(a / b)
-        sums.append([total(b * f), total(d * slope),
-                     total(d * gen.evaluate(1, (a + b) / (2.0 * b)))])
+        f, slope, mid = terms(a, b, functools.partial(rows, start=start))
+        sums.append([total(b * f), total(d * slope), total(d * mid)])
     # as _blocked adds them: one block's sum as it is, several from 0
     return [column[0] if len(column) == 1 else sum(column) for column in zip(*sums)]
+
+
+def _evaluated(gen: Generator, x: np.ndarray, mid: np.ndarray) -> tuple:
+    return gen.evaluate(0, x), gen.evaluate(1, x), gen.evaluate(1, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +433,16 @@ class BoundReport:
 
 def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundReport:
     """Assemble the divergence value and every applicable bound for a pair: its
-    spread (``_spread``), one pass over its entries (``_sums``), then the sweep's
-    report kernel on the pair as a block of one."""
+    spread (``_spread``), one pass over its entries (``_sums``, with a family
+    generator's stage one kept in the family memo), then the sweep's report
+    kernel on the pair as a block of one."""
     _require_same_dim(p, q)
     a, b = p.weights[None], q.weights[None]
     with _FILTERS, warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
         warnings.simplefilter("ignore", RuntimeWarning)
         chi2, abs_chi3, tv, r, big_r = _spread(p, q)
         rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
-        sums = _sums(gen, a, b)
+        sums = _sums(gen, a, b, pair=(p, q))
         report = lambda gen: [None if v is None else float(v[0]) for v in _report(
             gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
         fields = report(gen)

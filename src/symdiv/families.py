@@ -32,11 +32,14 @@ A family sum runs in two stages on each block of entries: stage one forms
 the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
 offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
 each only where the block needs it; stage two takes the order's summand on
-them. The family functions keep stage one in a one-slot memo (``_memo``):
-one contiguous, read-only (4, n) float64 table (2 MiB at n = 65536), keyed
-on the family and the ordered pair, and freed before the next is built, so
-later orders on a pair skip stage one. Arrays kept per block instead would
-fill the allocator's free space, and other code would fault its pages anew.
+them. A bound report's terms of PHI and PSI (``_phi_terms``, ``_psi_terms``)
+run in the same two stages. The family functions and ``bound_report`` keep
+stage one in a one-slot memo (``_memo``): one contiguous, read-only (4, n)
+float64 table (2 MiB at n = 65536), keyed on the family or the report's
+stage and the ordered pair, and freed before the next is built, so later
+orders on a pair skip stage one; beside it, the max |L| of each row that
+``_alone`` scans. Arrays kept per block instead would fill the allocator's
+free space, and other code would fault its pages anew.
 
 Powers are taken in log space, so a large |s| overflows only with the
 value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
@@ -215,8 +218,17 @@ def _alone(k, L: np.ndarray):
     pass; an L with a grid axis of its own takes the mask."""
     limit = _ALONE * _phi_edges(k)[2]
     if (L.size and abs(L.flat[0]) <= limit and (k.size == 1 or L.ndim < k.ndim)
-            and np.abs(L).max() <= limit):
+            and _top(L) <= limit):
         return _series(_coefficients(k).reshape((-1,) + k.shape), L)
+
+
+def _top(L) -> float:
+    """max |L|, for a row of the memo's table (a read-only view of it) scanned once and kept
+    beside the table with the row, which keeps the row's id its own."""
+    table = _last
+    if table is None or L.base is not table._fill:
+        return np.abs(L).max()
+    return (table.tops.get(id(L)) or table.tops.setdefault(id(L), (L, np.abs(L).max())))[1]
 
 
 @_per_column
@@ -442,12 +454,13 @@ def _r_exact(a, b):
 
 
 class _Table:
-    """The memo's table and its per-block views; a stage's rows are formed on a block when a
-    call first needs them there (R's exact log in the last row, other stages from the first),
-    and threads that both form them write equal bits."""
+    """The memo's table and its per-block views, shaped as the block; a stage's rows are formed
+    on a block when a call first needs them there (R's exact log in the last row, other stages
+    from the first), and threads that both form them write equal bits. ``tops`` keeps the
+    max |L| of the rows that ``_alone`` scans (``_top``)."""
 
     def __init__(self, key: tuple, n: int):
-        self.key, self.views, self._fill = key, {}, np.empty((4, n))
+        self.key, self.views, self.tops, self._fill = key, {}, {}, np.empty((4, n))
         self.table = self._fill.view()
         self.table.flags.writeable = False
 
@@ -457,20 +470,22 @@ class _Table:
             at = slice(3 if stage is _r_exact else 0, None), slice(start, start + a.shape[-1])
             for row, value in zip(self._fill[at], rows):
                 row[...] = value
-            self.views[stage, start] = tuple(self.table[at][:len(rows)])
+            self.views[stage, start] = tuple(row.reshape(a.shape)
+                                             for row in self.table[at][:len(rows)])
         return self.views[stage, start]
 
 
-_last = None  # the memo: the last family call's table
+_last = None  # the memo: the last family call's or report's table
 
 
-def _memo(family: str, p: Distribution, q: Distribution) -> _Table:
-    """The last table if it is family's on (p, q) (hashed by identity), else a new one."""
+def _memo(kind, p: Distribution, q: Distribution) -> _Table:
+    """The last table if it is kind's (a family's name or a report's stage) on (p, q)
+    (hashed by identity), else a new one."""
     global _last
     table = _last
-    if table is None or table.key != (family, p, q):
+    if table is None or table.key != (kind, p, q):
         _last = table = None  # the old table is freed before the new one is built
-        _last = table = _Table((family, p, q), p.dim)
+        _last = table = _Table((kind, p, q), p.dim)
     return table
 
 
@@ -525,7 +540,8 @@ def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
         return _w_term(_clamp(s), x, 1.0, _formed)
     if order == 1:
-        return _by_order(_clamp(s), {1.0: _ag_slope}, _psi_general, x, x - 1.0)
+        return _by_order(_clamp(s), {1.0: _ag_slope}, lambda *args: _psi_general(*args)[0],
+                         x, x - 1.0)
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
         return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
@@ -538,46 +554,65 @@ def _phi_slope(s, L, u):
     return _e(s - 1.0, L, u) + _e(-s, L, u)
 
 
-def _phi_value_and_slope(s, x: np.ndarray):
-    """(phi_s, phi_s') on one log x and x - 1."""
-    s, L, u = _clamp(s), np.log(x), x - 1.0
-    slope = _phi_slope(s, L, u)  # first: _v_term may overwrite L and u
-    return _v_term(s, L, u), slope
-
-
-def _psi_value_and_slope(s, x: np.ndarray):
-    """(psi_s, psi_s') on one log1p(-(x - 1)/(2x)), log1p((x - 1)/2) and
-    phi_s(m/x); orders that take JS's or AG's rows take them one by one."""
-    s = _clamp(s)
-    if _exact(s)[0]:
-        return _psi_eval(s, x, 0), _psi_eval(s, x, 1)
-    return _psi_general(s, x, x - 1.0, value=True)
-
-
-def _psi_general(s, x, d, value=False):
+def _psi_general(s, x, d, logs=None):
     """psi_s' = phi_s(m/x)/2 - E(s - 1) at m/x over 4x + E(s - 1) at m over 4,
-    the derivative of _w_general at b = 1 (phi_s' = E(s - 1)); with
-    ``value``, (psi_s, psi_s'), psi_s with the bits of _w_general from the
-    same logs and phi_s(m/x)."""
-    ua = d / x
-    ua *= -0.5
-    la = np.log1p(ua)
-    ub = 0.5 * d
-    lb = np.log1p(ub)
+    the derivative of _w_general at b = 1 (phi_s' = E(s - 1)), on the offsets of
+    m/x and m (``_to_mid``) and their log1p, ``logs`` when given; with phi_s(m/x)
+    and m's offset and log, from which ``_psi_terms`` takes psi_s."""
+    ua, ub = _to_mid(x, d)
+    la, lb = logs or (np.log1p(ua), np.log1p(ub))
     slope = _e(s - 1.0, la, ua) / x
     slope -= _e(s - 1.0, lb, ub)
     slope *= 0.5
     at_a = _phi(s, la, ua)
     np.subtract(at_a, slope, out=slope)
     slope *= 0.5
-    if not value:
-        return slope
-    at_a *= x
-    at_a += _phi(s, lb, ub)
-    at_a *= 0.5
-    return at_a, slope
+    return slope, at_a, lb, ub
+
+
+def _to_mid(x, d):
+    """The offsets of m/x and m from 1, m = (x + 1)/2 and d = x - 1: -d/(2x) and d/2."""
+    return -0.5 * (d / x), 0.5 * d
 
 
 def _ag_slope(x, d):
     """psi_1' = log(m^2/x)/4 + (x - 1)/(4x), the derivative of _ag_row at b = 1."""
     return 0.25 * (_log_mid(x, 1.0, d) + d / x)
+
+
+# a report's terms (f(x), f'(x), f'(x*)) on a block, x = a/b and x* = (a + b)/(2b), in the family
+# sums' two stages: the rows that do not depend on s, then the ratios, offsets and the order's terms
+
+def _ratios(a, b):
+    return a / b, (a + b) / (2.0 * b)
+
+
+def _phi_logs(a, b):
+    """log x and x - 1 at x and at x*."""
+    return tuple(v for x in _ratios(a, b) for v in (np.log(x), x - 1.0))
+
+
+def _psi_logs(a, b):
+    """log1p of the offsets of m/x and m (``_to_mid``) at x and at x*."""
+    return tuple(np.log1p(u) for x in _ratios(a, b) for u in _to_mid(x, x - 1.0))
+
+
+def _phi_terms(s, a, b, offsets):
+    s = _clamp(s)
+    L, u, L_mid, u_mid = offsets(_phi_logs, a, b)
+    slope = _phi_slope(s, L, u)  # first: _v_term may overwrite L and u
+    return _v_term(s, L, u), slope, _phi_slope(s, L_mid, u_mid)
+
+
+def _psi_terms(s, a, b, offsets):
+    """psi_s with the bits of _w_general at b = 1, from the logs and phi_s(m/x) of psi_s';
+    orders that take JS's or AG's rows take each term on its own."""
+    s, (x, mid) = _clamp(s), _ratios(a, b)
+    if _exact(s)[0]:
+        return _psi_eval(s, x, 0), _psi_eval(s, x, 1), _psi_eval(s, mid, 1)
+    la, lb, la_mid, lb_mid = offsets(_psi_logs, a, b)
+    slope, value, lb, ub = _psi_general(s, x, x - 1.0, (la, lb))
+    value *= x
+    value += _phi(s, lb, ub)
+    value *= 0.5
+    return value, slope, _psi_general(s, mid, mid - 1.0, (la_mid, lb_mid))[0]

@@ -1,9 +1,11 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import symdiv.families as families
 from symdiv import Distribution, sample_simplex, validate_distribution
 
 
@@ -32,6 +34,22 @@ def pair():
 def pair3():
     return (validate_distribution([0.5, 0.3, 0.2]),
             validate_distribution([0.25, 0.25, 0.5]))
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The live tables of the family memo (``families._memo``), each built after the one
+    before it was dropped."""
+    live = weakref.WeakSet()
+
+    class Counted(families._Table):
+        def __init__(self, *args):
+            assert len(live) == 0
+            super().__init__(*args)
+            live.add(self)
+    monkeypatch.setattr(families, "_Table", Counted)
+    monkeypatch.setattr(families, "_last", None)
+    return live
 
 
 def sampled_pairs(dims=(2, 3, 5, 10), per_dim=25, seed=20240) -> list[tuple[Distribution, Distribution]]:

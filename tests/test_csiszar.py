@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,15 +12,15 @@ from mpmath import mpf
 import oracle
 from conftest import assert_close, run_in_threads, sampled_pairs
 from symdiv import (Curvature, DomainError, Generator, GeneratorFamilyKind, InputError,
-                    MeasureKind, RatioBounds, SweepConfig, bound_report, classic_divergence,
-                    compare_generators, csiszar_divergence, curvature_ratio,
-                    endpoint_bounds, family_generator, generator_eval,
-                    linearized_functionals, mixture, ratio_bounds, run_sweep,
-                    smoothness_bounds, vajda_abs_chi, validate_distribution)
+                    MeasureKind, RatioBounds, SweepConfig, ag_js_divergence_type_s, bound_report,
+                    classic_divergence, compare_generators, csiszar_divergence, curvature_ratio,
+                    endpoint_bounds, family_generator, generator_eval, j_divergence_type_s,
+                    linearized_functionals, mixture, ratio_bounds, relative_information_type_s,
+                    run_sweep, smoothness_bounds, vajda_abs_chi, validate_distribution)
 import symdiv.csiszar as csiszar
+import symdiv.families as families
 from symdiv.csiszar import _family_generator, _psi_stationary
-from symdiv.families import (_BLOCK, _column, _family_eval, _phi_value_and_slope,
-                             _psi_value_and_slope)
+from symdiv.families import _BLOCK, _column, _family_eval, _formed
 from symdiv.means import raised_mean
 from symdiv.verify import DEFAULT_GRID, _grids, _stack, pair_for
 
@@ -315,7 +317,7 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("kind", [PHI, PSI])
     def test_shared_logs_keep_the_generic_bits(self, kind):
-        # family_generator takes f and f' at one x together (value_and_slope);
+        # family_generator takes f and f' at x and f' at x* together (terms);
         # a plain Generator over the same evaluate takes the generic path, one
         # call per order. Every field keeps its bits, or both refuse alike, in
         # one block, across blocks and near P = Q, and so does the stack that
@@ -326,7 +328,6 @@ class TestBoundReport:
                  for n in (3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3)]
         pairs.append((blend(*pairs[0], 1e-6), pairs[0][1]))
         core = _family_eval(kind)
-        both = _phi_value_and_slope if kind is PHI else _psi_value_and_slope
         plain = lambda gen: Generator(gen.name, gen.evaluate, gen.max_order,
                                       gen.curvature_monotonicity, gen.third_sup_closed_form)
 
@@ -338,14 +339,15 @@ class TestBoundReport:
         grid = []
         with np.errstate(over="ignore", invalid="ignore"):  # -800 and 1000 overflow
             for s in orders:
-                for p, q in pairs:  # the closed form itself, also where f'' overflows
-                    for x in (p.weights / q.weights, (p.weights + q.weights) / (2.0 * q.weights)):
-                        column = _column(s, 1)  # one order: a column of one
-                        for got, order in zip(both(column, x), (0, 1)):
-                            assert np.array_equal(got, core(column, x, order), equal_nan=True), \
-                                (s, order)
                 gen = family_generator(kind, s)  # also where f'' overflows to +inf
-                assert gen.value_and_slope is not None and plain(gen).value_and_slope is None
+                assert gen.terms is not None and plain(gen).terms is None
+                for p, q in pairs:  # the closed form itself, also where f'' overflows
+                    a, b = p.weights, q.weights
+                    x, mid = a / b, (a + b) / (2.0 * b)
+                    column = _column(s, 1)  # one order: a column of one
+                    want = core(column, x, 0), core(column, x, 1), core(column, mid, 1)
+                    for got, expected, order in zip(gen.terms(a, b, _formed), want, (0, 1, 1)):
+                        assert np.array_equal(got, expected, equal_nan=True), (s, order)
                 reports = [outcome(lambda: bound_report(gen, p, q)) for p, q in pairs]
                 assert reports == [outcome(lambda: bound_report(plain(gen), p, q))
                                    for p, q in pairs], s
@@ -476,6 +478,124 @@ class TestSpread:
             assert report_bits(bound_report(gen, p, q)) == report_bits(want)
 
 
+class TestReportTable:
+    # consecutive reports of a family generator on a pair share stage one of their sums,
+    # the rows that do not depend on the order, through the family sums' one-slot memo
+    # (``families._memo``); the kernels workload's orders, large |s| and orders by 0 and 1
+    ORDERS = (*S_GRID, -800.0, 1000.0, 1e-6, -1e-6, 1.0 + 1e-6, 1.0 - 1e-6)
+    FAMILIES = (j_divergence_type_s, ag_js_divergence_type_s, relative_information_type_s)
+
+    @staticmethod
+    def pairs() -> list:
+        from test_formula_table import block_pair
+        rng = np.random.default_rng(2201)
+        return [random_pair(rng, n) for n in (3, _BLOCK + 1, 4 * _BLOCK)] + [block_pair(_BLOCK + 1)]
+
+    @staticmethod
+    def outcome(call, s, p, q):
+        """A report's bits or a family value's, or the error where the order overflows."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # the family sums warn
+                if call in (PHI, PSI):
+                    return report_bits(bound_report(family_generator(call, s), p, q))
+                return np.float64(call(s, p, q)).tobytes()
+        except DomainError as err:
+            return str(err)
+
+    def test_reports_equal_those_with_the_memo_cleared(self, tables):
+        pairs = self.pairs()
+        calls = (PHI, PSI, *self.FAMILIES)
+        cleared = {}
+        for p, q in pairs + [(q, p) for p, q in pairs]:
+            for call in calls:
+                for s in self.ORDERS:
+                    families._last = None
+                    cleared[call, s, p, q] = self.outcome(call, s, p, q)
+
+        def reports(kinds, orders):
+            return [(kind, s, p, q) for p, q in pairs for kind in kinds for s in orders]
+        sequences = [
+            reports((PHI, PSI), self.ORDERS), reports((PSI, PHI), self.ORDERS),
+            reports((PHI, PSI), self.ORDERS[::-1]),
+            [(kind, s, p, q) for p, q in pairs for s in self.ORDERS for kind in (PHI, PSI)],
+            # V, W and R between the reports on a pair, each kind in turn at each order
+            [(call, s, p, q) for p, q in pairs for kind in (PHI, PSI) for s in self.ORDERS
+             for call in (kind, *self.FAMILIES)],
+            # two pairs in turn, and both directions in turn
+            [(kind, s, *pair) for one, other in zip(pairs[::2], pairs[1::2]) for kind in (PHI, PSI)
+             for s in self.ORDERS for pair in (one, other)],
+            [(kind, s, *pair) for p, q in pairs for kind in (PHI, PSI) for s in self.ORDERS
+             for pair in ((p, q), (q, p))],
+        ]
+        for steps in sequences:
+            for call, s, p, q in steps:
+                assert self.outcome(call, s, p, q) == cleared[call, s, p, q], (call, s, p.dim)
+                assert len(tables) <= 1
+        p, q = pairs[2]
+        self.outcome(PSI, 0.5, p, q)  # PSI's rows at n = 65536
+        table = families._last
+        self.outcome(PSI, 2.0, p, q)
+        assert families._last is table and table.key[1:] == (p, q)
+        assert table.table.shape == (4, 4 * _BLOCK) and table.table.flags.c_contiguous
+        for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
+            with pytest.raises(ValueError, match="read-only"):
+                view[..., 0] = 0.0
+
+    def test_kept_maxima_are_each_rows_own(self):
+        # a near block takes phi_s's series alone when its max |L| allows (``_alone``), and
+        # the table keeps each row's max (``families._top``): the first block of this pair
+        # lies wholly near P = Q, the second starts there and leaves it. Values with the
+        # table equal those formed without it: the plain generator's, the families' sums
+        from test_formula_table import block_pair
+        p, q = block_pair(2 * _BLOCK + 3)
+        order = np.arange(p.dim)
+        order[[_BLOCK, -1]] = order[[-1, _BLOCK]]  # the last entry, a near one, moved
+        p, q = (validate_distribution(w.weights[order]) for w in (p, q))
+        plain = lambda gen: Generator(gen.name, gen.evaluate, gen.max_order,
+                                      gen.curvature_monotonicity, gen.third_sup_closed_form)
+        for s in S_GRID:
+            for kind in (PHI, PSI):
+                gen = family_generator(kind, s)
+                assert report_bits(bound_report(gen, p, q)) == \
+                    report_bits(bound_report(plain(gen), p, q)), (kind, s)
+            for fn, values in ((ag_js_divergence_type_s, families._w_values),
+                               (relative_information_type_s, families._r_values)):
+                assert fn(s, p, q) == values(_column(s, 1), p.weights, q.weights), (fn, s)
+
+    def test_threads_mixing_reports_and_family_calls_equal_serial_values(self):
+        from test_formula_table import block_pair
+        pairs = [block_pair(2 * _BLOCK + 3), random_pair(np.random.default_rng(2202), 3001)]
+        calls = (PHI, PSI, *self.FAMILIES)
+        serial = {(call, s, i): self.outcome(call, s, *pair)
+                  for i, pair in enumerate(pairs) for call in calls for s in S_GRID}
+        failures, together = [], threading.Barrier(4)
+
+        def work(thread):
+            for step in range(120):  # pair, call and order all change in turn
+                call, s, i = calls[step // 2 % 5], S_GRID[step % 9], (thread + step) % 2
+                together.wait(timeout=30)
+                # two threads call on one pair, the second a little later, so that it
+                # meets the first one's table half formed
+                time.sleep(thread // 2 * 1e-4 * (step % 4))
+                if self.outcome(call, s, *pairs[i]) != serial[call, s, i]:
+                    failures.append((thread, step))
+        run_in_threads(work, (0, 1, 2, 3))  # more threads than cores, in opposite turns by twos
+        assert failures == []
+
+    @pytest.mark.parametrize("kind, s, order", [(PHI, 1000.0, 0), (PSI, 1000.0, 0),
+                                                (PSI, -800.0, 3)])
+    def test_a_warm_table_names_the_same_failing_order(self, kind, s, order):
+        p, q = validate_distribution([0.99, 0.01]), validate_distribution([0.01, 0.99])
+        families._last = None
+        cold = self.outcome(kind, s, p, q)
+        for finite in (0.5, 2.0):  # reports at other orders form the pair's rows first
+            self.outcome(kind, finite, p, q)
+        assert families._last.key[1:] == (p, q)
+        assert self.outcome(kind, s, p, q) == cold == (
+            f"[GENERATOR_DOMAIN] generator '{kind.value}(s={s:g})' evaluation failed at "
+            f"order {order}")
+
+
 class TestCompareGenerators:
     def test_ratio_of_generator_to_itself_is_one(self, pair):
         rb = ratio_bounds(*pair)
@@ -594,6 +714,14 @@ class TestGeneratorConstruction:
             min(chi2_term, variation * rep.total_variation / 2), rel=1e-12)
         assert abs(rep.value - rep.linearized / 2) <= rep.half_E_bound
         assert abs(rep.value - rep.linearized_mid) <= rep.E_star_bound
+
+
+    def test_family_generators_are_cached_on_the_bits_of_their_order(self):
+        zero = family_generator(PHI, 0.0)
+        assert family_generator(PHI, -0.0).name == "PHI(s=-0)" and zero.name == "PHI(s=0)"
+        assert family_generator(PHI, 0.0) is zero and family_generator(PHI, 0) is zero
+        assert family_generator(PHI, np.float64(-0.0)) is family_generator(PHI, -0.0)
+        assert family_generator(PSI, 0.0) is not zero
 
 
 class TestBoundaryChecks:

@@ -1,6 +1,5 @@
 import threading
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -352,20 +351,6 @@ class TestOffsetMemo:
     # (``families._memo``); the kernels workload's orders, and large |s|
     ORDERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -800.0, 1000.0)
     FUNCTIONS = (j_divergence_type_s, ag_js_divergence_type_s, relative_information_type_s)
-
-    @pytest.fixture
-    def tables(self, monkeypatch):
-        """The live tables, each built after the one before it was dropped."""
-        live = weakref.WeakSet()
-
-        class Counted(families._Table):
-            def __init__(self, *args):
-                assert len(live) == 0
-                super().__init__(*args)
-                live.add(self)
-        monkeypatch.setattr(families, "_Table", Counted)
-        monkeypatch.setattr(families, "_last", None)
-        return live
 
     @staticmethod
     def memo_pairs():

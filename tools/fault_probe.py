@@ -3,7 +3,9 @@
 A round makes the calls of the benchmark's ``kernels`` workload on two
 generic pairs of n = 65536 entries (64 distinct rows, each repeated 1024
 times): the three family sums at nine orders, the twelve classic measures,
-and bound reports of both generators at the nine orders. After one warm-up
+and bound reports of both generators at the nine orders, each generator's
+reports in a row, so that they share the rows of their sums that do not
+depend on the order through the family memo's one table. After one warm-up
 round, the probe prints for each part the median CPU ms and minor page faults
 (``ru_minflt``) per round over five rounds. After each part it times a fixed
 numpy computation over 65536 entries that does not use symdiv (``reference``),
