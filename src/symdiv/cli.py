@@ -188,10 +188,9 @@ def _cmd_sweep_s(args) -> int:
     grid = _parse_grid(args.s_grid)
     from .families import (ag_js_divergence_type_s, j_divergence_type_s,
                            relative_information_type_s)
-    rows = [(s,
-             relative_information_type_s(s, p, q),
-             j_divergence_type_s(s, p, q),
-             ag_js_divergence_type_s(s, p, q)) for s in grid]
+    # each family over the grid in turn, reusing its memo's table; R refuses a bad order first
+    rows = list(zip(grid, *([fn(s, p, q) for s in grid] for fn in (
+        relative_information_type_s, j_divergence_type_s, ag_js_divergence_type_s))))
     _require_finite(rows)
     if args.format == "json":
         print(_dump_json([{"s": s, "Phi": phi, "V": v, "W": w}

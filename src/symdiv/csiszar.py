@@ -36,9 +36,8 @@ import numpy as np
 
 from .divergences import _abs_chi
 from .errors import _FILTERS, DomainError, InputError
-from .families import (_BLOCK, FamilyParam, GeneratorFamilyKind, _argument, _blocked, _blocks,
-                       _column, _family_eval, _formed, _memo, _phi_terms, _psi_terms, _ratios,
-                       as_param, generator_eval)
+from .families import (FamilyParam, GeneratorFamilyKind, _argument, _column, _family_eval,
+                       _phi_terms, _psi_terms, _staged, as_param, generator_eval)
 from .simplex import Distribution, RatioBounds, _ratio_range, _require_same_dim
 
 _SPOT_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -62,13 +61,13 @@ class Generator:
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
     without it the third-derivative bound is unavailable.
-    ``terms(a, b, offsets)`` may return (f(x), f'(x), f'(x*)) on a block of
-    weights, x = a/b and x* = (a + b)/(2b), with the bits of ``evaluate``,
-    taking the rows that do not depend on the generator's order from
-    ``offsets(stage, a, b)`` (a report keeps them in the family sums' memo);
-    without it a report evaluates f and f' one order at a time. ``eval`` is
-    the checked public entry; the engine's kernels call ``evaluate`` and
-    ``terms`` on validated weights, and the public
+    ``terms(a, b, offsets)`` may return a report's summands b f(x),
+    (a - b) f'(x) and (a - b) f'(x*), x = a/b and x* = (a + b)/(2b), on a
+    1-D block of weights, with the rows that do not depend on the order from
+    ``offsets(stage, a, b)`` (the family memo's); a family generator's are
+    stage two of V's or W's sum. Without it f and f' are evaluated at x and
+    x*. ``eval`` is the checked public entry; the engine's kernels call
+    ``evaluate`` and ``terms`` on validated weights, and the public
     functions check their finished values, rerunning a failure through
     ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
     ratio-range ends, one value per pair, for one pair and a stack alike. The
@@ -235,27 +234,29 @@ def _bisect(fn, a: float, b: float) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 def csiszar_divergence(gen: Generator, p: Distribution, q: Distribution) -> float:
-    """sum q_i f(p_i / q_i); nonnegative for convex normalized f."""
+    """sum q_i f(p_i / q_i); nonnegative for convex normalized f. A bound report's value."""
     _require_same_dim(p, q)
-    return float(_checked(_divergence, gen, p.weights, q.weights))
+    kernel = lambda *args: _sums(*args, pair=(p, q))[0]
+    return float(_checked(kernel, gen, p.weights, q.weights, orders={0})[0])
 
 
 def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
-    """The pair (E, E*) of first-order functionals of the generator."""
+    """The pair (E, E*) of first-order functionals of the generator, as a bound report's."""
     _require_same_dim(p, q)
-    return tuple(float(v) for v in _checked(_linearized, gen, p.weights, q.weights))
+    kernel = lambda *args: tuple(_sums(*args, pair=(p, q))[1:])
+    return tuple(float(v[0]) for v in _checked(kernel, gen, p.weights, q.weights, orders={1}))
 
 
-def _checked(kernel, gen: Generator, *args):
-    """``kernel(gen, *args)``; a non-finite result reruns it through the checked
-    ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
+def _checked(kernel, gen: Generator, *args, orders=range(4)):
+    """``kernel(gen, *args)``; a non-finite result reruns it with ``orders`` through the
+    checked ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
     with _FILTERS, warnings.catch_warnings():  # an overflow is refused, not warned of
         warnings.simplefilter("ignore", RuntimeWarning)
         out = kernel(gen, *args)
         values = out if isinstance(out, tuple) else (out,)
         if not all(v is None or np.isfinite(v).all() for v in values):
-            kernel(_checking(gen), *args)
+            kernel(_checking(gen, orders), *args)
     return out
 
 
@@ -269,38 +270,21 @@ def _checking(gen: Generator, orders=range(4)) -> Generator:
     return checked
 
 
-# the sums over the last axis of weight arrays: one value per pair of rows
+# the sums over 1-D weights: one value per pair (a one-element array for one pair)
 
-def _divergence(gen: Generator, a: np.ndarray, b: np.ndarray):
-    return _blocked(lambda a, b: b * gen.evaluate(0, a / b), a, b)
-
-
-def _linearized(gen: Generator, a: np.ndarray, b: np.ndarray):
-    e = _blocked(lambda a, b: (a - b) * gen.evaluate(1, a / b), a, b)
-    e_star = _blocked(lambda a, b: (a - b) * gen.evaluate(1, (a + b) / (2.0 * b)), a, b)
-    return e, e_star
-
-
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None):
-    """[value, E, E*] in one pass over blocks, each taking d = a - b and f(x), f'(x) and
-    f'(x*) from ``gen.terms`` (stage one from the memo on ``pair``, or formed and dropped)
-    or one order at a time; each sum (or ``total``, as ``_blocked``) adds its blocks in
-    order: a pass's bits."""
-    terms = gen.terms or (lambda a, b, _: _evaluated(gen, *_ratios(a, b)))
-    rows = _formed if pair is None else (  # the memo's table, keyed on the stage asked for
-        lambda stage, a, b, start: _memo(stage, *pair).rows(stage, a, b, start))
-    sums, total = [], total or (lambda t: t.sum(axis=-1))
-    # each term is summed as it is formed: few temporaries live
-    for start, (a, b) in zip(range(0, a.shape[-1], _BLOCK), _blocks(a, b)):
-        d = a - b
-        f, slope, mid = terms(a, b, functools.partial(rows, start=start))
-        sums.append([total(b * f), total(d * slope), total(d * mid)])
-    # as _blocked adds them: one block's sum as it is, several from 0
-    return [column[0] if len(column) == 1 else sum(column) for column in zip(*sums)]
+def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None) -> list:
+    """[value, E, E*], the summands of ``gen.terms`` or ``_evaluated`` summed in one pass, as
+    ``_staged`` sums the family's (its stage one, each sum or ``total``, its bits)."""
+    terms, total = gen.terms or functools.partial(_evaluated, gen), total or (
+        lambda t: t.sum(axis=-1, keepdims=True))
+    return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets), None, a, b,
+                        lambda summands: np.array([total(t) for t in summands]), pair))
 
 
-def _evaluated(gen: Generator, x: np.ndarray, mid: np.ndarray) -> tuple:
-    return gen.evaluate(0, x), gen.evaluate(1, x), gen.evaluate(1, mid)
+def _evaluated(gen: Generator, a: np.ndarray, b: np.ndarray, _offsets) -> tuple:
+    """The generic summands: f and f' at x = a/b and f' at x*, one order at a time."""
+    d, x = a - b, a / b
+    return b * gen.evaluate(0, x), d * gen.evaluate(1, x), d * gen.evaluate(1, (a + b) / (2.0 * b))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +421,7 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
     generator's stage one kept in the family memo), then the sweep's report
     kernel on the pair as a block of one."""
     _require_same_dim(p, q)
-    a, b = p.weights[None], q.weights[None]
+    a, b = p.weights, q.weights
     with _FILTERS, warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
         warnings.simplefilter("ignore", RuntimeWarning)
         chi2, abs_chi3, tv, r, big_r = _spread(p, q)

@@ -32,14 +32,16 @@ A family sum runs in two stages on each block of entries: stage one forms
 the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
 offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
 each only where the block needs it; stage two takes the order's summand on
-them. A bound report's terms of PHI and PSI (``_phi_terms``, ``_psi_terms``)
-run in the same two stages. The family functions and ``bound_report`` keep
-stage one in a one-slot memo (``_memo``): one contiguous, read-only (4, n)
-float64 table (2 MiB at n = 65536), keyed on the family or the report's
-stage and the ordered pair, and freed before the next is built, so later
-orders on a pair skip stage one; beside it, the max |L| of each row that
-``_alone`` scans. Arrays kept per block instead would fill the allocator's
-free space, and other code would fault its pages anew.
+them. A PHI or PSI bound report is stage two of V's or W's sum: the
+family's summand, and (a - b) f' at x and x* = (a + b)/(2b) on the same
+exact offsets, x*'s as two more rows of stage one. The family functions and
+``bound_report`` keep stage one in a one-slot memo (``_memo``): one
+contiguous, read-only (6, n) float64 table (3 MiB at n = 65536, a page
+faulted in once a stage fills it), keyed on the family and the ordered pair,
+and freed before the next is built, so later orders and reports on a pair
+skip stage one; beside it, the max |L| of each row that ``_alone`` scans.
+Arrays kept per block instead would fill the allocator's free space, and
+other code would fault its pages anew.
 
 Powers are taken in log space, so a large |s| overflows only with the
 value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
@@ -269,16 +271,16 @@ def _v_term(s, L, u, lo=None):
     return out if lo is None else np.multiply(out, lo, out=out)
 
 
-def _w_term(s, a, b, offsets):
+def _w_term(s, a, b, offsets, at_a=None):
     """W's summand b psi_s(a/b) at a clamped order, on the offsets of ``_w_offsets``."""
-    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, offsets)
+    return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, offsets, at_a)
 
 
-def _w_general(s, a, b, offsets):
-    """(a phi_s(m/a) + b phi_s(m/b))/2 on the offsets of m/a and m/b."""
+def _w_general(s, a, b, offsets, at_a=None):
+    """(a phi_s(m/a) + b phi_s(m/b))/2 on the offsets of m/a and m/b; at_a: phi_s(m/a), if known."""
     la, ua, lb, ub = offsets(_w_offsets, a, b)
-    out = _phi(s, la, ua)
-    out *= a
+    out = _phi(s, la, ua) if at_a is None else at_a
+    out = np.multiply(out, a, out=None if out is at_a else out)
     at_b = _phi(s, lb, ub)
     at_b *= b
     out += at_b
@@ -286,7 +288,7 @@ def _w_general(s, a, b, offsets):
     return out
 
 
-def _js_row(a, b, _offsets):
+def _js_row(a, b, *_):
     """JS's summand: both terms are >= 0 and keep a third of their size."""
     d = a - b
     size = np.abs(d)
@@ -301,7 +303,7 @@ def _js_row(a, b, _offsets):
     return out
 
 
-def _ag_row(a, b, _offsets):
+def _ag_row(a, b, *_):
     out = _log_mid(a, b, a - b)
     out *= a + b
     out *= 0.25
@@ -346,11 +348,11 @@ def _at_order(values, s, p: Distribution, q: Distribution) -> float:
 # (or by ``total``, see ``_blocked``): one value per pair of rows, one row per order
 
 def _v_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
-    return _staged(_v_summands, _clamp(s), a, b, total, pair and _memo("V", *pair))
+    return _staged(_v_summands, _clamp(s), a, b, total, pair)
 
 
 def _w_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
-    return _staged(_w_term, _clamp(s), a, b, total, pair and _memo("W", *pair))
+    return _staged(_w_term, _clamp(s), a, b, total, pair)
 
 
 def _r_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
@@ -361,7 +363,7 @@ def _r_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
         return _r_values(1.0 - s, b, a, total, pair and pair[::-1])
     if s == 0.0:
         return _blocked(_kl_summands, b, a, total)
-    return _staged(_r_summands, s, a, b, total, pair and _memo("R", *pair))
+    return _staged(_r_summands, s, a, b, total, pair)
 
 
 def _kl_summands(a, b):
@@ -392,10 +394,11 @@ def _blocks(a: np.ndarray, b: np.ndarray) -> list:
     return [(a[..., i:i + _BLOCK], b[..., i:i + _BLOCK]) for i in range(0, a.shape[-1], _BLOCK)]
 
 
-def _staged(summands, s, a: np.ndarray, b: np.ndarray, total, table):
-    """summands(s, a, b, offsets) summed over blocks as by ``_blocked``; offsets(stage, a, b)
-    is stage one on a block: the memo's ``table``'s rows, or formed and dropped."""
-    starts, rows = iter(range(0, a.shape[-1], _BLOCK)), _formed if table is None else table.rows
+def _staged(summands, s, a: np.ndarray, b: np.ndarray, total, pair):
+    """summands(s, a, b, offsets) summed over blocks as by ``_blocked``; offsets(stage, a, b) is
+    stage one on a block: the memo's rows on the ordered ``pair`` (``_PLACES``), or formed."""
+    starts, rows = iter(range(0, a.shape[-1], _BLOCK)), _formed if pair is None else (
+        lambda stage, a, b, start: _memo(stage, *pair).rows(stage, a, b, start))
     # _blocked takes each block once, in order
     return _blocked(lambda a, b: summands(s, a, b, functools.partial(rows, start=next(starts))),
                     a, b, total)
@@ -453,39 +456,53 @@ def _r_exact(a, b):
     return (np.log1p((a - b) / b),)
 
 
+def _phi_mid(a, b):
+    """x* - 1 = (a - b)/(2b) (W's ub, with its bits) and its log1p, for PHI's slopes."""
+    ub = 0.5 * ((a - b) / b)
+    return ub, np.log1p(ub)
+
+
+def _psi_mid(a, b):
+    """log1p of the offsets of m*/x* and m* (``_to_mid``), x* = 1 + ub, for psi_s'(x*)."""
+    ub = _phi_mid(a, b)[0]
+    return tuple(np.log1p(u) for u in _to_mid(1.0 + ub, ub))
+
+
+# each stage's table, its family's (a report's stages fill rows after the family's), and first row
+_PLACES = {_v_offsets: ("V", 0), _phi_mid: ("V", 3), _w_offsets: ("W", 0), _psi_mid: ("W", 4),
+           _r_logs: ("R", 0), _r_exact: ("R", 3)}
+
+
 class _Table:
-    """The memo's table and its per-block views, shaped as the block; a stage's rows are formed
-    on a block when a call first needs them there (R's exact log in the last row, other stages
-    from the first), and threads that both form them write equal bits. ``tops`` keeps the
-    max |L| of the rows that ``_alone`` scans (``_top``)."""
+    """The memo's table and its per-block views; a stage's rows are formed on a block when a
+    call first needs them there, at the stage's place, and threads that both form them write
+    equal bits. ``tops`` keeps the max |L| of the rows that ``_alone`` scans (``_top``)."""
 
     def __init__(self, key: tuple, n: int):
-        self.key, self.views, self.tops, self._fill = key, {}, {}, np.empty((4, n))
+        self.key, self.views, self.tops, self._fill = key, {}, {}, np.empty((6, n))
         self.table = self._fill.view()
         self.table.flags.writeable = False
 
     def rows(self, stage, a, b, start: int) -> tuple:
         if (stage, start) not in self.views:
             rows = stage(a, b)
-            at = slice(3 if stage is _r_exact else 0, None), slice(start, start + a.shape[-1])
+            at = slice(_PLACES[stage][1], None), slice(start, start + a.shape[-1])
             for row, value in zip(self._fill[at], rows):
                 row[...] = value
-            self.views[stage, start] = tuple(row.reshape(a.shape)
-                                             for row in self.table[at][:len(rows)])
+            self.views[stage, start] = tuple(self.table[at][:len(rows)])
         return self.views[stage, start]
 
 
 _last = None  # the memo: the last family call's or report's table
 
 
-def _memo(kind, p: Distribution, q: Distribution) -> _Table:
-    """The last table if it is kind's (a family's name or a report's stage) on (p, q)
-    (hashed by identity), else a new one."""
+def _memo(stage, p: Distribution, q: Distribution) -> _Table:
+    """The last table if it is stage's family's on (p, q) (hashed by identity), else a new one."""
     global _last
-    table = _last
-    if table is None or table.key != (kind, p, q):
+    table, key = _last, (_PLACES[stage][0], p, q)
+    if table is None or table.key != key:
         _last = table = None  # the old table is freed before the new one is built
-        _last = table = _Table((kind, p, q), p.dim)
+        _last = table = _Table(key, p.dim)
     return table
 
 
@@ -540,8 +557,8 @@ def _psi_eval(s, x: np.ndarray, order: int):
     if order == 0:
         return _w_term(_clamp(s), x, 1.0, _formed)
     if order == 1:
-        return _by_order(_clamp(s), {1.0: _ag_slope}, lambda *args: _psi_general(*args)[0],
-                         x, x - 1.0)
+        ua, ub = _to_mid(x, x - 1.0)
+        return _psi_slope(_clamp(s), x, x - 1.0, (np.log1p(ua), ua, np.log1p(ub), ub))
     L, half = np.log(x), np.log1p((x - 1.0) / 2.0)
     if order == 2:
         return ((np.exp((-s - 1.0) * L) + 1.0) / 8.0) * np.exp((s - 2.0) * half)
@@ -554,20 +571,21 @@ def _phi_slope(s, L, u):
     return _e(s - 1.0, L, u) + _e(-s, L, u)
 
 
-def _psi_general(s, x, d, logs=None):
+def _psi_slope(s, x, d, rows, at_a=None):
+    """psi_s' at x, d = x - 1, on ``rows``: the offsets of m/x and m and their log1p (la, ua,
+    lb, ub), and ``at_a`` = phi_s(m/x) where the caller has it; AG's row its own."""
+    return _by_order(s, {1.0: _ag_slope}, _psi_general, x, d, *rows, at_a)
+
+
+def _psi_general(s, x, _d, la, ua, lb, ub, at_a):
     """psi_s' = phi_s(m/x)/2 - E(s - 1) at m/x over 4x + E(s - 1) at m over 4,
-    the derivative of _w_general at b = 1 (phi_s' = E(s - 1)), on the offsets of
-    m/x and m (``_to_mid``) and their log1p, ``logs`` when given; with phi_s(m/x)
-    and m's offset and log, from which ``_psi_terms`` takes psi_s."""
-    ua, ub = _to_mid(x, d)
-    la, lb = logs or (np.log1p(ua), np.log1p(ub))
+    the derivative of _w_general at b = 1 (phi_s' = E(s - 1))."""
     slope = _e(s - 1.0, la, ua) / x
     slope -= _e(s - 1.0, lb, ub)
     slope *= 0.5
-    at_a = _phi(s, la, ua)
-    np.subtract(at_a, slope, out=slope)
+    np.subtract(_phi(s, la, ua) if at_a is None else at_a, slope, out=slope)
     slope *= 0.5
-    return slope, at_a, lb, ub
+    return slope
 
 
 def _to_mid(x, d):
@@ -575,44 +593,31 @@ def _to_mid(x, d):
     return -0.5 * (d / x), 0.5 * d
 
 
-def _ag_slope(x, d):
+def _ag_slope(x, d, *_):
     """psi_1' = log(m^2/x)/4 + (x - 1)/(4x), the derivative of _ag_row at b = 1."""
     return 0.25 * (_log_mid(x, 1.0, d) + d / x)
 
 
-# a report's terms (f(x), f'(x), f'(x*)) on a block, x = a/b and x* = (a + b)/(2b), in the family
-# sums' two stages: the rows that do not depend on s, then the ratios, offsets and the order's terms
-
-def _ratios(a, b):
-    return a / b, (a + b) / (2.0 * b)
-
-
-def _phi_logs(a, b):
-    """log x and x - 1 at x and at x*."""
-    return tuple(v for x in _ratios(a, b) for v in (np.log(x), x - 1.0))
-
-
-def _psi_logs(a, b):
-    """log1p of the offsets of m/x and m (``_to_mid``) at x and at x*."""
-    return tuple(np.log1p(u) for x in _ratios(a, b) for u in _to_mid(x, x - 1.0))
-
+# a report's summands, stage two of its family's sum: the family's, and d f' at x = a/b = 1 + 2 ub
+# and x* = 1 + ub, d = a - b and ub = d/(2b), on the same exact offsets
 
 def _phi_terms(s, a, b, offsets):
-    s = _clamp(s)
-    L, u, L_mid, u_mid = offsets(_phi_logs, a, b)
-    slope = _phi_slope(s, L, u)  # first: _v_term may overwrite L and u
-    return _v_term(s, L, u), slope, _phi_slope(s, L_mid, u_mid)
+    """On V's rows, log x = copysign(log1p(|d|/lo), d), and on x* - 1 = ub and its log1p."""
+    s, d = _clamp(s), a - b
+    L, u, lo = offsets(_v_offsets, a, b)
+    ub, L_mid = offsets(_phi_mid, a, b)
+    slope, mid = _phi_slope(s, np.copysign(L, ub), 2.0 * ub), _phi_slope(s, L_mid, ub)
+    return _v_term(s, L, u, lo), slope * d, mid * d  # last: _v_term may overwrite L and u
 
 
 def _psi_terms(s, a, b, offsets):
-    """psi_s with the bits of _w_general at b = 1, from the logs and phi_s(m/x) of psi_s';
-    orders that take JS's or AG's rows take each term on its own."""
-    s, (x, mid) = _clamp(s), _ratios(a, b)
-    if _exact(s)[0]:
-        return _psi_eval(s, x, 0), _psi_eval(s, x, 1), _psi_eval(s, mid, 1)
-    la, lb, la_mid, lb_mid = offsets(_psi_logs, a, b)
-    slope, value, lb, ub = _psi_general(s, x, x - 1.0, (la, lb))
-    value *= x
-    value += _phi(s, lb, ub)
-    value *= 0.5
-    return value, slope, _psi_general(s, mid, mid - 1.0, (la_mid, lb_mid))[0]
+    """On W's rows, m/x = 1 + ua and m = 1 + ub, with phi_s(m/x) taken once for the summand
+    and the slope at x, and on the offsets of m*/x* and m* re-formed from ub."""
+    s, d = _clamp(s), a - b
+    la, ua, lb, ub = rows = offsets(_w_offsets, a, b)
+    at_a = None if _exact(s)[0] else _phi(s, la, ua)  # JS's and AG's rows take none
+    slope = _psi_slope(s, a / b, 2.0 * ub, rows, at_a)
+    x_mid, (la_mid, lb_mid) = 1.0 + ub, offsets(_psi_mid, a, b)
+    ua_mid, ub_mid = _to_mid(x_mid, ub)
+    mid = _psi_slope(s, x_mid, ub, (la_mid, ua_mid, lb_mid, ub_mid))
+    return _w_term(s, a, b, lambda *_: rows, at_a), slope * d, mid * d

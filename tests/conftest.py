@@ -39,14 +39,16 @@ def pair3():
 @pytest.fixture
 def tables(monkeypatch):
     """The live tables of the family memo (``families._memo``), each built after the one
-    before it was dropped."""
+    before it was dropped, and (``built``) how many were built."""
     live = weakref.WeakSet()
+    live.built = 0
 
     class Counted(families._Table):
         def __init__(self, *args):
             assert len(live) == 0
             super().__init__(*args)
             live.add(self)
+            live.built += 1
     monkeypatch.setattr(families, "_Table", Counted)
     monkeypatch.setattr(families, "_last", None)
     return live

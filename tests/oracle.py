@@ -143,6 +143,24 @@ def gen_derivative(gen, s, x, order):
     return mp.diff(lambda t: gen(s, t), _mp(x), order)
 
 
+# first derivatives by hand, for sums over many entries, where mp.diff is slow;
+# tests check each against gen_derivative before they use it
+
+def phi_slope(s, x):
+    """phi_gen' for s not in {0, 1}: (s x^(s-1) + (1-s) x^(-s) - 1)/(s (s-1))."""
+    s, x = _mp(s), _mp(x)
+    return (s * x ** (s - 1) + (1 - s) * x ** (-s) - 1) / (s * (s - 1))
+
+
+def psi_slope(s, x):
+    """psi_gen' for s not in {0, 1}, m = (x + 1)/2:
+    ((1-s) x^(-s) m^s / 2 + s (x^(1-s) + 1) m^(s-1) / 4 - 1/2)/(s (s-1))."""
+    s, x = _mp(s), _mp(x)
+    m = (x + 1) / 2
+    return ((1 - s) * x ** (-s) * m ** s / 2 + s * (x ** (1 - s) + 1) * m ** (s - 1) / 4
+            - mpf(1) / 2) / (s * (s - 1))
+
+
 # ---------------------------------------------------------------------------
 # bound ingredients straight from their definitions
 # ---------------------------------------------------------------------------
@@ -155,6 +173,13 @@ def linearized(gen, s, p, q):
 def linearized_mid(gen, s, p, q):
     return sum((a - b) * gen_derivative(gen, s, (a + b) / (2 * b), 1)
                for a, b in _pairs(p, q))
+
+
+def linearized_pair(slope, s, p, q):
+    """(E, E*) from a first derivative ``slope`` (phi_slope or psi_slope)."""
+    terms = [(a - b, a / b, (a + b) / (2 * b)) for a, b in _pairs(p, q)]
+    return (sum(d * slope(s, x) for d, x, _ in terms),
+            sum(d * slope(s, mid) for d, _, mid in terms))
 
 
 def endpoint_a(gen, s, r, big_r):

@@ -317,6 +317,22 @@ class TestSweepS:
         assert code == 0
         assert out == GOLDEN_SWEEP_S
 
+    def test_each_family_reuses_its_table_over_the_grid(self, capsys, histograms, tables):
+        # R, V and W each run over the whole grid in turn: V and W build one table each, R
+        # one per direction (s > 1/2 is R_{1-s} on (Q, P)); KL at s in {0, 1} builds none
+        p, q = histograms
+        code, out, _ = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
+                           "--s-grid=-1,0,0.5,1,2,3")
+        assert code == 0 and out.startswith("s,Phi,V,W\n-1,0.0833333333333,")
+        assert tables.built == 4
+
+    def test_the_first_bad_order_is_refused(self, capsys, histograms):
+        p, q = histograms
+        code, out, err = run(capsys, "sweep-s", "--input-p", p, "--input-q", q,
+                             "--s-grid=0.5,inf,nan")
+        assert (code, out, err) == (1, "", "error: [PARAMETER_OUT_OF_RANGE] family order must "
+                                           "be finite, got inf\n")
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_json_and_table_match_the_library(self, capsys, histograms, fmt):
         p, q = histograms

@@ -22,7 +22,7 @@ import symdiv.families as families
 from symdiv.csiszar import _family_generator, _psi_stationary
 from symdiv.families import _BLOCK, _column, _family_eval, _formed
 from symdiv.means import raised_mean
-from symdiv.verify import DEFAULT_GRID, _grids, _stack, pair_for
+from symdiv.verify import DEFAULT_GRID, _grids, _stack, _Stack, pair_for
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=10)
@@ -126,6 +126,20 @@ class TestDivergenceValues:
             for s in (-2, 0.5, 3):
                 assert csiszar_divergence(family_generator(PHI, s), p, q) >= 0
                 assert csiszar_divergence(family_generator(PSI, s), p, q) >= 0
+
+    @pytest.mark.parametrize("kind", [PHI, PSI])
+    def test_family_generators_take_the_report_sums(self, kind):
+        # csiszar_divergence and linearized_functionals sum a report's summands: a family
+        # generator's divergence has the bits of its family function, its (E, E*) the report's
+        from test_formula_table import block_pair
+        family = j_divergence_type_s if kind is PHI else ag_js_divergence_type_s
+        for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
+            gen = family_generator(kind, s)
+            for p, q in PAIRS[::8] + [block_pair(_BLOCK + 1)]:
+                report = bound_report(gen, p, q)
+                assert csiszar_divergence(gen, p, q) == family(s, p, q) == report.value, s
+                assert linearized_functionals(gen, p, q) == \
+                    (report.linearized, report.linearized_mid), s
 
 
 class TestLinearizedFunctionals:
@@ -316,18 +330,22 @@ class TestBoundReport:
                                  f"{family.value} s={s}")
 
     @pytest.mark.parametrize("kind", [PHI, PSI])
-    def test_shared_logs_keep_the_generic_bits(self, kind):
-        # family_generator takes f and f' at x and f' at x* together (terms);
-        # a plain Generator over the same evaluate takes the generic path, one
-        # call per order. Every field keeps its bits, or both refuse alike, in
-        # one block, across blocks and near P = Q, and so does the stack that
-        # check_bounds_suite builds for the pair
+    def test_reports_sum_the_family_summands(self, kind):
+        # a family generator's report is stage two of its family's sum (terms): its value has
+        # the bits of V_s or W_s, for one pair and in a sweep's grid report, and it refuses
+        # where a plain Generator over the same evaluate (the generic path: f and f' at a/b,
+        # one order at a time) refuses, alike; in one block, across blocks, near P = Q and
+        # on the frozen pairs (at six orders). The stack that check_bounds_suite builds for a
+        # pair has the bits of its reports
+        from test_formula_table import block_pair
+        from test_frozen_bits import grid_cases, shortcut_cases
         orders = DEFAULT_GRID + (1e-6, -1e-6, 1.0 + 1e-6, 1.0 - 1e-6, -800.0, 1000.0)
         rng = np.random.default_rng(23)
         pairs = [tuple(validate_distribution(w / w.sum()) for w in rng.exponential(size=(2, n)))
                  for n in (3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3)]
         pairs.append((blend(*pairs[0], 1e-6), pairs[0][1]))
-        core = _family_eval(kind)
+        frozen = [pair for pair, _ in grid_cases() + shortcut_cases()] + [block_pair(_BLOCK + 1)]
+        family = j_divergence_type_s if kind is PHI else ag_js_divergence_type_s
         plain = lambda gen: Generator(gen.name, gen.evaluate, gen.max_order,
                                       gen.curvature_monotonicity, gen.third_sup_closed_form)
 
@@ -336,23 +354,29 @@ class TestBoundReport:
                 return vars(call())
             except DomainError as err:
                 return str(err)
-        grid = []
+        grid, refused = [], 0
         with np.errstate(over="ignore", invalid="ignore"):  # -800 and 1000 overflow
             for s in orders:
                 gen = family_generator(kind, s)  # also where f'' overflows to +inf
                 assert gen.terms is not None and plain(gen).terms is None
-                for p, q in pairs:  # the closed form itself, also where f'' overflows
-                    a, b = p.weights, q.weights
-                    x, mid = a / b, (a + b) / (2.0 * b)
-                    column = _column(s, 1)  # one order: a column of one
-                    want = core(column, x, 0), core(column, x, 1), core(column, mid, 1)
-                    for got, expected, order in zip(gen.terms(a, b, _formed), want, (0, 1, 1)):
-                        assert np.array_equal(got, expected, equal_nan=True), (s, order)
-                reports = [outcome(lambda: bound_report(gen, p, q)) for p, q in pairs]
-                assert reports == [outcome(lambda: bound_report(plain(gen), p, q))
-                                   for p, q in pairs], s
-                if not any(isinstance(report, str) for report in reports):
+                at = pairs + frozen * (s in (-1.0, 0.0, 0.5, 1.0, 2.0, 1000.0))
+                reports = [outcome(lambda: bound_report(gen, p, q)) for p, q in at]
+                for (p, q), report in zip(at, reports):
+                    if isinstance(report, str):
+                        assert report == outcome(lambda: bound_report(plain(gen), p, q)), s
+                        refused += 1
+                    else:
+                        assert report["value"] == family(s, p, q), (s, p.dim)
+                        assert isinstance(outcome(lambda: bound_report(plain(gen), p, q)), dict)
+                if not any(isinstance(report, str) for report in reports[:len(pairs)]):
                     grid.append(s)  # -800 and 1000 overflow on these pairs: refused alike
+            # a sweep over pairs of several dims: each grid report row is V's or W's row
+            stack = _Stack([(p.weights[None], q.weights[None]) for p, q in pairs + frozen[:14]],
+                           _grids(orders, (), (kind,)))
+            values = stack.report(kind, orders).value
+            assert values.shape == (len(orders), len(pairs) + 14)
+            assert values.tobytes() == stack.family("V" if kind is PHI else "W", orders).tobytes()
+        assert refused
         compared = 0
         for p, q in pairs:
             engine = _stack([(p, q)], _grids(grid, (), (kind,))).report(kind, tuple(grid))
@@ -536,7 +560,7 @@ class TestReportTable:
         table = families._last
         self.outcome(PSI, 2.0, p, q)
         assert families._last is table and table.key[1:] == (p, q)
-        assert table.table.shape == (4, 4 * _BLOCK) and table.table.flags.c_contiguous
+        assert table.table.shape == (6, 4 * _BLOCK) and table.table.flags.c_contiguous
         for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
             with pytest.raises(ValueError, match="read-only"):
                 view[..., 0] = 0.0
@@ -545,19 +569,18 @@ class TestReportTable:
         # a near block takes phi_s's series alone when its max |L| allows (``_alone``), and
         # the table keeps each row's max (``families._top``): the first block of this pair
         # lies wholly near P = Q, the second starts there and leaves it. Values with the
-        # table equal those formed without it: the plain generator's, the families' sums
+        # table equal those formed without it: a report's sums, the families' sums
         from test_formula_table import block_pair
         p, q = block_pair(2 * _BLOCK + 3)
         order = np.arange(p.dim)
         order[[_BLOCK, -1]] = order[[-1, _BLOCK]]  # the last entry, a near one, moved
         p, q = (validate_distribution(w.weights[order]) for w in (p, q))
-        plain = lambda gen: Generator(gen.name, gen.evaluate, gen.max_order,
-                                      gen.curvature_monotonicity, gen.third_sup_closed_form)
         for s in S_GRID:
             for kind in (PHI, PSI):
-                gen = family_generator(kind, s)
-                assert report_bits(bound_report(gen, p, q)) == \
-                    report_bits(bound_report(plain(gen), p, q)), (kind, s)
+                report = bound_report(family_generator(kind, s), p, q)
+                formed = csiszar._sums(family_generator(kind, s), p.weights, q.weights)
+                assert [report.value, report.linearized, report.linearized_mid] == \
+                    [float(v[0]) for v in formed], (kind, s)
             for fn, values in ((ag_js_divergence_type_s, families._w_values),
                                (relative_information_type_s, families._r_values)):
                 assert fn(s, p, q) == values(_column(s, 1), p.weights, q.weights), (fn, s)

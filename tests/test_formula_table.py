@@ -111,6 +111,34 @@ def test_generators_near_one(family):
                     assert rel_err(got, want) <= REL, (family.value, s, x, order)
 
 
+# bound reports' value, E and E* near P = Q: on near pairs, and on a pair of near entries
+# one block long and one more (E's reference takes a few seconds per order there)
+REPORT_ORDERS = (-1.0, 0.5, 2.0)
+SLOPES = {GeneratorFamilyKind.PHI: (oracle.phi_gen, oracle.phi_slope, oracle.v_s),
+          GeneratorFamilyKind.PSI: (oracle.psi_gen, oracle.psi_slope, oracle.w_s)}
+
+
+@pytest.mark.parametrize("family", list(GeneratorFamilyKind), ids=lambda f: f.value)
+def test_hand_slopes_equal_mpmath_derivatives(family):
+    gen, slope, _ = SLOPES[family]
+    for s in REPORT_ORDERS:
+        for x in (1e-3, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 1e3):
+            want = oracle.gen_derivative(gen, s, x, 1)
+            assert abs(slope(s, x) - want) <= mpf(10) ** -40 * abs(want), (s, x)
+
+
+@pytest.mark.parametrize("s", REPORT_ORDERS)
+@pytest.mark.parametrize("family", list(GeneratorFamilyKind), ids=lambda f: f.value)
+def test_report_sums_near_one(family, s):
+    _, slope, value = SLOPES[family]
+    for p, q in [near_pair(eps) for eps in (1e-2, 1e-4, 1e-6, 1e-8)] + [block_pair(16385)]:
+        pw, qw = p.weights.tolist(), q.weights.tolist()
+        report = bound_report(family_generator(family, s), p, q)
+        wants = (value(s, pw, qw), *oracle.linearized_pair(slope, s, pw, qw))
+        for got, want in zip((report.value, report.linearized, report.linearized_mid), wants):
+            assert rel_err(got, want) <= 1e-13, (p.dim, float(want), rel_err(got, want))
+
+
 def test_error_at_the_window_edges(capsys):
     # just outside a limit window the generic formulas meet the poles of
     # 1/(s (s - 1)): the worst error against mpmath there is printed, and it
