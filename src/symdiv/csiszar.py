@@ -270,13 +270,12 @@ def _checking(gen: Generator, orders=range(4)) -> Generator:
     return checked
 
 
-# the sums over 1-D weights: one value per pair (a one-element array for one pair)
-
 def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None) -> list:
-    """[value, E, E*], the summands of ``gen.terms`` or ``_evaluated`` summed in one pass, as
-    ``_staged`` sums the family's (its stage one, each sum or ``total``, its bits)."""
-    terms, total = gen.terms or functools.partial(_evaluated, gen), total or (
-        lambda t: t.sum(axis=-1, keepdims=True))
+    """[value, E, E*] over 1-D weights, one value per pair (one pair's in a one-element array):
+    the summands of ``gen.terms`` (or ``_evaluated``) summed as ``_staged`` sums a family's,
+    stage one and bits alike, each by ``total`` where given."""
+    terms = gen.terms or functools.partial(_evaluated, gen)
+    total = total or (lambda t: t.sum(axis=-1, keepdims=True))
     return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets), None, a, b,
                         lambda summands: np.array([total(t) for t in summands]), pair))
 

@@ -607,7 +607,7 @@ def _phi_terms(s, a, b, offsets):
     L, u, lo = offsets(_v_offsets, a, b)
     ub, L_mid = offsets(_phi_mid, a, b)
     slope, mid = _phi_slope(s, np.copysign(L, ub), 2.0 * ub), _phi_slope(s, L_mid, ub)
-    return _v_term(s, L, u, lo), slope * d, mid * d  # last: _v_term may overwrite L and u
+    return _v_term(s, L, u, lo), slope * d, mid * d  # after the slopes: it may overwrite L, u
 
 
 def _psi_terms(s, a, b, offsets):
