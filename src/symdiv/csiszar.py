@@ -66,14 +66,14 @@ class Generator:
     1-D block of weights, with the rows that do not depend on the order from
     ``offsets(stage, a, b)`` (the family memo's); a family generator's are
     stage two of V's or W's sum. Without it f and f' are evaluated at x and
-    x*. ``eval`` is the checked public entry; the engine's kernels call
-    ``evaluate`` and ``terms`` on validated weights, and the public
-    functions check their finished values, rerunning a failure through
-    ``eval`` alone (``_checked``). The engine evaluates on 1-D arrays of
-    ratio-range ends, one value per pair, for one pair and a stack alike. The
-    family generators take a column of orders; over a grid (the sweep's) the
-    name and flag are tuples, the results lead with the grid axis, and the
-    construction checks name the first failing order.
+    x*. ``eval`` is the checked public entry. The engine's kernels call
+    ``evaluate`` and ``terms`` unchecked, on 1-D arrays of ratio-range ends
+    or validated weights, one value per pair; each public function refuses
+    the first of its fields that is not finite, in the order it computes
+    them, naming the generator order that field comes from (``_checked``).
+    The family generators take a column of orders; over a grid (the sweep's)
+    the name and flag are tuples, the results lead with the grid axis, and
+    the construction checks name the first failing order.
     """
 
     name: str | tuple[str, ...]
@@ -101,20 +101,18 @@ class Generator:
             raise DomainError("GENERATOR_DOMAIN", f"generator {names[row]!r} {problem}")
 
     def eval(self, order: int, x):
-        if not (0 <= order <= self.max_order):
+        if order not in range(self.max_order + 1):
             raise InputError("UNSUPPORTED_ORDER",
                              f"generator {self.name!r} supports orders 0..{self.max_order}, got {order}")
-        out = _finite(self, order, self.evaluate(order, _argument(x)))
+        out = np.asarray(self.evaluate(order, _argument(x)), dtype=float)
+        if not np.isfinite(out).all():
+            raise _failed(self, order)
         return out if np.ndim(x) else float(out.reshape(-1)[0])
 
 
-def _finite(gen: Generator, order: int, out) -> np.ndarray:
-    """Values of gen's derivative ``order`` as a float array, refused unless finite."""
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("GENERATOR_DOMAIN",
-                          f"generator {gen.name!r} evaluation failed at order {order}")
-    return out
+def _failed(gen: Generator, order: int) -> DomainError:
+    """The refusal of a value of gen's derivative ``order`` that is not finite."""
+    return DomainError("GENERATOR_DOMAIN", f"generator {gen.name!r} evaluation failed at order {order}")
 
 
 def family_generator(kind: GeneratorFamilyKind, s: float | FamilyParam) -> Generator:
@@ -236,38 +234,32 @@ def _bisect(fn, a: float, b: float) -> Optional[float]:
 def csiszar_divergence(gen: Generator, p: Distribution, q: Distribution) -> float:
     """sum q_i f(p_i / q_i); nonnegative for convex normalized f. A bound report's value."""
     _require_same_dim(p, q)
-    kernel = lambda *args: _sums(*args, pair=(p, q))[0]
-    return float(_checked(kernel, gen, p.weights, q.weights, orders={0})[0])
+    return _checked(_VALUE, _sums, gen, p.weights, q.weights, pair=(p, q))[0]
 
 
 def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
     """The pair (E, E*) of first-order functionals of the generator, as a bound report's."""
     _require_same_dim(p, q)
-    kernel = lambda *args: tuple(_sums(*args, pair=(p, q))[1:])
-    return tuple(float(v[0]) for v in _checked(kernel, gen, p.weights, q.weights, orders={1}))
+    return tuple(_checked(_SLOPES, _sums, gen, p.weights, q.weights, pair=(p, q))[1:])
 
 
-def _checked(kernel, gen: Generator, *args, orders=range(4)):
-    """``kernel(gen, *args)``; a non-finite result reruns it with ``orders`` through the
-    checked ``gen.eval``, which raises GENERATOR_DOMAIN where a generator value failed."""
+# each public function's checked fields as (index, generator order), in the order it forms them
+_VALUE, _SLOPES, _ENDPOINTS = ((0, 0),), ((1, 1), (2, 1)), ((0, 1), (1, 0))
+_SMOOTHNESS = ((0, 2), (2, 1), (1, 3))  # delta, variation, f3_sup
+_REPORT = _VALUE + _SLOPES + ((3, 1), (4, 0), (5, 2), (7, 1), (6, 3))
+
+
+def _checked(fields, kernel, gen: Generator, *args, **kwargs) -> list:
+    """``kernel(gen, ...)``'s one-element arrays as floats (None and ratio bounds pass), formed
+    with numpy's RuntimeWarnings ignored; the first of ``fields`` not finite names its order."""
     with _FILTERS, warnings.catch_warnings():  # an overflow is refused, not warned of
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = kernel(gen, *args)
-        values = out if isinstance(out, tuple) else (out,)
-        if not all(v is None or np.isfinite(v).all() for v in values):
-            kernel(_checking(gen, orders), *args)
+        out = [float(v[0]) if np.ndim(v) else v for v in kernel(gen, *args, **kwargs)]
+    for index, order in fields:
+        if out[index] is not None and not math.isfinite(out[index]):
+            raise _failed(gen, order)
     return out
-
-
-def _checking(gen: Generator, orders=range(4)) -> Generator:
-    """gen on the generic path: ``orders`` through ``gen.eval``, the sup of |f'''|
-    checked as order 3; built without rerunning the checks, which misname an order."""
-    checked, sup = object.__new__(Generator), gen.third_sup_closed_form
-    vars(checked).update(vars(gen), terms=None, evaluate=lambda order, x: (
-        gen.eval if order in orders else gen.evaluate)(order, x),
-        third_sup_closed_form=sup and (lambda r, big_r: _finite(gen, 3, sup(r, big_r))))
-    return checked
 
 
 def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None) -> list:
@@ -292,7 +284,7 @@ def _evaluated(gen: Generator, a: np.ndarray, b: np.ndarray, _offsets) -> tuple:
 
 def endpoint_bounds(gen: Generator, rb: RatioBounds) -> tuple[float, float]:
     """(A, B): the quarter-spread slope bound and the chord evaluation."""
-    return tuple(float(v[0]) for v in _checked(_endpoints, gen, *rb.ends()))
+    return tuple(_checked(_ENDPOINTS, _endpoints, gen, *rb.ends()))
 
 
 def smoothness_bounds(gen: Generator, rb: RatioBounds
@@ -306,8 +298,7 @@ def smoothness_bounds(gen: Generator, rb: RatioBounds
     max_order 3, and the deviation bounds are then the min over the
     remaining terms. variation is f'(R) - f'(r), always available.
     """
-    return tuple(None if v is None else float(v[0])
-                 for v in _checked(_smoothness, gen, *rb.ends()))
+    return tuple(_checked(_SMOOTHNESS, _smoothness, gen, *rb.ends()))
 
 
 # the generator's endpoint and smoothness quantities: 1-D arrays r, R -> one
@@ -346,7 +337,7 @@ def _endpoints(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
 def _smoothness(gen: Generator, r: np.ndarray, big_r: np.ndarray, at=None):
     """(delta, f3_sup, variation); delta and f3_sup may be None. A grid
     generator has delta on every row; ``_report`` uses the rows whose f''
-    is known to be monotonic. A checked rerun meets f3_sup last."""
+    is known to be monotonic."""
     at = at or _at_ends(gen, r, big_r)
     delta = np.abs(at(2)[2]) if np.any(_curvature_known(gen)) else None
     variation, sup = at(1)[2], gen.third_sup_closed_form
@@ -357,8 +348,7 @@ def _report(gen: Generator, sums, ends, chi2, abs_chi3, tv):
     """The ``BoundReport`` fields from value to E_star_bound, one value per
     pair, elementwise from the pairs' ``_sums`` and (r, R) arrays (None for
     P = Q, which leaves the ratio-range fields None), so pairs of any dims
-    share one call; a grid generator's fields lead with its grid axis. The
-    generator is evaluated in order: sums, endpoints, smoothness."""
+    share one call; a grid generator's fields lead with its grid axis."""
     value, e, e_star = sums
     if ends is None:
         return value, e, e_star, None, None, None, None, None, chi2, abs_chi3, tv, None, None
@@ -420,21 +410,15 @@ def bound_report(gen: Generator, p: Distribution, q: Distribution) -> BoundRepor
     generator's stage one kept in the family memo), then the sweep's report
     kernel on the pair as a block of one."""
     _require_same_dim(p, q)
-    a, b = p.weights, q.weights
-    with _FILTERS, warnings.catch_warnings():  # as in _checked; |chi|^3 may overflow too
-        warnings.simplefilter("ignore", RuntimeWarning)
-        chi2, abs_chi3, tv, r, big_r = _spread(p, q)
-        rb = RatioBounds(float(r[0]), float(big_r[0]))  # refused before any generator value
-        sums = _sums(gen, a, b, pair=(p, q))
-        report = lambda gen: [None if v is None else float(v[0]) for v in _report(
-            gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv)]
-        fields = report(gen)
-        if not all(v is None or math.isfinite(v) for v in fields):
-            # _checked's rerun, f over every block first (the value precedes E)
-            _sums(_checking(gen, {0}), a, b)
-            _sums(_checking(gen), a, b)
-            report(_checking(gen))
-    return BoundReport(gen.name, *fields, rb)
+    return BoundReport(gen.name, *_checked(_REPORT, _report_fields, gen, p, q))
+
+
+def _report_fields(gen: Generator, p: Distribution, q: Distribution) -> tuple:
+    """``_report``'s fields on one pair, then its ratio bounds, refused before any f is formed."""
+    chi2, abs_chi3, tv, r, big_r = _spread(p, q)
+    rb = RatioBounds(float(r[0]), float(big_r[0]))
+    sums = _sums(gen, p.weights, q.weights, pair=(p, q))
+    return (*_report(gen, sums, None if rb.degenerate else (r, big_r), chi2, abs_chi3, tv), rb)
 
 
 @functools.lru_cache(maxsize=1)

@@ -43,9 +43,11 @@ skip stage one; beside it, the max |L| of each row that ``_alone`` scans.
 Arrays kept per block instead would fill the allocator's free space, and
 other code would fault its pages anew.
 
-Powers are taken in log space, so a large |s| overflows only with the
-value itself. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to
-that order: the values inside a window are the limit values by contract.
+Powers are taken in log space, yet E(s) of a large |s| overflows before V
+scales it by E(1-s) and R by 1/(s-1): on (0.6, 0.4) against (0.4, 0.6), V_s
+and R_s are inf at 76 integer orders each in +-[1750, 1789] whose true value
+is finite. An order within ``LIMIT_TOLERANCE`` of 0 or 1 is clamped to that
+order: the values inside a window are the limit values by contract.
 Every evaluator takes a column of orders (``_column``): a grid leads the
 result with its axis, one order broadcasts into the arguments. Each step
 is elementwise or per row, and the exact rows (k = 0 or 1, s = 1/2, a

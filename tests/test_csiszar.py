@@ -747,26 +747,52 @@ class TestGeneratorConstruction:
         assert family_generator(PSI, 0.0) is not zero
 
 
+def holed(c=1.0, hole=None, curvature=Curvature.UNKNOWN):
+    """c (x - 1)^2, with its derivative of order ``hole`` NaN at x = 1.5 alone,
+    a ratio that the construction's spot grid does not meet."""
+    def evaluate(order, x):
+        out = c * {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
+        return np.where(np.abs(x - 1.5) < 1e-9, np.nan, out) if order == hole else out
+    return Generator(name="holed", evaluate=evaluate, max_order=2, curvature_monotonicity=curvature)
+
+
 class TestBoundaryChecks:
-    def test_public_functions_refuse_a_failing_generator_value(self, pair):
-        # f' is NaN at the pair's ratio R = 0.6/0.4 alone, so construction
-        # passes; the kernels evaluate unchecked and the public functions
-        # must still refuse the result
-        def evaluate(order, x):
-            out = {0: (x - 1.0) ** 2, 1: 2.0 * (x - 1.0), 2: 2.0 * np.ones_like(x)}[order]
-            return np.where(np.abs(x - 1.5) < 1e-9, np.nan, out) if order == 1 else out
-        gen = Generator(name="holed", evaluate=evaluate, max_order=2)
-        rb = ratio_bounds(*pair)
-        calls = {"bound_report": lambda: bound_report(gen, *pair),
-                 "linearized_functionals": lambda: linearized_functionals(gen, *pair),
+    @pytest.mark.parametrize("gen, weights, refused", [
+        # f' is NaN at the ratio R = 0.6/0.4 alone: every field from f' is refused
+        (holed(hole=1), ([0.6, 0.4], [0.4, 0.6]),
+         {"bound_report": 1, "linearized_functionals": 1, "endpoint_bounds": 1,
+          "smoothness_bounds": 1}),
+        # f'(r) and f'(R) are finite, f'(R) - f'(r) overflows: A and the variation
+        (holed(c=1e308), ([0.75, 0.25], [0.5, 0.5]),
+         {"bound_report": 1, "endpoint_bounds": 1, "smoothness_bounds": 1}),
+        # f'' alone is NaN at R, and f'' is flagged monotonic: delta
+        (holed(hole=2, curvature=Curvature.INCREASING), ([0.6, 0.4], [0.4, 0.6]),
+         {"bound_report": 2, "smoothness_bounds": 2}),
+    ], ids=["slope-at-R", "slope-spread-overflows", "curvature-at-R"])
+    def test_public_functions_refuse_a_failing_generator_value(self, gen, weights, refused):
+        # construction passes; the kernels evaluate unchecked, and each public
+        # function refuses its first field that is not finite, naming the
+        # order that field comes from, and returns finite fields otherwise
+        p, q = map(validate_distribution, weights)
+        rb = ratio_bounds(p, q)
+        calls = {"bound_report": lambda: bound_report(gen, p, q),
+                 "csiszar_divergence": lambda: csiszar_divergence(gen, p, q),
+                 "linearized_functionals": lambda: linearized_functionals(gen, p, q),
                  "endpoint_bounds": lambda: endpoint_bounds(gen, rb),
                  "smoothness_bounds": lambda: smoothness_bounds(gen, rb)}
         for name, call in calls.items():
+            if name not in refused:
+                out = call()
+                fields = vars(out).values() if name == "bound_report" else np.ravel(out).tolist()
+                assert all(np.isfinite(v) for v in fields if isinstance(v, float)), name
+                continue
             with pytest.raises(DomainError) as err:
                 call()
-            assert err.value.code == "GENERATOR_DOMAIN", name
-            assert "'holed' evaluation failed at order 1" in str(err.value), name
-        assert csiszar_divergence(gen, *pair) == pytest.approx(0.04 / 0.4 + 0.04 / 0.6, rel=1e-12)
+            assert str(err.value) == (f"[GENERATOR_DOMAIN] generator 'holed' evaluation "
+                                      f"failed at order {refused[name]}"), name
+        c = float(gen.evaluate(0, np.array([2.0]))[0])  # f = c (x - 1)^2: the divergence is c chi^2
+        chi2 = float(((p.weights - q.weights) ** 2 / q.weights).sum())
+        assert csiszar_divergence(gen, p, q) == pytest.approx(c * chi2, rel=1e-12)
 
     def test_bound_report_names_the_first_failing_value(self, pair):
         # f and f' both fail at R = 1.5: the report evaluates the value first,
@@ -816,9 +842,9 @@ class TestBoundaryChecks:
 
     @pytest.mark.parametrize("s", [200, 1000])
     def test_a_large_order_names_the_value_that_failed(self, s):
-        # the divergence evaluates f alone, and f overflows at the ratio 99:
-        # the rerun names order 0 at s = 1000 as at s = 200, although there
-        # f'' also overflows on the construction spot grid
+        # f overflows at the ratio 99, and the divergence is refused as order 0
+        # at s = 1000 as at s = 200, although there f'' also overflows on the
+        # construction spot grid
         p, q = validate_distribution([0.99, 0.01]), validate_distribution([0.01, 0.99])
         gen = family_generator(PHI, s)
         with pytest.raises(DomainError) as err:
@@ -910,7 +936,8 @@ class TestPsiStationary:
 
 @pytest.mark.parametrize("kind, s, order", [
     (GeneratorFamilyKind.PHI, 1.0, 4), (GeneratorFamilyKind.PSI, 1.0, 4),
-    (GeneratorFamilyKind.PHI, 0.5, -1)])
+    (GeneratorFamilyKind.PHI, 0.5, -1), (GeneratorFamilyKind.PHI, 0.5, 1.5),
+    (GeneratorFamilyKind.PSI, 0.5, 2.5)])
 def test_generator_refuses_an_order_it_lacks(kind, s, order):
     with pytest.raises(InputError) as err:
         family_generator(kind, s).eval(order, 1.0)
