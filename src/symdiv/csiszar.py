@@ -61,19 +61,19 @@ class Generator:
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
     without it the third-derivative bound is unavailable.
-    ``terms(a, b, offsets)`` may return a report's summands b f(x),
-    (a - b) f'(x) and (a - b) f'(x*), x = a/b and x* = (a + b)/(2b), on a
-    1-D block of weights, with the rows that do not depend on the order from
-    ``offsets(stage, a, b)`` (the family memo's); a family generator's are
-    stage two of V's or W's sum. Without it f and f' are evaluated at x and
-    x*. ``eval`` is the checked public entry. The engine's kernels call
-    ``evaluate`` and ``terms`` unchecked, on 1-D arrays of ratio-range ends
-    or validated weights, one value per pair; each public function refuses
-    the first of its fields that is not finite, in the order it computes
-    them, naming the generator order that field comes from (``_checked``).
-    The family generators take a column of orders; over a grid (the sweep's)
-    the name and flag are tuples, the results lead with the grid axis, and
-    the construction checks name the first failing order.
+    ``terms(a, b, offsets, pairs)`` may return a report's summands b f(x),
+    (a - b) f'(x) and (a - b) f'(x*), x = a/b and x* = (a + b)/(2b), on a 1-D
+    block of one pair's weights or of a sweep run's (``pairs`` reduces it per
+    pair), with the order-free rows from ``offsets(stage, a, b)`` (the family
+    memo's); a family generator's are stage two of V's or W's sum. Without it
+    f and f' are evaluated at x and x*. ``eval`` is the checked public entry.
+    The engine's kernels call ``evaluate`` and ``terms`` unchecked, on 1-D
+    arrays of ratio-range ends or validated weights, one value per pair; each
+    public function refuses the first of its fields that is not finite, in the
+    order it computes them, naming the generator order that field comes from
+    (``_checked``). The family generators take a column of orders; over a grid
+    (the sweep's) the name and flag are tuples, the results lead with the grid
+    axis, and the construction checks name the first failing order.
     """
 
     name: str | tuple[str, ...]
@@ -81,7 +81,7 @@ class Generator:
     max_order: int = 3
     curvature_monotonicity: Curvature | tuple[Curvature, ...] = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    terms: Optional[Callable[[np.ndarray, np.ndarray, Callable], tuple]] = None
+    terms: Optional[Callable[[np.ndarray, np.ndarray, Callable, Optional[Callable]], tuple]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -168,7 +168,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     return Generator(
         name=names if s.ndim else names[0], evaluate=evaluate, max_order=3,
         curvature_monotonicity=flags if s.ndim else flags[0], third_sup_closed_form=third_sup,
-        terms=lambda a, b, offsets: terms(_column(s, np.ndim(a)), a, b, offsets),
+        terms=lambda a, b, offsets, pairs: terms(_column(s, np.ndim(a)), a, b, offsets, pairs),
     )
 
 
@@ -266,13 +266,13 @@ def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None) -
     """[value, E, E*] over 1-D weights, one value per pair (one pair's in a one-element array):
     the summands of ``gen.terms`` (or ``_evaluated``) summed as ``_staged`` sums a family's,
     stage one and bits alike, each by ``total`` where given."""
-    terms = gen.terms or functools.partial(_evaluated, gen)
+    terms, pairs = gen.terms or functools.partial(_evaluated, gen), total
     total = total or (lambda t: t.sum(axis=-1, keepdims=True))
-    return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets), None, a, b,
+    return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets, pairs), None, a, b,
                         lambda summands: np.array([total(t) for t in summands]), pair))
 
 
-def _evaluated(gen: Generator, a: np.ndarray, b: np.ndarray, _offsets) -> tuple:
+def _evaluated(gen: Generator, a: np.ndarray, b: np.ndarray, _offsets, _pairs) -> tuple:
     """The generic summands: f and f' at x = a/b and f' at x*, one order at a time."""
     d, x = a - b, a / b
     return b * gen.evaluate(0, x), d * gen.evaluate(1, x), d * gen.evaluate(1, (a + b) / (2.0 * b))

@@ -23,6 +23,10 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
   wholly inside half the series edge: the same branch and bits);
   R_s for s > 1/2 is R_{1-s} with P and Q swapped, and W's summand is
   (a phi_s(m/a) + b phi_s(m/b))/2 with m = (a + b)/2;
+* where every delta = (a - b)/(a + b) of a pair in a block is within the
+  order's edge _DELTA_EDGE/max(|t|, 1), t = 1 - s, W's summand is its even
+  series m delta^2 sum_{j<K} c_j delta^(2j), c_0 = 1/2, c_j = prod_{i=2}^{2j+1}
+  (t - i)/(2j+2)!, K <= 5 (a tail below 2^-53 c_0): no log, no cancellation;
 * J is V_0; JS and AG, the summands of W_0 and W_1, are
   (|a-b| log(hi/lo) - (a+b) log(m^2/ab))/4 and (a+b) log(m^2/ab)/4, both
   without cancellation; KL, R_s at its limit orders, keeps its definition
@@ -31,8 +35,8 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 A family sum runs in two stages on each block of entries: stage one forms
 the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
 offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
-each only where the block needs it; stage two takes the order's summand on
-them. A PHI or PSI bound report is stage two of V's or W's sum: the
+each only where the block needs it (W's series needs none); stage two takes
+the order's summand on them. A PHI or PSI bound report is stage two of V's or W's sum: the
 family's summand, and (a - b) f' at x and x* = (a + b)/(2b) on the same
 exact offsets, x*'s as two more rows of stage one. The family functions and
 ``bound_report`` keep stage one in a one-slot memo (``_memo``): one
@@ -51,8 +55,8 @@ order: the values inside a window are the limit values by contract.
 Every evaluator takes a column of orders (``_column``): a grid leads the
 result with its axis, one order broadcasts into the arguments. Each step
 is elementwise or per row, and the exact rows (k = 0 or 1, s = 1/2, a
-block inside half the series edge) take their own formula, so a grid row
-has the bits of its order alone. Long sums run a block of entries at a time.
+block within a series edge) take their own formula, so a grid row has
+the bits of its order alone. Long sums run a block of entries at a time.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ _BLOCK = 16384
 # phi_k takes its series where |L| max(|k - 1|, 1/2) is below the edge, so
 # that the direct difference loses at most a factor 700; 8 terms of the
 # series then reach the last bit; a block wholly within this share of
-# every order's edge takes the series alone (``_alone``)
-_SERIES_EDGE, _SERIES_TERMS, _ALONE = 0.003, 8, 0.5
+# every order's edge takes the series alone (``_alone``); W's series in delta (``_delta_edge``)
+# is taken within _DELTA_EDGE/max(|1 - s|, 1), where at most 5 terms reach the last bit
+_SERIES_EDGE, _SERIES_TERMS, _ALONE, _DELTA_EDGE = 0.003, 8, 0.5, 0.02
 
 
 @dataclass(frozen=True)
@@ -253,14 +258,30 @@ def _series_length(k: float, top: float) -> int:
     return n
 
 
-def _series(c, x):
-    """sum c_n x^(n+2) by Horner's rule."""
+def _series(c, x, last=None):
+    """sum c_n x^(n+2) by Horner's rule; sum c_n x^(n+1) last, given ``last``."""
     out = np.multiply(c[-1], x)
     for coefficient in c[-2::-1]:
         out += coefficient
         out *= x
-    out *= x
+    out *= x if last is None else last
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _delta_edge(s: float, edge: float) -> tuple[float, tuple[float, ...]]:
+    """W's series in delta at order s (module docstring): its edge squared, with the edge's sign,
+    and the c_j/2 (m's 1/2 taken in) that drop a tail below 2^-53 c_0 there, as past term j a
+    term over the one before is at most ((|t| + 2j + 5) edge/(2j + 5))^2; -1 at JS, AG or none."""
+    t, c = 1.0 - s, [0.25]
+    edge /= max(abs(t), 1.0)
+    for k in range(0, 2 * _SERIES_TERMS if s not in (0.0, 1.0) else 0, 2):  # k = 2j
+        step = c[-1] * (t - k - 2) * (t - k - 3) / ((k + 3) * (k + 4))
+        tail, ratio = abs(step) * edge ** (k + 2), ((abs(t) + k + 5) * edge / (k + 5)) ** 2
+        if tail == 0.0 or ratio < 1.0 and tail <= 2.0 ** -55 * (1.0 - ratio):
+            return edge * abs(edge), tuple(c)
+        c.append(step)
+    return -1.0, ()
 
 
 def _v_term(s, L, u, lo=None):
@@ -276,6 +297,30 @@ def _v_term(s, L, u, lo=None):
 def _w_term(s, a, b, offsets, at_a=None):
     """W's summand b psi_s(a/b) at a clamped order, on the offsets of ``_w_offsets``."""
     return _by_order(s, {0.0: _js_row, 1.0: _ag_row}, _w_general, a, b, offsets, at_a)
+
+
+def _w_summand(s, a, b, offsets, at_a=None, pairs=None):
+    """``_w_term`` in a sum, but W's series in delta (``_delta_edge``) at an order's rows on each
+    pair in the block within its edge; ``pairs``: a sweep run's per-pair reduction (``total``),
+    else the block is one pair's, and its first entry is looked at before any pass."""
+    rows = [_delta_edge(v, _DELTA_EDGE) for v in s.reshape(-1).tolist()]
+    first, limit = (a.flat[0] - b.flat[0]) / (a.flat[0] + b.flat[0]), max(row[0] for row in rows)
+    if limit < 0.0 or pairs is None and first * first > limit:
+        return _w_term(s, a, b, offsets, at_a)
+    total = a + b
+    x = (a - b) / total
+    x *= x
+    top = x.max(axis=-1, keepdims=True) if pairs is None else pairs(  # each entry's pair's max
+        x, lambda v: np.repeat(v.max(axis=-1), v.shape[-1], axis=-1))
+    at = np.array([row[0] for row in rows]).reshape(s.shape) >= top
+    if not at.any():
+        return _w_term(s, a, b, offsets, at_a)
+    c = rows[0][1] if not s.ndim else np.array(list(itertools.zip_longest(
+        *(row[1] for row in rows), fillvalue=0.0))).reshape((-1,) + s.shape)  # zero leads keep bits
+    out = _series(c, x, total)
+    if not at.all():
+        np.copyto(out, _w_term(s, a, b, offsets, at_a), where=~at)
+    return out
 
 
 def _w_general(s, a, b, offsets, at_a=None):
@@ -354,7 +399,7 @@ def _v_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
 
 
 def _w_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
-    return _staged(_w_term, _clamp(s), a, b, total, pair)
+    return _staged(functools.partial(_w_summand, pairs=total), _clamp(s), a, b, total, pair)
 
 
 def _r_values(s, a: np.ndarray, b: np.ndarray, total=None, pair=None):
@@ -603,7 +648,7 @@ def _ag_slope(x, d, *_):
 # a report's summands, stage two of its family's sum: the family's, and d f' at x = a/b = 1 + 2 ub
 # and x* = 1 + ub, d = a - b and ub = d/(2b), on the same exact offsets
 
-def _phi_terms(s, a, b, offsets):
+def _phi_terms(s, a, b, offsets, _pairs=None):
     """On V's rows, log x = copysign(log1p(|d|/lo), d), and on x* - 1 = ub and its log1p."""
     s, d = _clamp(s), a - b
     L, u, lo = offsets(_v_offsets, a, b)
@@ -612,7 +657,7 @@ def _phi_terms(s, a, b, offsets):
     return _v_term(s, L, u, lo), slope * d, mid * d  # after the slopes: it may overwrite L, u
 
 
-def _psi_terms(s, a, b, offsets):
+def _psi_terms(s, a, b, offsets, pairs=None):
     """On W's rows, m/x = 1 + ua and m = 1 + ub, with phi_s(m/x) taken once for the summand
     and the slope at x, and on the offsets of m*/x* and m* re-formed from ub."""
     s, d = _clamp(s), a - b
@@ -622,4 +667,4 @@ def _psi_terms(s, a, b, offsets):
     x_mid, (la_mid, lb_mid) = 1.0 + ub, offsets(_psi_mid, a, b)
     ua_mid, ub_mid = _to_mid(x_mid, ub)
     mid = _psi_slope(s, x_mid, ub, (la_mid, ua_mid, lb_mid, ub_mid))
-    return _w_term(s, a, b, lambda *_: rows, at_a), slope * d, mid * d
+    return _w_summand(s, a, b, lambda *_: rows, at_a, pairs), slope * d, mid * d

@@ -265,5 +265,76 @@ def test_near_diagonal_blocks_skip_the_direct_value(monkeypatch):
     relative_information_type_s(0.5, p, q)
     assert calls[:2] == ["expm1", "_e"]
     calls.clear()
+    monkeypatch.setattr(families, "_DELTA_EDGE", -1.0)  # and W's phi_s, not its delta series
     ag_js_divergence_type_s(0.5, p, q)
     assert calls.count("_e") == 2
+
+
+# ---------------------------------------------------------------------------
+# W's series in delta = (a - b)/(a + b) near P = Q
+# ---------------------------------------------------------------------------
+
+# the kernels benchmark's orders, the window edges and large orders, whose series edges
+# fall short of the wider near pairs
+W_ORDERS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.00001e-5, 1.00001e-5,
+            1.0 - 1.00001e-5, 1.0 + 1.00001e-5, -50.0, 50.0, -800.0, 1000.0)
+KERNELS_GENERAL = (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)  # its orders other than JS's and AG's
+KERNELS_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def kernels_like_pair(eps, repeat=4096):
+    """p = q (1 + eps z) on 8 Dirichlet atoms, sum(q z) = 0 and max |z| = 1, each atom
+    spread over ``repeat`` entries and scattered, as the kernels benchmark's near pairs."""
+    rng = np.random.default_rng(20050128)
+    q = rng.dirichlet(np.ones(8))
+    z = rng.standard_normal(8)
+    z -= (q * z).sum()
+    z /= np.abs(z).max()
+    order = rng.permutation(8 * repeat)
+    return tuple(validate_distribution(np.repeat(w / repeat, repeat)[order])
+                 for w in (q * (1.0 + eps * z), q))
+
+
+@pytest.mark.parametrize("pair", [f"eps={eps:g}" for eps in EPS] + ["block_pair(16385)"])
+def test_w_near_the_diagonal_against_mpmath(pair):
+    p, q = block_pair(16385) if pair.startswith("block") else near_pair(float(pair[4:]))
+    pw, qw = p.weights.tolist(), q.weights.tolist()
+    for s in W_ORDERS:
+        want = LIMITS["W", s](pw, qw) if ("W", s) in LIMITS else oracle.w_s(s, pw, qw)
+        assert rel_err(ag_js_divergence_type_s(s, p, q), want) <= 1e-13, s
+
+
+def test_kernels_like_near_pairs_take_the_series_at_every_general_order(monkeypatch):
+    taken, general = [], []
+    series, w_term = families._series, families._w_term
+    monkeypatch.setattr(families, "_series", lambda c, x, last=None: taken.append(
+        last is not None) or series(c, x, last))
+    monkeypatch.setattr(families, "_w_term", lambda *args: general.append(args[0]) or w_term(*args))
+    blocks = 0
+    for eps in KERNELS_EPS:
+        p, q = kernels_like_pair(eps)
+        blocks += -(-p.dim // families._BLOCK)
+        for s in KERNELS_GENERAL:
+            ag_js_divergence_type_s(s, p, q)
+    assert sum(taken) == len(taken) == blocks * len(KERNELS_GENERAL) and general == []
+
+
+def test_w_grid_rows_keep_their_bits_alone_near_the_diagonal():
+    # a grid over all of W_ORDERS mixes orders whose edge holds a pair with orders beyond
+    # it (the large ones on the wider pairs) and JS's and AG's rows; block_pair(32769)'s
+    # second block is generic. A sweep's stack of several pairs gives each pair its bits
+    # alone, whether or not the pairs beside it are near
+    from symdiv.verify import _grids, _stack
+    pairs = [near_pair(eps) for eps in EPS] + [block_pair(16385), block_pair(32769)]
+    pairs += [kernels_like_pair(eps, repeat=64) for eps in KERNELS_EPS]
+    column = families._column(W_ORDERS, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # -800 and 1000 overflow far out
+        for p, q in pairs:
+            rows = families._w_values(column, p.weights, q.weights, pair=(p, q))
+            alone = [ag_js_divergence_type_s(s, p, q) for s in W_ORDERS]
+            assert rows.tobytes() == np.array(alone).tobytes(), p.dim
+        far = tuple(validate_distribution(w) for w in ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]))
+        stacked = [far, *[near_pair(eps) for eps in EPS], far]
+        values = _stack(stacked, _grids(W_ORDERS, ())).family("W", W_ORDERS)
+        alone = [[ag_js_divergence_type_s(s, p, q) for p, q in stacked] for s in W_ORDERS]
+    assert values.tobytes() == np.array(alone).tobytes()

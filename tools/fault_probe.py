@@ -5,7 +5,9 @@ generic pairs of n = 65536 entries (64 distinct rows, each repeated 1024
 times): the three family sums at nine orders, the twelve classic measures,
 and bound reports of both generators at the nine orders, each generator's
 reports in a row, so that they share the rows of their sums that do not
-depend on the order through the family memo's one table. After one warm-up
+depend on the order through the family memo's one table; and the three
+family sums at the nine orders on a pair within 1e-6 of P = Q (``near``),
+whose W takes its series in (a - b)/(a + b) on every block. After one warm-up
 round, the probe prints for each part the median CPU ms and minor page faults
 (``ru_minflt``) per round over five rounds. After each part it times a fixed
 numpy computation over 65536 entries that does not use symdiv (``reference``),
@@ -46,12 +48,22 @@ def generic_pair(index: int):
     return [validate_distribution(np.repeat(w / w.sum() / REPEAT, REPEAT)[order]) for w in rows]
 
 
-def parts(pairs) -> dict:
+def near_pair(eps: float = 1e-6):
+    """p = q (1 + eps z) on generic_pair(0)'s second row q, sum(q z) = 0 and max |z| = 1."""
+    q = generic_pair(0)[1].weights
+    z = np.random.default_rng(2005).uniform(-1.0, 1.0, q.size)
+    z -= (q * z).sum() / q.sum()
+    z /= np.abs(z).max()
+    return validate_distribution(q * (1.0 + eps * z)), validate_distribution(q)
+
+
+def parts(pairs, near) -> dict:
     """Part name -> its calls, as zero-argument functions."""
     families = (j_divergence_type_s, ag_js_divergence_type_s, relative_information_type_s)
     return {
         "family": [lambda f=f, s=s, p=p, q=q: f(s, p, q)
                    for p, q in pairs for f in families for s in ORDERS],
+        "near": [lambda f=f, s=s: f(s, *near) for f in families for s in ORDERS],
         "classic": [lambda k=k, p=p, q=q: classic_divergence(k, p, q)
                     for p, q in pairs for k in MeasureKind],
         "bound": [lambda g=g, s=s, p=p, q=q: bound_report(family_generator(g, s), p, q)
@@ -78,7 +90,7 @@ def measured(work) -> tuple[float, int]:
 
 
 def main() -> None:
-    calls = parts([generic_pair(i) for i in range(2)])
+    calls = parts([generic_pair(i) for i in range(2)], near_pair())
     seen = {name: [] for name in calls}
     for round_ in range(ROUNDS + 1):
         for name, part in calls.items():
