@@ -26,7 +26,7 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 * where every delta = (a - b)/(a + b) of a pair in a block is within the
   order's edge _DELTA_EDGE/max(|t|, 1), t = 1 - s, W's summand is its even
   series m delta^2 sum_{j<K} c_j delta^(2j), c_0 = 1/2, c_j = prod_{i=2}^{2j+1}
-  (t - i)/(2j+2)!, K <= 5 (a tail below 2^-53 c_0): no log, no cancellation;
+  (t - i)/(2j+2)!, K <= 5 (tail < 2^-53 c_0): no log, cancellation or stage one;
 * J is V_0; JS and AG, the summands of W_0 and W_1, are
   (|a-b| log(hi/lo) - (a+b) log(m^2/ab))/4 and (a+b) log(m^2/ab)/4, both
   without cancellation; KL, R_s at its limit orders, keeps its definition
@@ -35,8 +35,8 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 A family sum runs in two stages on each block of entries: stage one forms
 the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
 offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
-each only where the block needs it (W's series needs none); stage two takes
-the order's summand on them. A PHI or PSI bound report is stage two of V's or W's sum: the
+each only where the block needs it; stage two takes the order's summand on
+them. A PHI or PSI bound report is stage two of V's or W's sum: the
 family's summand, and (a - b) f' at x and x* = (a + b)/(2b) on the same
 exact offsets, x*'s as two more rows of stage one. The family functions and
 ``bound_report`` keep stage one in a one-slot memo (``_memo``): one
