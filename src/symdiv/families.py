@@ -312,9 +312,9 @@ def _w_summand(s, a, b, offsets, at_a=None, pairs=None):
     x *= x
     top = x.max(axis=-1, keepdims=True) if pairs is None else pairs(  # each entry's pair's max
         x, lambda v: np.repeat(v.max(axis=-1), v.shape[-1], axis=-1))
-    at = np.array([row[0] for row in rows]).reshape(s.shape) >= top
-    if not at.any():
+    if top.min() > limit:  # no pair takes it at any order
         return _w_term(s, a, b, offsets, at_a)
+    at = np.array([row[0] for row in rows]).reshape(s.shape) >= top
     c = rows[0][1] if not s.ndim else np.array(list(itertools.zip_longest(
         *(row[1] for row in rows), fillvalue=0.0))).reshape((-1,) + s.shape)  # zero leads keep bits
     out = _series(c, x, total)

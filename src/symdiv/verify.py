@@ -17,13 +17,13 @@ floor guards comparisons between near-zero values.
 One batched engine checks the table in one pass over all the sweep's pairs,
 sampled straight into one (N, n) block of weights per dim and validated once.
 Their entries lie on one flat axis: each elementwise pass runs once over it,
-each sum over a pair's entries per dim segment. Each family's generator is
-built once over the s grid, and consecutive cases' comparisons form blocks of
-(comparisons x pairs), counted with array reductions. Inputs are checked at
-the boundary (``SweepConfig``, the sampled blocks). Inside, a non-finite
-comparison is refused and a witness is built for each case's largest
-violation, each the first in the order of checking the pairs one at a time
-(dim, case, pair, grid value, comparison), so results equal that.
+each sum over a pair's entries per dim segment. The family generators over the
+s grid and each case's kept points are kept per grid; consecutive cases'
+comparisons form blocks of (comparisons x pairs), each reduced once per column.
+Inputs are checked at the boundary (``SweepConfig``, the sampled blocks).
+Inside, a non-finite comparison is refused and a witness is built for each
+case's largest violation, the first in the order of checking the pairs one at a
+time (dim, case, pair, grid value, comparison), so results equal that.
 
 Sweeps are deterministic: pair i of (seed, dim) is the 2*dim uniforms from
 word 2*dim*i on of one counter-based Philox stream keyed on (seed, dim), as
@@ -61,7 +61,7 @@ class Severity(Enum):
     DIAGNOSTIC = "DIAGNOSTIC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: cheap as a cache key
 class InequalityCase:
     """One registered claim and how to check it over a stack of pairs.
 
@@ -222,7 +222,8 @@ _CHAIN_TERMS = ("tri/4", "tri/2", "js", "hel", "hel/4", "hel/2", "d", "4d", "j/8
 
 @dataclass
 class CaseResult:
-    """Aggregated outcome of one registry case over any number of pairs."""
+    """Aggregated outcome of one registry case over any number of pairs, as if
+    checked one at a time; ``_check`` fills it from its comparison blocks."""
 
     case_id: str
     severity: Severity
@@ -235,20 +236,6 @@ class CaseResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-    def record(self, violations: np.ndarray, witness_at: Callable[..., dict]) -> None:
-        """Count a block of signed violations, taken in the order of its
-        flattened index. Only a new maximum builds its witness, through
-        ``witness_at(*index)``, and only one that is printed: a violation, or
-        any value of a DIAGNOSTIC case. The first of equal maxima wins."""
-        self.evaluations += violations.size
-        self.violations += int(np.count_nonzero(violations > 0.0))
-        top = int(np.argmax(violations))
-        worst = float(violations.flat[top])
-        if self.max_violation is None or worst > self.max_violation:
-            self.max_violation = worst
-            printed = worst > 0.0 or self.severity is Severity.DIAGNOSTIC
-            self.witness = witness_at(*np.unravel_index(top, violations.shape)) if printed else None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -327,7 +314,7 @@ class SweepConfig:
 
 
 def _check_tol(tol) -> None:
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+    if not (_real(tol) and 0.0 < tol < np.inf):
         raise InputError("BAD_CONFIG", f"tol must be finite and > 0, got {tol}")
 
 
@@ -396,9 +383,36 @@ _TERM = re.compile(r"(?:(\d+) ?)?([A-Za-z]\w*)(?:/(\d+))?")
 
 def _grids(s_grid: Sequence, t_grid: Sequence, kinds=()) -> dict:
     """A check's points for each ``param`` (None, "s", "t", "m"), and for each
-    of ``kinds`` its family generator over the whole s grid."""
+    of ``kinds`` its family generator over the whole s grid, kept per grid."""
     grids = {None: (None,), "s": tuple(s_grid), "t": tuple(t_grid), "m": VAJDA_ORDERS}
-    return grids | {kind: _family_generator(kind, np.array(grids["s"], float)) for kind in kinds}
+    return grids | {kind: _grid_generator(kind, _key(grids["s"])) for kind in kinds}
+
+
+def _key(grid: tuple) -> tuple:
+    """``_grid``'s ints and floats by type and bits, as printed: 1 is not 1.0, -0.0 not 0.0."""
+    return tuple(v.hex() if type(v) is float else v for v in grid)
+
+
+def _values(key: tuple) -> tuple:
+    return tuple(float.fromhex(v) if isinstance(v, str) else v for v in key)
+
+
+@functools.lru_cache(maxsize=32)  # a refusal raises, so it is not kept
+def _grid_generator(kind: GeneratorFamilyKind, key: tuple):
+    return _family_generator(kind, np.array(_values(key), float))
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(cases: tuple, s_key: tuple, t_key: tuple) -> tuple:
+    """Per case: its point count, kept points and their labels (a step's upper value)."""
+    grids, plan = _grids(_values(s_key), _values(t_key)), []
+    for case in cases:
+        points = grids[case.param]
+        if case.steps:
+            points = tuple(zip(sorted(points), sorted(points)[1:]))
+        kept = tuple(filter(case.domain, points))
+        plan.append((len(points), kept, tuple(hi for _, hi in kept) if case.steps else kept))
+    return tuple(plan)
 
 
 class _Stack:
@@ -527,52 +541,58 @@ def _per_pair(x: np.ndarray, fn=functools.partial(np.add.reduce, axis=-1), *,
                            for i, j, pairs in segments], axis=-1)
 
 
-def _check(cases: Sequence[InequalityCase], stack: _Stack, tol: float) -> list[CaseResult]:
+def _check(cases: tuple[InequalityCase, ...], stack: _Stack, tol: float) -> list[CaseResult]:
     """Evaluate every case over every pair and kept point at once, consecutive
     cases on a pair stack (the stack, its spread sub-stack) in one block of at
     most ``_BLOCK`` (comparison, pair) cells, a larger case alone: few
-    temporaries live, whatever the sweep's size. The first non-finite
+    temporaries live, whatever the sweep's size; each case's points come from
+    ``_plan``. A block is reduced once per column (its largest violation, the
+    first lane holding it, its positives); each case reads its columns, the
+    first lane, then column, of equal maxima winning. The first non-finite
     comparison in (block, case, pair, point, comparison) order is refused."""
     results, refusals, chunks = [], [], {}  # pair stack -> its cases' comparisons to make
 
     def compare(pairs: _Stack, chunk: list) -> None:
-        lhs, rhs = np.empty((2, chunk[-1][0], pairs.size))
-        for end, _, _, links, labels in chunk:
+        lhs, rhs = np.empty((2, chunk[-1][1], pairs.size))
+        for start, end, _, _, links, _ in chunk:
             for k, (lo, hi) in enumerate(links):  # the rows (point, k) of the case
-                rows = slice(end - len(labels) + k, end, len(links))
-                lhs[rows], rhs[rows] = lo, hi
+                lhs[start + k:end:len(links)], rhs[start + k:end:len(links)] = lo, hi
         violations = slack_violation(lhs, rhs, tol).T  # a column per (case, point, comparison)
         finite = np.isfinite(violations)
         whole = finite.all()  # a NaN would count as a pass
-        for end, position, case, _, labels in chunk:
-            columns = slice(end - len(labels), end)
-            if not (whole or finite[:, columns].all()):
-                lane, col = divmod(int(np.argmin(finite[:, columns])), len(labels))
-                where = "" if case.param is None else f" at {case.param} = {labels[col]!r}"
+        lanes = violations.argmax(axis=0)
+        tops = violations[lanes, np.arange(lanes.size)].tolist()
+        positives, lanes = np.count_nonzero(violations > 0.0, axis=0).tolist(), lanes.tolist()
+        for start, end, position, case, links, labels in chunk:
+            if not (whole or finite[:, start:end].all()):  # (lane, point) of the first
+                lane, at = divmod(int(np.argmin(finite[:, start:end])) // len(links), len(labels))
+                where = "" if case.param is None else f" at {case.param} = {labels[at]!r}"
                 refusals.append((pairs.block_of(lane), position,
                                  f"case {case.id} compared a non-finite value{where}"))
-            results[position].record(violations[:, columns], lambda lane, col: _witness(
-                pairs, lane, case.param, labels[col]))  # moot if a refusal is raised
+                continue
+            result, column, first = results[position], tops[start:end], lanes[start:end]
+            worst = max(column)
+            col = column.index(worst) if column.count(worst) == 1 else min(
+                (first[c], c) for c, v in enumerate(column) if v == worst)[1]
+            result.evaluations = pairs.size * (end - start)
+            result.violations, result.max_violation = sum(positives[start:end]), column[col]
+            if column[col] > 0.0 or case.severity is Severity.DIAGNOSTIC:
+                result.witness = _witness(pairs, first[col], case.param, labels[col // len(links)])
         chunk.clear()
 
-    for position, case in enumerate(cases):
+    plan = _plan(cases, _key(stack.grids["s"]), _key(stack.grids["t"]))
+    for position, (case, (count, points, labels)) in enumerate(zip(cases, plan)):
         pairs = stack.spread if case.spread else stack
-        grid = stack.grids[case.param]
-        points = [(value, value) for value in grid]
-        if case.steps:
-            ordered = sorted(grid)
-            points = [((lo, hi), hi) for lo, hi in zip(ordered, ordered[1:])]
-        kept = [(point, label) for point, label in points if case.domain(point)]
         results.append(CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
-                                  + pairs.size * (len(points) - len(kept))))
-        if kept and pairs.size:
-            links = case.links(pairs, tuple(point for point, _ in kept))
-            labels = [label for _, label in kept for _ in links]
-            chunk = chunks.setdefault(pairs, [])  # (its rows' end, case) in the block
-            if chunk and (chunk[-1][0] + len(labels)) * pairs.size > _BLOCK:
+                                  + pairs.size * (count - len(points))))
+        if points and pairs.size:
+            links = case.links(pairs, points)
+            chunk = chunks.setdefault(pairs, [])  # (its rows, case) in the block
+            start = chunk[-1][1] if chunk else 0
+            if chunk and (start + len(points) * len(links)) * pairs.size > _BLOCK:
                 compare(pairs, chunk)
-            chunk.append(((chunk[-1][0] if chunk else 0) + len(labels), position, case, links,
-                          labels))
+                start = 0
+            chunk.append((start, start + len(points) * len(links), position, case, links, labels))
     for pairs, chunk in chunks.items():
         if chunk:
             compare(pairs, chunk)

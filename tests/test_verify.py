@@ -14,8 +14,9 @@ from symdiv.csiszar import (_smoothness, bound_report, endpoint_bounds, family_g
 from symdiv.divergences import (_vajda_bounds, _vajda_coefficients, vajda_upper_bounds,
                                 vajda_variation_coefficients)
 from symdiv.families import _BLOCK
-from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, VAJDA_ORDERS, CaseResult, _check,
-                           _grids, _sample_stack, _stack, _Stack, pair_for, slack_violation)
+from symdiv.verify import (DEFAULT_GRID, DEFAULT_TOL, REGISTRY, VAJDA_ORDERS, CaseResult,
+                           InequalityCase, _check, _grids, _sample_stack, _stack, _Stack, pair_for,
+                           slack_violation)
 
 MANIFEST = Path(__file__).parent / "data" / "registry_manifest.txt"
 # run_sweep(SweepConfig(samples_per_dim=5, seed=S)) for each S of
@@ -242,7 +243,7 @@ class TestRunSweep:
             payload.pop("elapsed_ms")
         assert json.dumps(payloads[0]) == json.dumps(payloads[1])
 
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -float("inf"), -1.0, 0.0, True])
     def test_tol_is_finite_and_positive_everywhere(self, pair, tol):
         checks = {"SweepConfig": lambda: SweepConfig(tol=tol),
                   "check_chain": lambda: check_chain(*pair, tol=tol),
@@ -556,6 +557,140 @@ class TestNonFinite:
             check_chain(*pair)
         assert err.value.code == "NON_FINITE_RESULT"
         assert "EQ77" in str(err.value)
+
+
+def crafted(id_, rows, severity=Severity.ASSERT, param="s"):
+    """A case whose comparisons are the arrays ``rows(points, lanes)``: pairs of
+    (points, lanes) arrays, lhs and rhs of one comparison each."""
+    return InequalityCase(id_, id_, "crafted", severity, param=param,
+                          links=lambda x, points: rows(len(points), x.size))
+
+
+def per_case_rule(case, rows, lanes, labels, tol):
+    """The result of checking one case a pair, point and comparison at a time:
+    the first largest violation in (lane, point, comparison) order wins."""
+    violations = np.stack([slack_violation(lo, hi, tol) for lo, hi in rows], axis=-1)
+    violations = violations.transpose(1, 0, 2).reshape(lanes, -1)  # (lane, (point, k))
+    top = int(np.argmax(violations))
+    lane, col = divmod(top, violations.shape[1])
+    worst = float(violations.flat[top])
+    printed = worst > 0.0 or case.severity is Severity.DIAGNOSTIC
+    return violations.size, int(np.count_nonzero(violations > 0.0)), worst, \
+        (lane, labels[col // len(rows)]) if printed else None
+
+
+class TestKeptPlansAndReduction:
+    PAIRS = [pair_for(3, 3, index) for index in range(6)]
+
+    def test_equal_grids_share_their_generators(self):
+        for kind in GeneratorFamilyKind:
+            one, two = (_grids(tuple(DEFAULT_GRID), (), (kind,))[kind] for _ in range(2))
+            assert one is two
+            assert _grids(DEFAULT_GRID[:3], (), (kind,))[kind] is not one
+
+    @pytest.mark.parametrize("first, second", [((0.0, 0.5), (-0.0, 0.5)),
+                                               ((-0.0, 0.5), (0.0, 0.5)),
+                                               ((1.0, 2.0), (1, 2)), ((1, 2), (1.0, 2.0))])
+    def test_twin_grids_keep_their_own_names_messages_and_witnesses(self, first, second):
+        # -0.0 == 0.0 and 1 == 1.0 with equal hashes, but names, refusal
+        # messages and witnesses print them apart: a grid after its twin in one
+        # process gives what it gives with nothing kept
+        failing = crafted("FAIL", lambda n, lanes: [(np.ones((n, lanes)), np.zeros((n, 1)))])
+        broken = crafted("NAN", lambda n, lanes: [(np.full((n, lanes), np.nan), np.zeros((n, 1)))])
+
+        def outputs(grid):
+            grids = _grids(grid, grid, GeneratorFamilyKind)
+            stack = _stack(self.PAIRS, grids)
+            with pytest.raises(DomainError) as err:
+                _check((broken,), stack, 1e-10)
+            witness = _check((failing,), stack, 1e-10)[0].witness
+            sweep = run_sweep(SweepConfig(dims=(2, 3), samples_per_dim=3, seed=1428, tol=1e-16,
+                                          s_grid=grid, t_grid=grid)).to_json_dict()
+            sweep.pop("elapsed_ms")
+            return ([grids[kind].name for kind in GeneratorFamilyKind], str(err.value),
+                    json.dumps(witness), json.dumps(sweep))
+
+        def alone(grid):
+            verify_mod._grid_generator.cache_clear()
+            verify_mod._plan.cache_clear()
+            return outputs(grid)
+
+        expected = [alone(first), alone(second)]
+        assert [outputs(first), outputs(second)] == expected
+        for grid, (names, message, witness, _) in zip((first, second), expected):
+            assert names == [tuple(f"{kind.value}(s={v:g})" for v in grid)
+                             for kind in GeneratorFamilyKind]
+            assert message == ("[NON_FINITE_RESULT] case NAN compared a non-finite value "
+                               f"at s = {grid[0]!r}")
+            assert json.loads(witness)["s"] == float(grid[0])
+            assert ('"s": -0.0' in witness) is (repr(grid[0]) == "-0.0")
+
+    def test_a_refused_grid_is_refused_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError) as err:
+                _grids((0.5, 2000.0), (), (GeneratorFamilyKind.PSI,))
+            assert str(err.value) == ("[GENERATOR_DOMAIN] generator 'PSI(s=2000)' must have "
+                                      "f'' > 0 (checked on a spot grid)")
+            with pytest.raises(DomainError) as err:
+                run_sweep(SweepConfig(samples_per_dim=1, s_grid=(0.5, 2000.0)))
+            assert err.value.code == "GENERATOR_DOMAIN"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_maxima_follow_the_per_case_rule(self, seed):
+        # few distinct values, so maxima tie across lanes, across one case's
+        # points and comparisons, and across the cases of one block; every
+        # case of one grid is compared in one block
+        rng = np.random.default_rng(seed)
+        grid, lanes = (-1.0, 0.5, 2.0), len(self.PAIRS)
+        values = rng.choice([-3.0, -1.0, 0.25, 2.0] if seed % 2 else [-3.0, -1.0], (4, 2, 3, lanes))
+        cases, rows = [], []
+        for c in range(4):
+            links = 1 + c % 2
+            rows.append([(values[c, k], np.zeros((3, 1))) for k in range(links)])
+            cases.append(crafted(f"C{c}", lambda n, lanes, r=rows[-1]: r,
+                                 Severity.DIAGNOSTIC if c == 3 else Severity.ASSERT))
+        stack = _stack(self.PAIRS, _grids(grid, grid))
+        for case, result, case_rows in zip(cases, _check(tuple(cases), stack, 1e-10), rows):
+            evaluations, violations, worst, witness = per_case_rule(case, case_rows, lanes, grid,
+                                                                    1e-10)
+            assert (result.evaluations, result.violations) == (evaluations, violations)
+            assert result.max_violation == worst
+            if witness is None:
+                assert result.witness is None
+            else:
+                lane, s = witness
+                p, q = self.PAIRS[lane]
+                assert result.witness == {"p": p.weights.tolist(), "q": q.weights.tolist(),
+                                          "s": s, "t": None}
+
+    def test_a_diagnostic_case_keeps_its_witness_at_a_negative_maximum(self):
+        rows = lambda n, lanes: [(-np.arange(1.0, 1.0 + n * lanes).reshape(n, lanes),
+                                  np.zeros((n, 1)))]
+        for severity in Severity:
+            stack = _stack(self.PAIRS, _grids((0.5, 2.0), ()))
+            result, = _check((crafted("C", rows, severity),), stack, 1e-10)
+            assert result.max_violation == -1.0 - 1e-10 and result.violations == 0
+            if severity is Severity.DIAGNOSTIC:
+                p, q = self.PAIRS[0]
+                assert result.witness == {"p": p.weights.tolist(), "q": q.weights.tolist(),
+                                          "s": 0.5, "t": None}
+            else:
+                assert result.witness is None
+
+    @pytest.mark.parametrize("param, where", [("s", " at s = 2.0"), (None, "")])
+    def test_the_first_non_finite_comparison_is_refused(self, param, where):
+        # NaNs at (lane 2, point 1, comparison 0) and (lane 1, point 1,
+        # comparison 1) of the second case: lane 1 comes first; the first case
+        # holds none
+        def rows(n, lanes):
+            lhs = np.zeros((2, n, lanes))
+            lhs[0, -1, 2] = lhs[1, -1, 1] = np.nan
+            return [(lhs[0], np.zeros((n, 1))), (lhs[1], np.zeros((n, 1)))]
+        clean = crafted("CLEAN", lambda n, lanes: [(np.zeros((n, lanes)), np.zeros((n, 1)))])
+        stack = _stack(self.PAIRS, _grids((0.5, 2.0), ()))
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+            _check((clean, crafted("NAN", rows, param=param)), stack, 1e-10)
+        assert str(err.value) == f"[NON_FINITE_RESULT] case NAN compared a non-finite value{where}"
 
 
 ONE_ROUNDING_S = (-5.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0)
