@@ -6,6 +6,11 @@ within eps of 1, where summands that cancel lose their digits; the orders
 1e170 that overflow when the powers are taken one factor at a time.
 """
 
+import functools
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -114,6 +119,7 @@ def test_generators_near_one(family):
 # bound reports' value, E and E* near P = Q: on near pairs, and on a pair of near entries
 # one block long and one more (E's reference takes a few seconds per order there)
 REPORT_ORDERS = (-1.0, 0.5, 2.0)
+REPORT_PAIRS = tuple(f"eps={eps:g}" for eps in (1e-2, 1e-4, 1e-6, 1e-8)) + ("block_pair(16385)",)
 SLOPES = {GeneratorFamilyKind.PHI: (oracle.phi_gen, oracle.phi_slope, oracle.v_s),
           GeneratorFamilyKind.PSI: (oracle.psi_gen, oracle.psi_slope, oracle.w_s)}
 
@@ -130,11 +136,10 @@ def test_hand_slopes_equal_mpmath_derivatives(family):
 @pytest.mark.parametrize("s", REPORT_ORDERS)
 @pytest.mark.parametrize("family", list(GeneratorFamilyKind), ids=lambda f: f.value)
 def test_report_sums_near_one(family, s):
-    _, slope, value = SLOPES[family]
-    for p, q in [near_pair(eps) for eps in (1e-2, 1e-4, 1e-6, 1e-8)] + [block_pair(16385)]:
-        pw, qw = p.weights.tolist(), q.weights.tolist()
+    for name in REPORT_PAIRS:
+        p, q = named_pair(name)
         report = bound_report(family_generator(family, s), p, q)
-        wants = (value(s, pw, qw), *oracle.linearized_pair(slope, s, pw, qw))
+        wants = reference(f"{family.value} report s={s!r}", name, p, q)
         for got, want in zip((report.value, report.linearized, report.linearized_mid), wants):
             assert rel_err(got, want) <= 1e-13, (p.dim, float(want), rel_err(got, want))
 
@@ -192,6 +197,35 @@ def block_pair(n, eps=1e-7):
     a = np.concatenate([near[:cut], c, c * ratio, near[cut:]])
     b = np.concatenate([q[:cut], c * ratio, c, q[cut:]])
     return validate_distribution(a / b.sum()), validate_distribution(b / b.sum())
+
+
+def named_pair(name):
+    """A near pair by name: ``eps=...`` (``near_pair``) or ``block_pair(16385)``."""
+    return block_pair(16385) if name == "block_pair(16385)" else near_pair(float(name[4:]))
+
+
+# mpmath references of the slowest near-diagonal checks, written with tests/oracle.py by
+# ``PYTHONPATH=src python tests/near_references.py``: per check and pair, the digest of
+# the pair's weights and the 30-digit references, which must be rewritten if a pair moves
+REFERENCES = Path(__file__).parent / "data" / "near_references.json"
+
+
+def weights_digest(p, q) -> str:
+    return hashlib.sha256(p.weights.tobytes() + q.weights.tobytes()).hexdigest()[:20]
+
+
+@functools.cache
+def _references() -> dict:
+    return json.loads(REFERENCES.read_text())
+
+
+def reference(check: str, name: str, p, q):
+    """The stored references of ``check`` on the named pair (p, q), as mpf."""
+    entry = _references()[check][name]
+    assert entry["weights"] == weights_digest(p, q), (check, name)
+    values = entry["values"]
+    return {k: mpf(v) for k, v in values.items()} if isinstance(values, dict) else \
+        [mpf(v) for v in values]
 
 
 def shortcut_cases():
@@ -295,13 +329,15 @@ def kernels_like_pair(eps, repeat=4096):
                  for w in (q * (1.0 + eps * z), q))
 
 
-@pytest.mark.parametrize("pair", [f"eps={eps:g}" for eps in EPS] + ["block_pair(16385)"])
+W_PAIRS = tuple(f"eps={eps:g}" for eps in EPS) + ("block_pair(16385)",)
+
+
+@pytest.mark.parametrize("pair", W_PAIRS)
 def test_w_near_the_diagonal_against_mpmath(pair):
-    p, q = block_pair(16385) if pair.startswith("block") else near_pair(float(pair[4:]))
-    pw, qw = p.weights.tolist(), q.weights.tolist()
+    p, q = named_pair(pair)
+    wants = reference("W", pair, p, q)
     for s in W_ORDERS:
-        want = LIMITS["W", s](pw, qw) if ("W", s) in LIMITS else oracle.w_s(s, pw, qw)
-        assert rel_err(ag_js_divergence_type_s(s, p, q), want) <= 1e-13, s
+        assert rel_err(ag_js_divergence_type_s(s, p, q), wants[repr(s)]) <= 1e-13, s
 
 
 def test_kernels_like_near_pairs_take_the_series_at_every_general_order(monkeypatch):
