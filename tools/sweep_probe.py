@@ -1,9 +1,11 @@
 """CPU time and Python calls per round of ``run_sweep``, in a fresh process.
 
-Two rounds are probed: the 60-pair round of the benchmark's ``sweep``
-workload (``SweepConfig(samples_per_dim=15)``: 15 pairs for each of the dims
-2, 3, 5 and 10) and the default 1000-pair ``SweepConfig()``. After one
-warm-up round of each, the probe prints the median CPU ms per round and the
+Three rounds are probed: a 4-pair round (``SweepConfig(samples_per_dim=1)``,
+one pair per dim), whose cost is almost all the per-run work that does not
+depend on the pairs; the 60-pair round of the benchmark's ``sweep`` workload
+(``SweepConfig(samples_per_dim=15)``: 15 pairs for each of the dims 2, 3, 5
+and 10); and the default 1000-pair ``SweepConfig()``. After one warm-up
+round of each, the probe prints the median CPU ms per round and the
 calls of one round as cProfile counts them (Python functions and builtins,
 numpy's among them). A sweep's pairs are tiny, so per-call overhead sets its
 speed; the call count repeats exactly from run to run, the timings do not,
@@ -20,7 +22,8 @@ import time
 from symdiv.verify import SweepConfig, run_sweep
 
 # round name -> (config, timed rounds)
-ROUNDS = {"60-pair": (SweepConfig(samples_per_dim=15), 60), "1000-pair": (SweepConfig(), 15)}
+ROUNDS = {"4-pair": (SweepConfig(samples_per_dim=1), 60),
+          "60-pair": (SweepConfig(samples_per_dim=15), 60), "1000-pair": (SweepConfig(), 15)}
 
 
 def cpu_ms(config: SweepConfig, rounds: int) -> float:
