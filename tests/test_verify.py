@@ -584,7 +584,8 @@ class TestKeptPlansAndReduction:
 
     def test_equal_grids_share_their_generators(self):
         for kind in GeneratorFamilyKind:
-            one, two = (_grids(tuple(DEFAULT_GRID), (), (kind,))[kind] for _ in range(2))
+            one, two = (_grids(grid, (), (kind,))[kind]
+                        for grid in (DEFAULT_GRID, list(DEFAULT_GRID)))
             assert one is two
             assert _grids(DEFAULT_GRID[:3], (), (kind,))[kind] is not one
 
