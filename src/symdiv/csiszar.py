@@ -61,12 +61,13 @@ class Generator:
     unavailable. ``third_sup_closed_form(r, R)`` may supply the exact sup
     of |f'''| over each [r_i, R_i] of two 1-D arrays, one value per lane;
     without it the third-derivative bound is unavailable.
-    ``terms(a, b, offsets, pairs)`` may return a report's summands b f(x),
-    (a - b) f'(x) and (a - b) f'(x*), x = a/b and x* = (a + b)/(2b), on a 1-D
-    block of one pair's weights or of a sweep run's (``pairs`` reduces it per
-    pair), with the order-free rows from ``offsets(stage, a, b)`` (the family
-    memo's); a family generator's are stage two of V's or W's sum. Without it
-    f and f' are evaluated at x and x*. ``eval`` is the checked public entry.
+    ``terms(a, b, offsets, pairs, value, slopes)`` may return a report's summands
+    b f(x) (if ``value``), (a - b) f'(x) and (a - b) f'(x*) (if ``slopes``),
+    x = a/b and x* = (a + b)/(2b), on a 1-D block of one pair's weights or of a
+    sweep run's (``pairs`` reduces it per pair), with the order-free rows from
+    ``offsets(stage, a, b, *earlier)`` (the family memo's); a family generator's
+    are stage two of V's or W's sum. Without it f and f' are evaluated at x and
+    x*. ``eval`` is the checked public entry.
     The engine's kernels call ``evaluate`` and ``terms`` unchecked, on 1-D
     arrays of ratio-range ends or validated weights, one value per pair; each
     public function refuses the first of its fields that is not finite, in the
@@ -81,7 +82,7 @@ class Generator:
     max_order: int = 3
     curvature_monotonicity: Curvature | tuple[Curvature, ...] = Curvature.UNKNOWN
     third_sup_closed_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    terms: Optional[Callable[[np.ndarray, np.ndarray, Callable, Optional[Callable]], tuple]] = None
+    terms: Optional[Callable[..., list]] = None
 
     def __post_init__(self):
         if self.max_order < 2:
@@ -168,7 +169,7 @@ def _family_generator(kind: GeneratorFamilyKind, s) -> Generator:
     return Generator(
         name=names if s.ndim else names[0], evaluate=evaluate, max_order=3,
         curvature_monotonicity=flags if s.ndim else flags[0], third_sup_closed_form=third_sup,
-        terms=lambda a, b, offsets, pairs: terms(_column(s, np.ndim(a)), a, b, offsets, pairs),
+        terms=lambda a, b, *rest: terms(_column(s, np.ndim(a)), a, b, *rest),
     )
 
 
@@ -234,20 +235,20 @@ def _bisect(fn, a: float, b: float) -> Optional[float]:
 def csiszar_divergence(gen: Generator, p: Distribution, q: Distribution) -> float:
     """sum q_i f(p_i / q_i); nonnegative for convex normalized f. A bound report's value."""
     _require_same_dim(p, q)
-    return _checked(_VALUE, _sums, gen, p.weights, q.weights, pair=(p, q))[0]
+    return _checked(_VALUE, _sums, gen, p.weights, q.weights, pair=(p, q), slopes=False)[0]
 
 
 def linearized_functionals(gen: Generator, p: Distribution,
                            q: Distribution) -> tuple[float, float]:
     """The pair (E, E*) of first-order functionals of the generator, as a bound report's."""
     _require_same_dim(p, q)
-    return tuple(_checked(_SLOPES, _sums, gen, p.weights, q.weights, pair=(p, q))[1:])
+    return tuple(_checked(_SLOPES, _sums, gen, p.weights, q.weights, pair=(p, q), value=False))
 
 
 # each public function's checked fields as (index, generator order), in the order it forms them
-_VALUE, _SLOPES, _ENDPOINTS = ((0, 0),), ((1, 1), (2, 1)), ((0, 1), (1, 0))
+_VALUE, _SLOPES, _ENDPOINTS = ((0, 0),), ((0, 1), (1, 1)), ((0, 1), (1, 0))
 _SMOOTHNESS = ((0, 2), (2, 1), (1, 3))  # delta, variation, f3_sup
-_REPORT = _VALUE + _SLOPES + ((3, 1), (4, 0), (5, 2), (7, 1), (6, 3))
+_REPORT = ((0, 0), (1, 1), (2, 1), (3, 1), (4, 0), (5, 2), (7, 1), (6, 3))
 
 
 def _checked(fields, kernel, gen: Generator, *args, **kwargs) -> list:
@@ -262,20 +263,21 @@ def _checked(fields, kernel, gen: Generator, *args, **kwargs) -> list:
     return out
 
 
-def _sums(gen: Generator, a: np.ndarray, b: np.ndarray, total=None, pair=None) -> list:
-    """[value, E, E*] over 1-D weights, one value per pair (one pair's in a one-element array):
-    the summands of ``gen.terms`` (or ``_evaluated``) summed as ``_staged`` sums a family's,
-    stage one and bits alike, each by ``total`` where given."""
+def _sums(gen: Generator, a, b, total=None, pair=None, value=True, slopes=True) -> list:
+    """[value, E, E*] over 1-D weights, one value per pair (one pair's in a one-element array),
+    or the value or [E, E*] alone: the summands of ``gen.terms`` (or ``_evaluated``) summed as
+    ``_staged`` sums a family's, stage one and bits alike, each by ``total`` where given."""
     terms, pairs = gen.terms or functools.partial(_evaluated, gen), total
     total = total or (lambda t: t.sum(axis=-1, keepdims=True))
-    return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets, pairs), None, a, b,
-                        lambda summands: np.array([total(t) for t in summands]), pair))
+    return list(_staged(lambda _, a, b, offsets: terms(a, b, offsets, pairs, value, slopes), None,
+                        a, b, lambda summands: np.array([total(t) for t in summands]), pair))
 
 
-def _evaluated(gen: Generator, a: np.ndarray, b: np.ndarray, _offsets, _pairs) -> tuple:
-    """The generic summands: f and f' at x = a/b and f' at x*, one order at a time."""
+def _evaluated(gen: Generator, a, b, _offsets, _pairs, value: bool, slopes: bool) -> list:
+    """The generic summands, one order at a time: f at x = a/b, and f' at x and x*."""
     d, x = a - b, a / b
-    return b * gen.evaluate(0, x), d * gen.evaluate(1, x), d * gen.evaluate(1, (a + b) / (2.0 * b))
+    return ([b * gen.evaluate(0, x)] if value else []) + (
+        [d * gen.evaluate(1, x), d * gen.evaluate(1, (a + b) / (2.0 * b))] if slopes else [])
 
 
 # ---------------------------------------------------------------------------

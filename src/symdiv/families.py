@@ -38,12 +38,13 @@ offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
 each only where the block needs it; stage two takes the order's summand on
 them. A PHI or PSI bound report is stage two of V's or W's sum: the
 family's summand, and (a - b) f' at x and x* = (a + b)/(2b) on the same
-exact offsets, x*'s as two more rows of stage one. The family functions and
-``bound_report`` keep stage one in a one-slot memo (``_memo``): one
-contiguous, read-only (6, n) float64 table (3 MiB at n = 65536, a page
-faulted in once a stage fills it), keyed on the family and the ordered pair,
-and freed before the next is built, so later orders and reports on a pair
-skip stage one; beside it, the max |L| of each row that ``_alone`` scans.
+exact offsets, whose rows that do not depend on s join stage one. The family
+functions and ``bound_report`` keep stage one in a one-slot memo (``_memo``):
+one contiguous, read-only float64 table of its family's stages' rows (W's 11
+take 5.5 MiB at n = 65536, a page faulted in once a stage fills it), keyed on
+the family and the ordered pair, and freed before the next is built, so later
+orders and reports on a pair skip stage one; beside it, the max |L| of each
+row that ``_alone`` scans.
 Arrays kept per block instead would fill the allocator's free space, and
 other code would fault its pages anew.
 
@@ -442,17 +443,18 @@ def _blocks(a: np.ndarray, b: np.ndarray) -> list:
 
 
 def _staged(summands, s, a: np.ndarray, b: np.ndarray, total, pair):
-    """summands(s, a, b, offsets) summed over blocks as by ``_blocked``; offsets(stage, a, b) is
-    stage one on a block: the memo's rows on the ordered ``pair`` (``_PLACES``), or formed."""
+    """summands(s, a, b, offsets) summed over blocks as by ``_blocked``; offsets(stage, a, b,
+    *earlier) is stage one on a block, on rows of an earlier stage: the memo's rows on the
+    ordered ``pair`` (``_PLACES``), or formed."""
     starts, rows = iter(range(0, a.shape[-1], _BLOCK)), _formed if pair is None else (
-        lambda stage, a, b, start: _memo(stage, *pair).rows(stage, a, b, start))
+        lambda stage, a, b, *earlier, start: _memo(stage, *pair).rows(stage, a, b, start, *earlier))
     # _blocked takes each block once, in order
     return _blocked(lambda a, b: summands(s, a, b, functools.partial(rows, start=next(starts))),
                     a, b, total)
 
 
-def _formed(stage, a, b, start=None) -> tuple:
-    return stage(a, b)
+def _formed(stage, a, b, *earlier, start=None) -> tuple:
+    return stage(a, b, *earlier)
 
 
 def _v_summands(s, a, b, offsets):
@@ -503,36 +505,43 @@ def _r_exact(a, b):
     return (np.log1p((a - b) / b),)
 
 
-def _phi_mid(a, b):
-    """x* - 1 = (a - b)/(2b) (W's ub, with its bits) and its log1p, for PHI's slopes."""
-    ub = 0.5 * ((a - b) / b)
-    return ub, np.log1p(ub)
+def _phi_mid(a, b, L):
+    """A PHI report's rows on V's L: d = a - b, x* - 1 = ub = d/(2b) (W's, with its bits) and
+    its log1p, x - 1 = 2 ub and log x = copysign(L, ub)."""
+    d = a - b
+    ub = 0.5 * (d / b)
+    return d, ub, np.log1p(ub), 2.0 * ub, np.copysign(L, ub)
 
 
-def _psi_mid(a, b):
-    """log1p of the offsets of m*/x* and m* (``_to_mid``), x* = 1 + ub, for psi_s'(x*)."""
-    ub = _phi_mid(a, b)[0]
-    return tuple(np.log1p(u) for u in _to_mid(1.0 + ub, ub))
+def _psi_mid(a, b, ub):
+    """A PSI report's rows on W's ub: d = a - b, x = a/b, x* = 1 + ub, and the offsets of m*/x*
+    and m* (``_to_mid``) with their log1p, as ``_psi_slope`` takes them."""
+    x_mid = 1.0 + ub
+    ua_mid, ub_mid = _to_mid(x_mid, ub)
+    return a - b, a / b, x_mid, np.log1p(ua_mid), ua_mid, np.log1p(ub_mid), ub_mid
 
 
-# each stage's table, its family's (a report's stages fill rows after the family's), and first row
-_PLACES = {_v_offsets: ("V", 0), _phi_mid: ("V", 3), _w_offsets: ("W", 0), _psi_mid: ("W", 4),
-           _r_logs: ("R", 0), _r_exact: ("R", 3)}
+# each family's stages and row counts in table order (its own, a report's); each stage's place
+_STAGES = {"V": {_v_offsets: 3, _phi_mid: 5}, "W": {_w_offsets: 4, _psi_mid: 7},
+           "R": {_r_logs: 2, _r_exact: 1}}
+_PLACES = {stage: (family, first) for family, stages in _STAGES.items()
+           for stage, first in zip(stages, itertools.accumulate(stages.values(), initial=0))}
 
 
 class _Table:
-    """The memo's table and its per-block views; a stage's rows are formed on a block when a
-    call first needs them there, at the stage's place, and threads that both form them write
-    equal bits. ``tops`` keeps the max |L| of the rows that ``_alone`` scans (``_top``)."""
+    """The memo's table, a row per row of its family's stages, and its per-block views; a stage's
+    rows are formed on a block (from ``earlier`` stages' rows) when a call first needs them, and
+    threads that both form them write equal bits. ``tops`` keeps each ``_alone`` row's max |L|."""
 
     def __init__(self, key: tuple, n: int):
-        self.key, self.views, self.tops, self._fill = key, {}, {}, np.empty((6, n))
+        height = sum(_STAGES[key[0]].values())
+        self.key, self.views, self.tops, self._fill = key, {}, {}, np.empty((height, n))
         self.table = self._fill.view()
         self.table.flags.writeable = False
 
-    def rows(self, stage, a, b, start: int) -> tuple:
+    def rows(self, stage, a, b, start: int, *earlier) -> tuple:
         if (stage, start) not in self.views:
-            rows = stage(a, b)
+            rows = stage(a, b, *earlier)
             at = slice(_PLACES[stage][1], None), slice(start, start + a.shape[-1])
             for row, value in zip(self._fill[at], rows):
                 row[...] = value
@@ -619,8 +628,8 @@ def _phi_slope(s, L, u):
 
 
 def _psi_slope(s, x, d, rows, at_a=None):
-    """psi_s' at x, d = x - 1, on ``rows``: the offsets of m/x and m and their log1p (la, ua,
-    lb, ub), and ``at_a`` = phi_s(m/x) where the caller has it; AG's row its own."""
+    """psi_s' at x, d = x - 1 (AG's row alone reads it), on ``rows``: the offsets of m/x and m
+    and their log1p (la, ua, lb, ub), and ``at_a`` = phi_s(m/x) where the caller has it."""
     return _by_order(s, {1.0: _ag_slope}, _psi_general, x, d, *rows, at_a)
 
 
@@ -646,25 +655,28 @@ def _ag_slope(x, d, *_):
 
 
 # a report's summands, stage two of its family's sum: the family's, and d f' at x = a/b = 1 + 2 ub
-# and x* = 1 + ub, d = a - b and ub = d/(2b), on the same exact offsets
+# and x* = 1 + ub, d = a - b and ub = d/(2b), on the same exact offsets; each only if asked for
 
-def _phi_terms(s, a, b, offsets, _pairs=None):
-    """On V's rows, log x = copysign(log1p(|d|/lo), d), and on x* - 1 = ub and its log1p."""
-    s, d = _clamp(s), a - b
-    L, u, lo = offsets(_v_offsets, a, b)
-    ub, L_mid = offsets(_phi_mid, a, b)
-    slope, mid = _phi_slope(s, np.copysign(L, ub), 2.0 * ub), _phi_slope(s, L_mid, ub)
-    return _v_term(s, L, u, lo), slope * d, mid * d  # after the slopes: it may overwrite L, u
+def _phi_terms(s, a, b, offsets, _pairs=None, value=True, slopes=True):
+    """On V's rows, and on the report's rows (``_phi_mid``), log x = copysign(L, ub) among them."""
+    s, (L, u, lo) = _clamp(s), offsets(_v_offsets, a, b)
+    out = []
+    if slopes:  # before V's summand, which may overwrite L and u
+        d, ub, L_mid, x_less, L_x = offsets(_phi_mid, a, b, L)
+        out = [_phi_slope(s, L_x, x_less) * d, _phi_slope(s, L_mid, ub) * d]
+    return ([_v_term(s, L, u, lo)] if value else []) + out
 
 
-def _psi_terms(s, a, b, offsets, pairs=None):
-    """On W's rows, m/x = 1 + ua and m = 1 + ub, with phi_s(m/x) taken once for the summand
-    and the slope at x, and on the offsets of m*/x* and m* re-formed from ub."""
-    s, d = _clamp(s), a - b
+def _psi_terms(s, a, b, offsets, pairs=None, value=True, slopes=True):
+    """On W's rows, m/x = 1 + ua and m = 1 + ub, with phi_s(m/x) taken once where both the
+    summand and the slope at x need it, and on the report's rows (``_psi_mid``)."""
+    s = _clamp(s)
     la, ua, lb, ub = rows = offsets(_w_offsets, a, b)
-    at_a = None if _exact(s)[0] else _phi(s, la, ua)  # JS's and AG's rows take none
-    slope = _psi_slope(s, a / b, 2.0 * ub, rows, at_a)
-    x_mid, (la_mid, lb_mid) = 1.0 + ub, offsets(_psi_mid, a, b)
-    ua_mid, ub_mid = _to_mid(x_mid, ub)
-    mid = _psi_slope(s, x_mid, ub, (la_mid, ua_mid, lb_mid, ub_mid))
-    return _w_summand(s, a, b, lambda *_: rows, at_a, pairs), slope * d, mid * d
+    exact = dict(_exact(s)[0])
+    at_a = None if exact or not (value and slopes) else _phi(s, la, ua)  # JS, AG: none
+    out = []
+    if slopes:
+        d, x, x_mid, *mid = offsets(_psi_mid, a, b, ub)
+        ag = 2.0 * ub if 1.0 in exact else None  # x - 1, for AG's slope alone
+        out = [_psi_slope(s, x, ag, rows, at_a) * d, _psi_slope(s, x_mid, ub, mid) * d]
+    return ([_w_summand(s, a, b, lambda *_: rows, at_a, pairs)] if value else []) + out

@@ -518,27 +518,33 @@ def _runs(blocks: list) -> list:
     """The blocks' entries on one flat axis, dim after dim and pair after pair, cut
     at pairs into runs (a, b, total) of at most ``_BLOCK`` entries, or of one longer
     pair, which ``_blocked`` cuts. ``total`` takes each pair's sum on the run's segment
-    (start, stop, pairs) of each dim, over the values a block of that dim would sum."""
+    (start, stop, (pairs, -1), slice of pairs) of each dim, as a block of that dim would."""
     flat = [np.concatenate([w.reshape(-1) for w in side]) for side in zip(*blocks)]
-    runs, room, offset = [], 0, 0  # room: the entries left in the last run
+    runs, room, offset = [], 0, 0  # room: the entries left in the last run, done: its pairs
     for a, _ in blocks:
-        count, n = a.shape
-        while count:
+        left, n = a.shape  # the block's pairs left to place
+        while left:
             if room < n:
                 runs.append((offset, []))
-                room = max(_BLOCK, n)
-            take, at = min(count, room // n), offset - runs[-1][0]
-            runs[-1][1].append((at, at + take * n, take))
-            room, offset, count = room - take * n, offset + take * n, count - take
+                room, done = max(_BLOCK, n), 0
+            take, at = min(left, room // n), offset - runs[-1][0]
+            runs[-1][1].append((at, at + take * n, (take, -1), slice(done, done + take)))
+            room, offset, left, done = room - take * n, offset + take * n, left - take, done + take
     return [(*(w[start:start + run[-1][1]] for w in flat),
-             functools.partial(_per_pair, segments=run)) for start, run in runs]
+             functools.partial(_per_pair, segments=run, pairs=run[-1][3].stop))
+            for start, run in runs]
 
 
-def _per_pair(x: np.ndarray, fn=functools.partial(np.add.reduce, axis=-1), *,
-              segments) -> np.ndarray:
-    """fn, by default the sum, of x's entries as (..., pairs, entries) on each segment."""
-    return np.concatenate([fn(x[..., i:j].reshape(x.shape[:-1] + (pairs, -1)))
-                           for i, j, pairs in segments], axis=-1)
+def _per_pair(x: np.ndarray, fn=None, *, segments, pairs: int) -> np.ndarray:
+    """fn of x's entries as (..., pairs, entries) on each segment, joined, or by default each
+    pair's sum, each segment reduced into its slice of one array."""
+    if fn is not None:
+        return np.concatenate([fn(x[..., i:j].reshape(x.shape[:-1] + shape))
+                               for i, j, shape, _ in segments], axis=-1)
+    out = np.empty(x.shape[:-1] + (pairs,))
+    for i, j, shape, at in segments:
+        np.add.reduce(x[..., i:j].reshape(x.shape[:-1] + shape), axis=-1, out=out[..., at])
+    return out
 
 
 def _check(cases: tuple[InequalityCase, ...], stack: _Stack, tol: float) -> list[CaseResult]:

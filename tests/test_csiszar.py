@@ -1,3 +1,4 @@
+import collections
 import json
 import threading
 import time
@@ -560,10 +561,43 @@ class TestReportTable:
         table = families._last
         self.outcome(PSI, 2.0, p, q)
         assert families._last is table and table.key[1:] == (p, q)
-        assert table.table.shape == (6, 4 * _BLOCK) and table.table.flags.c_contiguous
+        assert table.table.shape == (11, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
         for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
             with pytest.raises(ValueError, match="read-only"):
                 view[..., 0] = 0.0
+
+    def test_each_stage_runs_once_per_block(self, tables, monkeypatch):
+        # over the nine orders on a pair, a report's family stage one and its own order-free rows
+        # (``families._STAGES``) are each formed once per block of the pair's weights, and later
+        # orders read them from the table; a count per stage, as ``tables`` counts the tables (f at
+        # the ratio range's ends forms its own). A divergence forms no report rows, and linearized
+        # functionals form them once
+        formed, weights = collections.Counter(), []
+        for stages in families._STAGES.values():
+            for stage in stages:
+                def counted(a, *rest, stage=stage):
+                    if np.shares_memory(a, weights[-1]):
+                        formed[stage.__name__] += 1
+                    return stage(a, *rest)
+                monkeypatch.setattr(families, stage.__name__, counted)
+                monkeypatch.setitem(families._PLACES, counted, families._PLACES[stage])
+        for p, q in self.pairs():
+            weights.append(p.weights)
+            blocks = -(-p.dim // _BLOCK)
+            for kind, stages in ((PHI, ("_v_offsets", "_phi_mid")), (PSI, ("_w_offsets", "_psi_mid"))):
+                formed.clear()
+                for s in S_GRID:
+                    bound_report(family_generator(kind, s), p, q)
+                assert formed == {stage: blocks for stage in stages}, (kind, p.dim)
+                families._last = None
+                formed.clear()
+                for s in S_GRID:
+                    csiszar_divergence(family_generator(kind, s), p, q)
+                assert formed == {stages[0]: blocks}, (kind, p.dim)
+                for s in S_GRID:
+                    linearized_functionals(family_generator(kind, s), p, q)
+                assert formed == {stage: blocks for stage in stages}, (kind, p.dim)
+        assert tables.built == 2 * 2 * len(self.pairs())  # per pair and kind: reports, then the rest
 
     def test_kept_maxima_are_each_rows_own(self):
         # a near block takes phi_s's series alone when its max |L| allows (``_alone``), and

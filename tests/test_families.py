@@ -393,7 +393,7 @@ class TestOffsetMemo:
                 assert len(tables) <= 1
         self.bits(ag_js_divergence_type_s, 0.5, *pairs[half - 1])  # W's rows, at n = 65536
         table = families._last
-        assert table.table.shape == (6, 4 * _BLOCK) and table.table.flags.c_contiguous
+        assert table.table.shape == (11, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
         for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0.0

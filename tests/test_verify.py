@@ -694,6 +694,24 @@ class TestKeptPlansAndReduction:
         assert str(err.value) == f"[NON_FINITE_RESULT] case NAN compared a non-finite value{where}"
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_per_pair_sums_equal_each_pairs_own_reduction(grid):
+    # a run's ``total`` reduces each dim's segment into one preallocated array: each pair's sum
+    # has the bits of np.add.reduce over that pair's entries alone, on ragged dims, with runs
+    # cut between pairs, with and without a leading grid axis
+    rng = np.random.default_rng(2707)
+    blocks = [tuple(rng.exponential(size=(count, n)) for _ in range(2))
+              for n, count in ((2, 700), (3, 900), (5, 1100), (10, 600), (37, 300))]
+    values = (lambda w: np.stack([w, w * w, np.cbrt(w)])) if grid else (lambda w: w * w)
+    runs = verify_mod._runs(blocks)
+    assert len(runs) > 1
+    summed = np.concatenate([total(values(a - b)) for a, b, total in runs], axis=-1)
+    pairs = [values(a - b) for block in blocks for a, b in zip(*block)]
+    expected = np.stack([np.add.reduce(v, axis=-1) for v in pairs], axis=-1)
+    assert summed.shape == expected.shape == ((3,) if grid else ()) + (len(pairs),)
+    assert summed.tobytes() == expected.tobytes()
+
+
 ONE_ROUNDING_S = (-5.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0)
 
 

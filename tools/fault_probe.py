@@ -3,11 +3,12 @@
 A round makes the calls of the benchmark's ``kernels`` workload on two
 generic pairs of n = 65536 entries (64 distinct rows, each repeated 1024
 times): the three family sums at nine orders, the twelve classic measures,
-and bound reports of both generators at the nine orders, each generator's
-reports in a row, so that they share the rows of their sums that do not
-depend on the order through the family memo's one table; and the three
-family sums at the nine orders on a pair within 1e-6 of P = Q (``near``),
-whose W takes its series in (a - b)/(a + b) on every block. After one warm-up
+and bound reports at the nine orders, one part per generator (``PHI``,
+``PSI``), each generator's reports on a pair in a row, so that they share the
+rows that do not depend on the order through the family memo's one table (a
+PSI table is the tallest); and the three family sums at the nine orders on a
+pair within 1e-6 of P = Q (``near``), whose W takes its series in
+(a - b)/(a + b) on every block. After one warm-up
 round, the probe prints for each part the median CPU ms and minor page faults
 (``ru_minflt``) per round over five rounds. After each part it times a fixed
 numpy computation over 65536 entries that does not use symdiv (``reference``),
@@ -66,8 +67,8 @@ def parts(pairs, near) -> dict:
         "near": [lambda f=f, s=s: f(s, *near) for f in families for s in ORDERS],
         "classic": [lambda k=k, p=p, q=q: classic_divergence(k, p, q)
                     for p, q in pairs for k in MeasureKind],
-        "bound": [lambda g=g, s=s, p=p, q=q: bound_report(family_generator(g, s), p, q)
-                  for p, q in pairs for g in GeneratorFamilyKind for s in ORDERS],
+        **{g.value: [lambda g=g, s=s, p=p, q=q: bound_report(family_generator(g, s), p, q)
+                     for p, q in pairs for s in ORDERS] for g in GeneratorFamilyKind},
     }
 
 
