@@ -191,9 +191,9 @@ def _phi_edge(k: float) -> tuple[float, float, tuple[float, ...], float]:
 
 @_per_column
 def _phi_edges(k: np.ndarray):
-    """1/(k - 1) and the least value of _phi_edge as columns, and the nearest edge."""
+    """1/(k - 1) and _phi_edge's least value as columns (floats at one order), the nearest edge."""
     rows = [_phi_edge(v) for v in k.reshape(-1).tolist()]
-    return (*(np.array([row[i] for row in rows]).reshape(k.shape) for i in (0, 1)),
+    return (*(np.array([row[i] for row in rows]).reshape(k.shape)[()] for i in (0, 1)),
             min(row[3] for row in rows))
 
 
@@ -208,9 +208,11 @@ def _phi(k, L, u, log=None):
     out = _e(k, L, u)
     out = out - u if out is L or out is u else np.subtract(out, u, out=out)
     out *= reciprocal
-    near = np.flatnonzero(out < least)  # a mask is slow on mixed blocks, nonzero on 2-D ones
-    if not near.size:
+    # each row's min first, as most blocks hold no near entry; a NaN fails it (and is not near)
+    if (out.min(initial=np.inf) >= least if not k.ndim else (out.min(
+            axis=tuple(range(1, out.ndim)), keepdims=True, initial=np.inf) >= least).all()):
         return out
+    near = np.flatnonzero(out < least)  # a mask is slow on mixed blocks, nonzero on 2-D ones
     # the near entries alone, each with its row's coefficients
     x = np.take(np.broadcast_to(L, out.shape), near) if log is None else log(near)
     rows = 0 if k.size == 1 else near // (out.size // k.size)

@@ -18,8 +18,9 @@ One batched engine checks the table in one pass over all the sweep's pairs,
 sampled straight into one (N, n) block of weights per dim and validated once.
 Their entries lie on one flat axis: each elementwise pass runs once over it,
 each sum over a pair's entries per dim segment. The family generators over the
-s grid and each case's kept points are kept per grid; consecutive cases'
-comparisons form blocks of (comparisons x pairs), each reduced once per column.
+s grid and each case's kept points are kept per grid. A PHI or PSI report's value,
+V_s or W_s, is the family sums' row, with its bits: each is summed once. Consecutive
+cases' comparisons form blocks of (comparisons x pairs), each reduced once per column.
 Inputs are checked at the boundary (``SweepConfig``, the sampled blocks).
 Inside, a non-finite comparison is refused and a witness is built for each
 case's largest violation, the first in the order of checking the pairs one at a
@@ -38,6 +39,7 @@ import functools
 import numbers
 import re
 import time
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
@@ -46,7 +48,7 @@ import numpy as np
 
 from .csiszar import BoundReport, _family_generator, _report, _sums
 from .divergences import MeasureKind, _abs_chi, _classic, _vajda_bounds, _vajda_coefficients
-from .errors import DomainError, InputError
+from .errors import _FILTERS, DomainError, InputError
 from .families import _BLOCK, GeneratorFamilyKind, _column, _v_values, _w_values, as_param
 from .simplex import (Distribution, _check_sampling, _check_simplex_rows, _floored,
                       _ratio_range, _real, _require_same_dim)
@@ -502,12 +504,14 @@ class _Stack:
         return self if sub is None else sub
 
     def report(self, kind: GeneratorFamilyKind, points) -> BoundReport:
-        """The bound_report fields of the family generator at each s point,
-        one row per point, taken from one report over the whole s grid."""
+        """The bound_report fields of the family generator at each s point, one row per
+        point, taken from one report over the whole s grid, whose value (V_s or W_s) is
+        the family's row (``family``), with its bits: ``_sums`` forms E and E* alone."""
         gen = self.grids[kind]
         fields = self._memoized(kind, lambda: _report(
-            gen, self._summed(("sums", kind), lambda a, b, total: np.array(
-                _sums(gen, a, b, total=total))),
+            gen, (self.family("V" if kind is GeneratorFamilyKind.PHI else "W", self.grids["s"]),
+                  *self._summed(("slopes", kind), lambda a, b, total: np.array(
+                      _sums(gen, a, b, total=total, value=False)))),
             self.ends, *self.chi((2.0, 3.0, 1.0))))
         rows = [self.grids["s"].index(point) for point in points]
         return self._memoized((kind, points), lambda: BoundReport(
@@ -587,21 +591,23 @@ def _check(cases: tuple[InequalityCase, ...], stack: _Stack, tol: float) -> list
         chunk.clear()
 
     plan = _plan(cases, _key(stack.grids["s"]), _key(stack.grids["t"]))
-    for position, (case, (count, points, labels)) in enumerate(zip(cases, plan)):
-        pairs = stack.spread if case.spread else stack
-        results.append(CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
-                                  + pairs.size * (count - len(points))))
-        if points and pairs.size:
-            links = case.links(pairs, points)
-            chunk = chunks.setdefault(pairs, [])  # (its rows, case) in the block
-            start = chunk[-1][1] if chunk else 0
-            if chunk and (start + len(points) * len(links)) * pairs.size > _BLOCK:
+    with _FILTERS, warnings.catch_warnings():  # an overflow is refused, not warned of
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for position, (case, (count, points, labels)) in enumerate(zip(cases, plan)):
+            pairs = stack.spread if case.spread else stack
+            results.append(CaseResult(case.id, case.severity, skipped=stack.size - pairs.size
+                                      + pairs.size * (count - len(points))))
+            if points and pairs.size:
+                links = case.links(pairs, points)
+                rows, chunk = len(points) * len(links), chunks.setdefault(pairs, [])
+                start = chunk[-1][1] if chunk else 0  # chunk: (its rows, case) in the block
+                if chunk and (start + rows) * pairs.size > _BLOCK:
+                    compare(pairs, chunk)
+                    start = 0
+                chunk.append((start, start + rows, position, case, links, labels))
+        for pairs, chunk in chunks.items():
+            if chunk:
                 compare(pairs, chunk)
-                start = 0
-            chunk.append((start, start + len(points) * len(links), position, case, links, labels))
-    for pairs, chunk in chunks.items():
-        if chunk:
-            compare(pairs, chunk)
     if refusals:
         raise DomainError("NON_FINITE_RESULT", min(refusals)[2])
     return results

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symdiv.families as families
 import symdiv.verify as verify_mod
 from symdiv import (DomainError, GeneratorFamilyKind, InputError, MeasureKind, Severity,
                     SweepConfig, ag_js_divergence_type_s, check_bounds_suite, check_chain,
@@ -504,9 +505,8 @@ class TestNonFinite:
     def test_overflowing_family_is_refused(self):
         # V_200 overflows to inf or NaN on some of these pairs; a NaN
         # violation compares as a pass and an inf side as a clear one
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError) as err:
-                run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, t_grid=(200.0,)))
+        with pytest.raises(DomainError) as err:
+            run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, t_grid=(200.0,)))
         assert err.value.code == "NON_FINITE_RESULT"
         assert "t = 200.0" in str(err.value)
 
@@ -523,8 +523,9 @@ class TestNonFinite:
          "[NON_FINITE_RESULT] case EQ129_LOWER compared a non-finite value at s = 1000.0")])
     def test_large_orders_keep_their_refusal(self, grids, message):
         # the generators build at every order (f'' > 0 also where it
-        # overflows), and the sweep names the first non-finite comparison
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+        # overflows), and the sweep names the first non-finite comparison, with no
+        # RuntimeWarning (pytest's filter makes one an error)
+        with pytest.raises(DomainError) as err:
             run_sweep(SweepConfig(dims=(10,), samples_per_dim=40, seed=5, **grids))
         assert str(err.value) == message
 
@@ -541,7 +542,7 @@ class TestNonFinite:
             out[broken.get(kind, slice(0))] = np.nan
             return out
         monkeypatch.setattr(verify_mod, "_classic", planted)
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+        with pytest.raises(DomainError) as err:
             run_sweep(SweepConfig(dims=(2, 10), samples_per_dim=3, seed=5))
         assert str(err.value) == "[NON_FINITE_RESULT] case EQ104 compared a non-finite value"
 
@@ -553,10 +554,21 @@ class TestNonFinite:
         monkeypatch.setattr(verify_mod, "_classic", lambda kind, a, b, total: (
             np.full_like(real(kind, a, b, total), planted) if kind is side
             else real(kind, a, b, total)))
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+        with pytest.raises(DomainError) as err:
             check_chain(*pair)
         assert err.value.code == "NON_FINITE_RESULT"
         assert "EQ77" in str(err.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("check, case", [(check_parametric, "EQ129_LOWER"),
+                                             (check_bounds_suite, "EQ78")])
+    def test_one_pair_checks_refuse_an_overflow_without_a_warning(self, check, case):
+        # the order-1000 sums overflow in expm1: refused, not warned of
+        p, q = validate_distribution([0.99, 0.01]), validate_distribution([0.01, 0.99])
+        with pytest.raises(DomainError) as err:
+            check(p, q, s_grid=(1000.0,))
+        assert str(err.value) == (
+            f"[NON_FINITE_RESULT] case {case} compared a non-finite value at s = 1000.0")
 
 
 def crafted(id_, rows, severity=Severity.ASSERT, param="s"):
@@ -689,7 +701,7 @@ class TestKeptPlansAndReduction:
             return [(lhs[0], np.zeros((n, 1))), (lhs[1], np.zeros((n, 1)))]
         clean = crafted("CLEAN", lambda n, lanes: [(np.zeros((n, lanes)), np.zeros((n, 1)))])
         stack = _stack(self.PAIRS, _grids((0.5, 2.0), ()))
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+        with pytest.raises(DomainError) as err:
             _check((clean, crafted("NAN", rows, param=param)), stack, 1e-10)
         assert str(err.value) == f"[NON_FINITE_RESULT] case NAN compared a non-finite value{where}"
 
@@ -812,12 +824,14 @@ def test_flat_stack_equals_the_single_pair_functions_bit_for_bit():
     assert mismatches == []
 
 
-def test_sweep_report_rows_equal_bound_report():
+@pytest.mark.parametrize("t_grid", [(), (-3.0, 0.25, 0.5, 4.0, 7.5)])
+def test_sweep_report_rows_equal_bound_report(t_grid):
     # one report per family over the whole s grid and a stack of pairs: row i,
-    # lane j has the bits of bound_report(family_generator(kind, s_i), P_j, Q_j)
+    # lane j has the bits of bound_report(family_generator(kind, s_i), P_j, Q_j);
+    # the value row is V's or W's, whose grid also holds the t points outside s
     grid = (-5.0, -2.5, -2.0, -1.5, -1.2, -1.0, -0.5, 0.0, 1e-5, 0.5, 1.0, 1.5, 2.0, 2.2,
             2.9, 3.0, 6.0, 10.0)
-    grids = _grids(grid, (), GeneratorFamilyKind)
+    grids = _grids(grid, t_grid, GeneratorFamilyKind)
     mismatches, compared = [], 0
     for dim in (2, 3, 5, 10):
         pairs = [pair_for(77, dim, index) for index in range(6)]
@@ -837,3 +851,15 @@ def test_sweep_report_rows_equal_bound_report():
                             mismatches.append((dim, kind.value, s, lane, name, one, stacked))
     assert compared > 8000
     assert mismatches == []
+
+
+def test_a_sweep_forms_w_summand_once_per_run(monkeypatch):
+    # the PSI reports take W's value row from the family sums, so W's summand over the s grid
+    # is formed once on the sweep's one run (60 pairs, 300 entries a side), not again for the
+    # reports; JS and AG, W at the single orders 0 and 1, are chain measures of their own
+    calls, real = [], families._w_summand
+    monkeypatch.setattr(families, "_w_summand", lambda *args, **kwargs: (
+        calls.append(np.shape(args[0])), real(*args, **kwargs))[1])
+    run_sweep(SweepConfig(samples_per_dim=15))
+    assert [shape for shape in calls if shape] == [(len(DEFAULT_GRID), 1)]
+    assert len(calls) == 3
