@@ -26,25 +26,26 @@ E(k) = (x^k - 1)/k = expm1(k L)/k (L at k = 0, u at k = 1):
 * where every delta = (a - b)/(a + b) of a pair in a block is within the
   order's edge _DELTA_EDGE/max(|t|, 1), t = 1 - s, W's summand is its even
   series m delta^2 sum_{j<K} c_j delta^(2j), c_0 = 1/2, c_j = prod_{i=2}^{2j+1}
-  (t - i)/(2j+2)!, K <= 5 (tail < 2^-53 c_0): no log, cancellation or stage one;
+  (t - i)/(2j+2)!, K <= 5 (tail < 2^-53 c_0): no log or cancellation;
 * J is V_0; JS and AG, the summands of W_0 and W_1, are
   (|a-b| log(hi/lo) - (a+b) log(m^2/ab))/4 and (a+b) log(m^2/ab)/4, both
   without cancellation; KL, R_s at its limit orders, keeps its definition
   sum a log(a/b) and so carries the weights' sum defect.
 
 A family sum runs in two stages on each block of entries: stage one forms
-the offsets, which do not depend on s (V's u and log1p(u), W's two midpoint
-offsets and their log1p, R's log(a/b) with its expm1 and its exact log1p),
-each only where the block needs it; stage two takes the order's summand on
-them. A PHI or PSI bound report is stage two of V's or W's sum: the
-family's summand, and (a - b) f' at x and x* = (a + b)/(2b) on the same
-exact offsets, whose rows that do not depend on s join stage one. The family
-functions and ``bound_report`` keep stage one in a one-slot memo (``_memo``):
-one contiguous, read-only float64 table of its family's stages' rows (W's 11
-take 5.5 MiB at n = 65536, a page faulted in once a stage fills it), keyed on
-the family and the ordered pair, and freed before the next is built, so later
-orders and reports on a pair skip stage one; beside it, the max |L| of each
-row that ``_alone`` scans.
+the rows that do not depend on s (V's u and log1p(u); W's two midpoint
+offsets and their log1p, and near P = Q a + b and delta^2; R's log(a/b) with
+its expm1 and its exact log1p), each only where the block needs it; stage
+two takes the order's summand on them. A PHI or PSI bound report is stage
+two of V's or W's sum: the family's summand, and (a - b) f' at x and
+x* = (a + b)/(2b) on the same exact offsets, whose rows that do not depend
+on s join stage one. The family functions and ``bound_report`` keep stage
+one in a one-slot memo (``_memo``): one contiguous, read-only float64 table
+of its family's stages' rows (W's 13 take 6.5 MiB at n = 65536; only a stage
+that fills a page faults it in), keyed on the family and the ordered pair,
+and freed before the next is built, so later orders and reports on a pair
+skip stage one; beside it, the max |L| of each row that ``_alone`` scans
+and the largest delta^2 of each block's delta rows.
 Arrays kept per block instead would fill the allocator's free space, and
 other code would fault its pages anew.
 
@@ -235,8 +236,8 @@ def _alone(k, L: np.ndarray):
 
 
 def _top(L) -> float:
-    """max |L|, for a row of the memo's table (a read-only view of it) scanned once and kept
-    beside the table with the row, which keeps the row's id its own."""
+    """max |L| (``_alone``'s L, or W's delta^2) of a row of the memo's table (a read-only view),
+    scanned once and kept beside the table with the row, which keeps the row's id its own."""
     table = _last
     if table is None or L.base is not table._fill:
         return np.abs(L).max()
@@ -304,16 +305,15 @@ def _w_term(s, a, b, offsets, at_a=None):
 
 def _w_summand(s, a, b, offsets, at_a=None, pairs=None):
     """``_w_term`` in a sum, but W's series in delta (``_delta_edge``) at an order's rows on each
-    pair in the block within its edge; ``pairs``: a sweep run's per-pair reduction (``total``),
-    else the block is one pair's, and its first entry is looked at before any pass."""
+    pair in the block within its edge, on ``_w_delta``'s rows; ``pairs``: a sweep run's per-pair
+    reduction (``total``), else the block is one pair's, and its first entry is looked at before
+    any pass."""
     rows = [_delta_edge(v, _DELTA_EDGE) for v in s.reshape(-1).tolist()]
     first, limit = (a.flat[0] - b.flat[0]) / (a.flat[0] + b.flat[0]), max(row[0] for row in rows)
     if limit < 0.0 or pairs is None and first * first > limit:
         return _w_term(s, a, b, offsets, at_a)
-    total = a + b
-    x = (a - b) / total
-    x *= x
-    top = x.max(axis=-1, keepdims=True) if pairs is None else pairs(  # each entry's pair's max
+    total, x = offsets(_w_delta, a, b)
+    top = _top(x) if pairs is None else pairs(  # each entry's pair's max
         x, lambda v: np.repeat(v.max(axis=-1), v.shape[-1], axis=-1))
     if top.min() > limit:  # no pair takes it at any order
         return _w_term(s, a, b, offsets, at_a)
@@ -498,6 +498,14 @@ def _w_offsets(a, b):
     return np.log1p(ua), ua, np.log1p(ub), ub
 
 
+def _w_delta(a, b):
+    """a + b and delta^2, delta = (a - b)/(a + b): the rows of W's series in delta."""
+    total = a + b
+    x = (a - b) / total
+    x *= x
+    return total, x
+
+
 def _r_logs(a, b):
     L = np.log(a / b)
     return L, np.expm1(L)
@@ -523,8 +531,9 @@ def _psi_mid(a, b, ub):
     return a - b, a / b, x_mid, np.log1p(ua_mid), ua_mid, np.log1p(ub_mid), ub_mid
 
 
-# each family's stages and row counts in table order (its own, a report's); each stage's place
-_STAGES = {"V": {_v_offsets: 3, _phi_mid: 5}, "W": {_w_offsets: 4, _psi_mid: 7},
+# each family's stages and row counts in table order (its own, a report's; W's delta rows, which
+# only near blocks fill, last: off the huge pages that filled rows fault in); each stage's place
+_STAGES = {"V": {_v_offsets: 3, _phi_mid: 5}, "W": {_w_offsets: 4, _psi_mid: 7, _w_delta: 2},
            "R": {_r_logs: 2, _r_exact: 1}}
 _PLACES = {stage: (family, first) for family, stages in _STAGES.items()
            for stage, first in zip(stages, itertools.accumulate(stages.values(), initial=0))}
@@ -533,7 +542,7 @@ _PLACES = {stage: (family, first) for family, stages in _STAGES.items()
 class _Table:
     """The memo's table, a row per row of its family's stages, and its per-block views; a stage's
     rows are formed on a block (from ``earlier`` stages' rows) when a call first needs them, and
-    threads that both form them write equal bits. ``tops`` keeps each ``_alone`` row's max |L|."""
+    threads that both form them write equal bits. ``tops`` keeps each ``_top`` row's maximum."""
 
     def __init__(self, key: tuple, n: int):
         height = sum(_STAGES[key[0]].values())
@@ -681,4 +690,5 @@ def _psi_terms(s, a, b, offsets, pairs=None, value=True, slopes=True):
         d, x, x_mid, *mid = offsets(_psi_mid, a, b, ub)
         ag = 2.0 * ub if 1.0 in exact else None  # x - 1, for AG's slope alone
         out = [_psi_slope(s, x, ag, rows, at_a) * d, _psi_slope(s, x_mid, ub, mid) * d]
-    return ([_w_summand(s, a, b, lambda *_: rows, at_a, pairs)] if value else []) + out
+    read = lambda stage, *args: rows if stage is _w_offsets else offsets(stage, *args)
+    return ([_w_summand(s, a, b, read, at_a, pairs)] if value else []) + out

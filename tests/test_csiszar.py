@@ -561,7 +561,7 @@ class TestReportTable:
         table = families._last
         self.outcome(PSI, 2.0, p, q)
         assert families._last is table and table.key[1:] == (p, q)
-        assert table.table.shape == (11, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
+        assert table.table.shape == (13, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
         for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
             with pytest.raises(ValueError, match="read-only"):
                 view[..., 0] = 0.0
@@ -571,8 +571,8 @@ class TestReportTable:
         # (``families._STAGES``) are each formed once per block of the pair's weights, and later
         # orders read them from the table; a count per stage, as ``tables`` counts the tables (f at
         # the ratio range's ends forms its own). A divergence forms no report rows, and linearized
-        # functionals form them once
-        formed, weights = collections.Counter(), []
+        # functionals form them once. W's delta rows are formed on the pair near P = Q alone
+        formed, weights, pairs = collections.Counter(), [], self.pairs()
         for stages in families._STAGES.values():
             for stage in stages:
                 def counted(a, *rest, stage=stage):
@@ -581,23 +581,40 @@ class TestReportTable:
                     return stage(a, *rest)
                 monkeypatch.setattr(families, stage.__name__, counted)
                 monkeypatch.setitem(families._PLACES, counted, families._PLACES[stage])
-        for p, q in self.pairs():
+        for p, q in pairs:
             weights.append(p.weights)
-            blocks = -(-p.dim // _BLOCK)
-            for kind, stages in ((PHI, ("_v_offsets", "_phi_mid")), (PSI, ("_w_offsets", "_psi_mid"))):
+            blocks, delta = -(-p.dim // _BLOCK), ("_w_delta",) * (p is pairs[-1][0])  # block_pair's
+            for kind, value, slopes in ((PHI, ("_v_offsets",), ("_phi_mid",)),
+                                        (PSI, ("_w_offsets", *delta), ("_psi_mid",))):
                 formed.clear()
                 for s in S_GRID:
                     bound_report(family_generator(kind, s), p, q)
-                assert formed == {stage: blocks for stage in stages}, (kind, p.dim)
+                assert formed == {stage: blocks for stage in value + slopes}, (kind, p.dim)
                 families._last = None
                 formed.clear()
                 for s in S_GRID:
                     csiszar_divergence(family_generator(kind, s), p, q)
-                assert formed == {stages[0]: blocks}, (kind, p.dim)
+                assert formed == {stage: blocks for stage in value}, (kind, p.dim)
                 for s in S_GRID:
                     linearized_functionals(family_generator(kind, s), p, q)
-                assert formed == {stage: blocks for stage in stages}, (kind, p.dim)
-        assert tables.built == 2 * 2 * len(self.pairs())  # per pair and kind: reports, then the rest
+                assert formed == {stage: blocks for stage in value + slopes}, (kind, p.dim)
+        assert tables.built == 2 * 2 * len(pairs)  # per pair and kind: reports, then the rest
+
+    def test_psi_report_values_have_the_bits_of_w(self):
+        # a PSI report's value is stage two of W's sum: its summand reads W's offsets as taken for
+        # the slopes, and its other rows, W's delta rows near P = Q, from the table that the family
+        # function shares; with that table cleared before each call, and warm
+        from test_formula_table import block_pair, near_pair
+        for p, q in (block_pair(_BLOCK + 1), near_pair(1e-3)):
+            for cleared in (True, False):
+                for s in S_GRID:
+                    bits = []
+                    for call in (lambda: bound_report(family_generator(PSI, s), p, q).value,
+                                 lambda: ag_js_divergence_type_s(s, p, q)):
+                        if cleared:
+                            families._last = None
+                        bits.append(call().hex())
+                    assert bits[0] == bits[1], (p.dim, s, cleared)
 
     def test_kept_maxima_are_each_rows_own(self):
         # a near block takes phi_s's series alone when its max |L| allows (``_alone``), and

@@ -1,3 +1,4 @@
+import collections
 import threading
 import time
 
@@ -12,7 +13,7 @@ from symdiv import (DomainError, FamilyParam, GeneratorFamilyKind, InputError,
                     family_generator, generator_eval, j_divergence_type_s, mixture,
                     relative_information_type_s, validate_distribution)
 from symdiv.families import _column
-from symdiv.families import _BLOCK, LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
+from symdiv.families import _BLOCK, _DELTA_EDGE, LIMIT_TOLERANCE, _family_eval, _v_values, _w_values
 
 PHI, PSI = GeneratorFamilyKind.PHI, GeneratorFamilyKind.PSI
 PAIRS = sampled_pairs(per_dim=15)
@@ -393,10 +394,66 @@ class TestOffsetMemo:
                 assert len(tables) <= 1
         self.bits(ag_js_divergence_type_s, 0.5, *pairs[half - 1])  # W's rows, at n = 65536
         table = families._last
-        assert table.table.shape == (11, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
+        assert table.table.shape == (13, 4 * _BLOCK) and table.table.flags.c_contiguous  # W's and PSI's
         for view in [table.table, *(row for rows in table.views.values() for row in rows)]:
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0.0
+
+    @staticmethod
+    def near(n, eps=1e-3):
+        """p = q (1 + eps z), sum(q z) = 0 and max |z| = 1: every entry near P = Q."""
+        rng = np.random.default_rng([2123, n])
+        q = rng.uniform(0.5, 1.5, n)
+        z = rng.uniform(-1.0, 1.0, n)
+        z -= (q * z).sum() / q.sum()
+        p = q * (1.0 + eps * z / np.abs(z).max())
+        return validate_distribution(p / q.sum()), validate_distribution(q / q.sum())
+
+    def test_w_delta_rows_are_formed_once_per_block(self, tables, monkeypatch):
+        # near P = Q, W's series in delta reads a + b and delta^2 from stage one (``_w_delta``):
+        # over the nine orders, each block's rows are formed once; on a pair whose blocks each
+        # start far from P = Q, never. A count per stage, as the report table's test counts them
+        formed, real = collections.Counter(), families._w_delta
+        monkeypatch.setattr(families, "_w_delta", lambda a, b: formed.update([a.size]) or real(a, b))
+        monkeypatch.setitem(families._PLACES, families._w_delta, families._PLACES[real])
+        rng = np.random.default_rng(2124)
+        sizes = (3, _BLOCK + 1, 4 * _BLOCK)
+        far = [tuple(validate_distribution(w / w.sum()) for w in rng.uniform(0.5, 1.5, (2, n)) ** 4)
+               for n in sizes]
+        for p, q in far:  # each block's first entry, where W looks first, is beyond every edge
+            a, b = p.weights[::_BLOCK], q.weights[::_BLOCK]
+            assert (np.abs(a - b) > _DELTA_EDGE * (a + b)).all()
+        for (p, q), near in [(self.near(n), True) for n in sizes] + [(pair, False) for pair in far]:
+            formed.clear()
+            for s in self.ORDERS[:9]:
+                ag_js_divergence_type_s(s, p, q)
+            blocks = collections.Counter(min(_BLOCK, p.dim - i) for i in range(0, p.dim, _BLOCK))
+            assert formed == (blocks if near else {}), (p.dim, near)
+
+    def test_kept_delta_maxima_are_each_views_own(self, tables):
+        # block_pair(2 * _BLOCK + 3)'s first block lies near P = Q; its second, with the last
+        # entry, a near one, moved to its start, starts there and leaves it, as does the third.
+        # Each block's delta rows are formed, and each view's kept largest delta^2
+        # (``families._top``) is its own; the values equal those with the memo cleared, and
+        # those formed without it
+        from test_formula_table import block_pair
+        p, q = block_pair(2 * _BLOCK + 3)
+        order = np.arange(p.dim)
+        order[[_BLOCK, -1]] = order[[-1, _BLOCK]]
+        p, q = (validate_distribution(w.weights[order]) for w in (p, q))
+        warm = [self.bits(ag_js_divergence_type_s, s, p, q) for s in self.ORDERS]
+        table = families._last
+        for start in range(0, p.dim, _BLOCK):
+            x = table.views[families._w_delta, start][1]
+            assert table.tops[id(x)][1] == x.max(), start
+        del table, x  # the one table is freed before the next is built
+        cleared = []
+        for s in self.ORDERS:
+            families._last = None
+            cleared.append(self.bits(ag_js_divergence_type_s, s, p, q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            formed = [_w_values(_column(s, 1), p.weights, q.weights).tobytes() for s in self.ORDERS]
+        assert warm == cleared == formed
 
     def test_threads_alternating_pairs_and_families_equal_serial_values(self):
         from test_formula_table import block_pair

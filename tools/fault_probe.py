@@ -14,6 +14,10 @@ round, the probe prints for each part the median CPU ms and minor page faults
 numpy computation over 65536 entries that does not use symdiv (``reference``),
 and prints its CPU ms and faults too: memory that the program holds back
 between calls and that makes other code fault its pages in shows there.
+Beside them it prints the process's peak resident set (``ru_maxrss``, in MB)
+right after the part's first run: the family memo's table, whose rows are
+resident once a stage fills them, shows there as the part that first
+needs them raises the peak.
 
 Long sums run a block of ``symdiv.families._BLOCK`` entries at a time, and
 their temporaries are mapped, trimmed and faulted in again, or reused, as
@@ -83,6 +87,10 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def measured(work) -> tuple[float, int]:
     """CPU ms and minor faults of work()."""
     faults, cpu = minor_faults(), time.process_time()
@@ -92,19 +100,22 @@ def measured(work) -> tuple[float, int]:
 
 def main() -> None:
     calls = parts([generic_pair(i) for i in range(2)], near_pair())
-    seen = {name: [] for name in calls}
+    seen, peaks = {name: [] for name in calls}, {}
     for round_ in range(ROUNDS + 1):
         for name, part in calls.items():
-            row = measured(lambda: [call() for call in part]) + measured(reference)
+            row = measured(lambda: [call() for call in part])
+            peaks.setdefault(name, peak_mb())
+            row += measured(reference)
             if round_:  # the first round warms up
                 seen[name].append(row)
     print(f"_BLOCK = {_BLOCK}, n = {ROWS * REPEAT}, medians of {ROUNDS} rounds after one warm-up;"
-          " ref_* is the numpy reference run after the part")
-    print(f"{'part':<8} {'calls':>5} {'cpu_ms':>8} {'minflt':>8} {'ref_ms':>8} {'ref_minflt':>10}")
+          " ref_* is the numpy reference run after the part; peak_mb after the part's first run")
+    print(f"{'part':<8} {'calls':>5} {'cpu_ms':>8} {'minflt':>8} {'peak_mb':>8} {'ref_ms':>8}"
+          f" {'ref_minflt':>10}")
     for name, rows in seen.items():
         cpu, faults, ref_cpu, ref_faults = (statistics.median(column) for column in zip(*rows))
-        print(f"{name:<8} {len(calls[name]):>5} {cpu:>8.1f} {faults:>8.0f} {ref_cpu:>8.2f}"
-              f" {ref_faults:>10.0f}")
+        print(f"{name:<8} {len(calls[name]):>5} {cpu:>8.1f} {faults:>8.0f} {peaks[name]:>8.1f}"
+              f" {ref_cpu:>8.2f} {ref_faults:>10.0f}")
 
 
 if __name__ == "__main__":
