@@ -532,7 +532,7 @@ def _psi_mid(a, b, ub):
 
 
 # each family's stages and row counts in table order (its own, a report's; W's delta rows, which
-# only near blocks fill, last: off the huge pages that filled rows fault in); each stage's place
+# only near blocks fill, last: filled rows' huge pages overlap them least); each stage's place
 _STAGES = {"V": {_v_offsets: 3, _phi_mid: 5}, "W": {_w_offsets: 4, _psi_mid: 7, _w_delta: 2},
            "R": {_r_logs: 2, _r_exact: 1}}
 _PLACES = {stage: (family, first) for family, stages in _STAGES.items()

@@ -414,7 +414,8 @@ class TestOffsetMemo:
         # over the nine orders, each block's rows are formed once; on a pair whose blocks each
         # start far from P = Q, never. A count per stage, as the report table's test counts them
         formed, real = collections.Counter(), families._w_delta
-        monkeypatch.setattr(families, "_w_delta", lambda a, b: formed.update([a.size]) or real(a, b))
+        monkeypatch.setattr(families, "_w_delta",
+                            lambda a, b: formed.update([a.size]) or real(a, b))
         monkeypatch.setitem(families._PLACES, families._w_delta, families._PLACES[real])
         rng = np.random.default_rng(2124)
         sizes = (3, _BLOCK + 1, 4 * _BLOCK)
